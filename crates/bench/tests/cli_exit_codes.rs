@@ -6,6 +6,7 @@
 //! distinction lets CI and scripts tell a broken invocation from a broken
 //! spec.
 
+use sixg_measure::spec::ScenarioSpec;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -187,6 +188,22 @@ fn doctored_flap(name: &str, from: &str, to: &str) -> TempFile {
         .expect("committed flap spec");
     assert!(text.contains(from), "flap spec no longer contains {from:?}");
     TempFile::with_content(name, &text.replace(from, to))
+}
+
+/// A spec that validates but cannot route: every UE must reach every
+/// measurement target through the AS relations, and there are none.
+#[test]
+fn unroutable_spec_exits_one_with_path() {
+    let text = std::fs::read_to_string(specs_dir().join("megacity.json")).expect("megacity spec");
+    let mut spec = ScenarioSpec::from_json(&text).expect("committed spec parses");
+    spec.as_relations.clear();
+    let bad = TempFile::with_content("unroutable.json", &spec.to_json());
+    assert_eq!(code(&run(&["validate", bad.path()])), 0, "routing is checked at compile");
+    let out = run(&["run", bad.path()]);
+    assert_eq!(code(&out), 1, "an unroutable spec is invalid input, not a crash");
+    let err = stderr(&out);
+    assert!(err.contains("$.as_relations"), "{err}");
+    assert!(err.contains("no route from A1 to target 0"), "{err}");
 }
 
 #[test]

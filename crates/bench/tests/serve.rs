@@ -157,3 +157,26 @@ fn error_frames_carry_codes_and_keep_the_connection_alive() {
     let response = client.request(&request.to_json()).expect("exchange completes");
     assert_eq!(response.report_text(), offline);
 }
+
+/// A spec that validates but cannot route fails its compile with a coded
+/// ERROR frame. The daemon keeps serving: the next request for a cached
+/// spec still gets its REPORT.
+#[test]
+fn unroutable_spec_is_an_error_frame_and_the_daemon_keeps_serving() {
+    let hot = ExecRequest::run(flat_spec());
+    let offline = execute(&hot).expect("offline execution").to_json();
+    let daemon = Daemon::spawn();
+    let mut client = daemon.client();
+    assert_eq!(client.request(&hot.to_json()).expect("cold request").report_text(), offline);
+
+    let mut unroutable = ScenarioSpec::megacity();
+    unroutable.as_relations.clear();
+    let rejected =
+        client.request(&ExecRequest::run(unroutable).to_json()).expect("exchange completes");
+    let err = rejected.outcome.expect_err("an unroutable spec must be rejected");
+    assert_eq!(err.code, "validation");
+    assert_eq!(err.path, "$.as_relations");
+
+    let response = client.request(&hot.to_json()).expect("exchange completes");
+    assert_eq!(response.report_text(), offline);
+}

@@ -218,6 +218,12 @@ impl<'a> MobileCampaign<'a> {
         &self.targets
     }
 
+    /// The path sampler over the scenario's topology, shared with the
+    /// packet-level backends so every backend reads one per-hop table.
+    pub(crate) fn sampler(&self) -> &DelaySampler<'a> {
+        &self.sampler
+    }
+
     /// The per-pass traversal (deterministic in scenario + campaign seed).
     pub fn traversal(&self, pass: u32) -> sixg_geo::mobility::Traversal {
         let mob = ManhattanMobility::urban(

@@ -5,8 +5,8 @@
 //! executes the *same campaign* — same [`Shard`] work list, same
 //! `(scenario seed, campaign seed, pass, cell, sample)` stream-keying
 //! discipline, same per-cell sample counts — but produces every sample by
-//! pushing a probe [`Packet`] through a per-shard discrete-event world
-//! built on [`sixg_netsim::engine::Engine`]:
+//! pushing a [`PROBE_BYTES`] probe through a per-shard discrete-event
+//! world built on [`sixg_netsim::engine::Engine`]:
 //!
 //! * every link carries a [`FifoServer`] (from [`sixg_netsim::queueing`]),
 //!   so serialisation delay and probe-vs-probe queueing are *emergent*
@@ -17,7 +17,8 @@
 //!   collapsed to their means;
 //! * background cross-traffic too light to simulate per-packet keeps the
 //!   analytic M/G/1 treatment (exponential wait at the Pollaczek–Khinchine
-//!   mean), identical to the analytic backend's convention;
+//!   mean), drawn from the analytic backend's own
+//!   [`DelaySampler`] table ([`DelaySampler::leg_ms`]);
 //! * the return trip re-traverses the forward hop list, mirroring the
 //!   analytic `rtt = one_way + one_way` convention, so the two backends
 //!   agree in expectation (cross-validated by `repro_crossval`).
@@ -34,15 +35,14 @@ use crate::campaign::{CampaignConfig, MobileCampaign, Shard};
 use crate::parallel::run_shards;
 use crate::scenario::Scenario;
 use bytes::arena::{Arena, Slice};
-use sixg_netsim::dist::{Component, DistSpec, LogNormal, Sample};
+use sixg_netsim::dist::{Component, DistSpec, Sample};
 use sixg_netsim::engine::Engine;
-use sixg_netsim::latency::{mean_queue_ms, propagation_ms, transmission_ms, PROCESSING_CV};
-use sixg_netsim::packet::{FlowId, Packet, TrafficClass};
+use sixg_netsim::latency::DelaySampler;
 use sixg_netsim::queueing::FifoServer;
 use sixg_netsim::radio::AccessModel;
 use sixg_netsim::rng::SimRng;
 use sixg_netsim::time::{SimDuration, SimTime};
-use sixg_netsim::topology::LinkId;
+use sixg_netsim::topology::{LinkId, NodeId};
 use std::cell::RefCell;
 
 /// Wire size of a measurement probe, bytes — the same figure the analytic
@@ -78,10 +78,39 @@ pub(crate) const PHASE_LABEL: &str = "campaign-event";
 /// `service`, then arrive at the next hop `after` later (propagation +
 /// sampled extra + background queueing + node processing).
 #[derive(Debug, Clone, Copy)]
-struct Leg {
-    link: LinkId,
-    service: SimDuration,
-    after: SimDuration,
+pub(crate) struct Leg {
+    pub(crate) link: LinkId,
+    pub(crate) service: SimDuration,
+    pub(crate) after: SimDuration,
+}
+
+/// Draws a probe's journey over `hops` — the forward legs, then the echo
+/// back over the same hop list (the analytic backend's `rtt = one_way +
+/// one_way` convention) — handing each leg to `push`. The plain and the
+/// faulted packet worlds both draw through here, so their per-probe draw
+/// order cannot drift apart.
+pub(crate) fn draw_legs(
+    sampler: &DelaySampler,
+    extras: &[Component],
+    hops: &[(NodeId, LinkId)],
+    rng: &mut SimRng,
+    mut push: impl FnMut(Leg),
+) {
+    for _direction in 0..2 {
+        for &(into, link) in hops {
+            // A `normal` extra spec admits a tiny negative-sample mass
+            // (validate() bounds it at mean ≥ 4σ, ~3e-5 per draw); clamp
+            // it — a negative delay is unphysical and would panic the
+            // SimDuration conversion below.
+            let extra = extras[link.0 as usize].sample(rng).max(0.0);
+            let (service, after) = sampler.leg_ms(link, into, PROBE_BYTES, extra, rng);
+            push(Leg {
+                link,
+                service: SimDuration::from_millis_f64(service),
+                after: SimDuration::from_millis_f64(after),
+            });
+        }
+    }
 }
 
 /// A probe in flight: its pre-drawn journey (a handle into the shard's
@@ -174,7 +203,7 @@ impl<'a> EventCampaign<'a> {
         let interval = SimDuration::from_secs_f64(self.campaign.config().sample_interval_s);
         let n = self.campaign.samples_for_dwell(shard.dwell_s);
         let key = self.campaign.shard_key(PHASE_LABEL, shard.pass, shard.cell);
-        let ue = s.ue[&shard.cell];
+        let sampler = self.campaign.sampler();
 
         let mut eng: Engine<ProbeWorld> = Engine::new();
         let mut world = ProbeWorld {
@@ -193,42 +222,8 @@ impl<'a> EventCampaign<'a> {
             let mut rng = SimRng::for_stream(key.with(i as u64));
             let ti = rng.below(targets.len() as u64) as usize;
             let path = &s.routes[&(shard.cell, ti)];
-            let packet = Packet::new(
-                FlowId(i as u64),
-                i as u64,
-                ue,
-                targets[ti],
-                PROBE_BYTES,
-                TrafficClass::Management,
-                launch,
-            );
-
-            // Forward legs, then the echo back over the same hop list (the
-            // analytic backend's rtt = one_way + one_way convention).
             let mark = world.legs.mark();
-            for _direction in 0..2 {
-                for &(into, link) in &path.hops {
-                    let service = transmission_ms(&s.topo, link, packet.size_bytes);
-                    // A `normal` extra spec admits a tiny negative-sample
-                    // mass (validate() bounds it at mean ≥ 4σ, ~3e-5 per
-                    // draw); clamp it — a negative delay is unphysical and
-                    // would panic the SimDuration conversion below.
-                    let extra = self.extras[link.0 as usize].sample(&mut rng).max(0.0);
-                    let qmean = mean_queue_ms(&s.topo, link);
-                    // Background cross-traffic: exponential at the M/G/1
-                    // mean, the analytic sampler's exact convention.
-                    let queue = if qmean > 0.0 { -(1.0 - rng.unit()).ln() * qmean } else { 0.0 };
-                    let proc_mean = s.topo.node(into).kind.base_processing_ms();
-                    let proc = LogNormal::from_mean_cv(proc_mean, PROCESSING_CV).sample(&mut rng);
-                    world.legs.push(Leg {
-                        link,
-                        service: SimDuration::from_millis_f64(service),
-                        after: SimDuration::from_millis_f64(
-                            propagation_ms(&s.topo, link) + extra + queue + proc,
-                        ),
-                    });
-                }
-            }
+            draw_legs(sampler, &self.extras, &path.hops, &mut rng, |leg| world.legs.push(leg));
             let air_ms = access.sample_rtt_ms(&mut rng);
 
             let probe =

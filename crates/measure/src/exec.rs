@@ -49,7 +49,7 @@ use crate::spec::{
 use crate::store::{fnv1a64, run_checkpointed, CheckpointConfig, CheckpointError};
 use crate::sweep::{Sweep, SweepRun, SweepSpec, VariantReport, DEFAULT_REQUIREMENT_MS};
 use serde::{Serialize, Value};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Runs a compiled scenario's campaign with the chosen backend on the
 /// thread pool — the supported replacement for the deprecated
@@ -916,10 +916,18 @@ impl Executor {
         Self { cache: Mutex::new(ScenarioCache::new(capacity)) }
     }
 
+    /// The shared cache, recovered if a thread panicked while holding
+    /// its lock. That is safe because [`ScenarioCache::get_or_compile`]
+    /// changes entries only after a compile succeeds, so a panic inside a
+    /// compile leaves the cache as it was.
+    fn cache(&self) -> MutexGuard<'_, ScenarioCache> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// `(hits, misses, len)` of the shared cache — the daemon's stats
     /// surface.
     pub fn cache_stats(&self) -> (u64, u64, usize) {
-        let c = self.cache.lock().expect("cache lock");
+        let c = self.cache();
         (c.hits(), c.misses(), c.len())
     }
 
@@ -987,7 +995,7 @@ impl Executor {
         if let Some(e) = spec.validate().into_iter().next() {
             return Err(e);
         }
-        let scenario = self.cache.lock().expect("cache lock").get_or_compile(&spec)?;
+        let scenario = self.cache().get_or_compile(&spec)?;
         let backend = parse_backend(&spec.backend).expect("validated backend");
         let config = CampaignConfig {
             seed: spec.campaign.seed,
@@ -1047,10 +1055,7 @@ impl Executor {
             };
         }
 
-        let plan = {
-            let mut cache = self.cache.lock().expect("cache lock");
-            sweep.plan_with_cache(Some(&mut cache))?
-        };
+        let plan = sweep.plan_with_cache(Some(&mut self.cache()))?;
         let runners = plan.runners();
         let items = plan.items(&runners);
         let mut fields: Vec<CellField> =
@@ -1402,6 +1407,29 @@ mod tests {
 
         let fresh_json = execute(&req).expect("fresh executor").to_json();
         assert_eq!(cold_json, fresh_json);
+    }
+
+    /// A thread that panics while holding the cache lock poisons it; the
+    /// executor recovers the guard and keeps serving the same bytes, from
+    /// the entries cached before the panic.
+    #[test]
+    fn poisoned_cache_lock_still_serves_identical_bytes() {
+        let req = ExecRequest::run(ScenarioSpec::skopje());
+        let executor = Executor::new();
+        let before = executor.execute(&req).expect("cold run").to_json();
+        std::thread::scope(|scope| {
+            let poisoner = scope.spawn(|| {
+                let _guard = executor.cache.lock().expect("unpoisoned before the panic");
+                panic!("poisoning the cache lock");
+            });
+            assert!(poisoner.join().is_err(), "the poisoning thread must panic");
+        });
+        assert!(executor.cache.is_poisoned());
+
+        let after = executor.execute(&req).expect("run on a poisoned lock").to_json();
+        assert_eq!(executor.cache_stats(), (1, 1, 1), "the cached entry must survive");
+        assert_eq!(after, before);
+        assert_eq!(after, Executor::new().execute(&req).expect("fresh executor").to_json());
     }
 
     #[test]

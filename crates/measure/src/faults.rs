@@ -39,13 +39,12 @@
 
 use crate::aggregate::CellField;
 use crate::campaign::{CampaignConfig, MobileCampaign, Shard};
-use crate::event_backend::{PHASE_LABEL, PROBE_BYTES};
+use crate::event_backend::{draw_legs, Leg, PHASE_LABEL};
 use crate::parallel::run_items_streaming;
 use crate::scenario::Scenario;
 use sixg_geo::CellId;
-use sixg_netsim::dist::{Component, DistSpec, LogNormal, Sample};
+use sixg_netsim::dist::{Component, DistSpec};
 use sixg_netsim::engine::Engine;
-use sixg_netsim::latency::{mean_queue_ms, propagation_ms, transmission_ms, PROCESSING_CV};
 use sixg_netsim::queueing::FifoServer;
 use sixg_netsim::radio::AccessModel;
 use sixg_netsim::rng::SimRng;
@@ -75,14 +74,6 @@ struct LinkChange {
     at_s: f64,
     link: LinkId,
     up: bool,
-}
-
-/// One hop traversal of a probe (the event backend's leg, verbatim).
-#[derive(Debug, Clone, Copy)]
-struct Leg {
-    link: LinkId,
-    service: SimDuration,
-    after: SimDuration,
 }
 
 /// A probe in flight. Unlike the plain backend's, its result slot is an
@@ -341,26 +332,13 @@ impl<'a> FaultCampaign<'a> {
                 PathComputer::new(&topo, &s.as_graph).route_along(ue, target, &as_path)
             });
             if let Some(path) = routed {
+                // The route runs over live links only, and a live link of
+                // the shard-local topology carries the scenario's pristine
+                // parameters, so the campaign's table prices it exactly.
                 let mut legs = Vec::with_capacity(2 * path.hops.len());
-                for _direction in 0..2 {
-                    for &(into, link) in &path.hops {
-                        let service = transmission_ms(&topo, link, PROBE_BYTES);
-                        let extra = self.extras[link.0 as usize].sample(&mut rng).max(0.0);
-                        let qmean = mean_queue_ms(&topo, link);
-                        let queue =
-                            if qmean > 0.0 { -(1.0 - rng.unit()).ln() * qmean } else { 0.0 };
-                        let proc_mean = topo.node(into).kind.base_processing_ms();
-                        let proc =
-                            LogNormal::from_mean_cv(proc_mean, PROCESSING_CV).sample(&mut rng);
-                        legs.push(Leg {
-                            link,
-                            service: SimDuration::from_millis_f64(service),
-                            after: SimDuration::from_millis_f64(
-                                propagation_ms(&topo, link) + extra + queue + proc,
-                            ),
-                        });
-                    }
-                }
+                draw_legs(self.campaign.sampler(), &self.extras, &path.hops, &mut rng, |leg| {
+                    legs.push(leg)
+                });
                 let air_ms = access.sample_rtt_ms(&mut rng);
                 let probe = Probe { id: i, launched: launch, next: 0, legs, air_ms };
                 advance(&mut eng, &mut world, probe);

@@ -21,6 +21,7 @@
 use crate::spec::{
     parse_name_style, parse_node_kind, PositionDef, ScenarioSpec, SpecError, TargetDef,
 };
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use sixg_geo::population::SPARSE_THRESHOLD;
 use sixg_geo::{CellId, DensityRaster, GeoPoint, GridSpec};
@@ -271,13 +272,16 @@ impl Scenario {
     /// Compiles a declarative spec into a runnable scenario.
     ///
     /// Validates first and refuses invalid specs with the first violation;
-    /// use [`ScenarioSpec::validate`] to collect all of them.
+    /// use [`ScenarioSpec::validate`] to collect all of them. A valid spec
+    /// whose AS relations leave a UE without a route to a measurement
+    /// target fails here, with a `validation` error at `$.as_relations`:
+    /// routing is part of compilation, not of `validate()`.
     pub fn from_spec(spec: &ScenarioSpec) -> Result<Self, SpecError> {
         let mut errors = spec.validate();
         if !errors.is_empty() {
             return Err(errors.remove(0));
         }
-        Ok(Self::compile(spec))
+        Self::compile(spec)
     }
 
     /// Parses and compiles a spec from JSON text.
@@ -295,7 +299,7 @@ impl Scenario {
     }
 
     /// The compilation pipeline. The spec is already validated.
-    fn compile(spec: &ScenarioSpec) -> Self {
+    fn compile(spec: &ScenarioSpec) -> Result<Self, SpecError> {
         let seed = spec.seed;
         let grid = GridSpec::new(
             GeoPoint::new(spec.grid.origin_lat, spec.grid.origin_lon),
@@ -485,18 +489,20 @@ impl Scenario {
             spec: spec.clone(),
         };
         if scenario.key_scheme == KeyScheme::Legacy {
-            scenario.compute_routes();
+            scenario.compute_routes()?;
             scenario.calibrate();
         }
-        scenario
+        Ok(scenario)
     }
 
     /// Recomputes the cached routes after a topology or policy mutation
     /// (used by the recommendation engines when they add peering links or
-    /// UPF breakouts).
+    /// UPF breakouts). Panics when the mutation leaves a UE unroutable.
     pub fn refresh_routes(&mut self) {
         self.routes.clear();
-        self.compute_routes();
+        if let Err(e) = self.compute_routes() {
+            panic!("{}", e.message);
+        }
     }
 
     /// The extra-delay distribution of every link, indexed by `LinkId`.
@@ -542,17 +548,28 @@ impl Scenario {
         v
     }
 
-    fn compute_routes(&mut self) {
+    /// Routes every UE to every measurement target. A pair the AS
+    /// relations leave unroutable is a `validation` error at
+    /// `$.as_relations` naming the cell and the target.
+    fn compute_routes(&mut self) -> Result<(), SpecError> {
         let pc = PathComputer::new(&self.topo, &self.as_graph);
         let targets = self.measurement_targets();
         for (&cell, &ue) in &self.ue {
             for (ti, &t) in targets.iter().enumerate() {
-                let path = pc
-                    .route(ue, t)
-                    .unwrap_or_else(|| panic!("no route from {cell} to target {ti}"));
+                let path = pc.route(ue, t).ok_or_else(|| {
+                    SpecError::new(
+                        "$.as_relations",
+                        format!(
+                            "no route from {cell} to target {ti} ({}): the AS relations leave \
+                             no policy-compliant path from the UE's AS to the target's",
+                            self.topo.node(t).name
+                        ),
+                    )
+                })?;
                 self.routes.insert((cell, ti), path);
             }
         }
+        Ok(())
     }
 
     /// Empirical wire-path RTT statistics (mean, variance) for a cell's
@@ -560,32 +577,55 @@ impl Scenario {
     /// calibration stream.
     pub fn wire_rtt_stats(&self, cell: CellId, n: usize) -> (f64, f64) {
         let sampler = DelaySampler::new(&self.topo);
-        let targets = self.measurement_targets();
+        self.wire_rtt_stats_with(&sampler, self.measurement_targets().len(), cell, n)
+    }
+
+    /// [`Self::wire_rtt_stats`] over a caller-built sampler, so calibration
+    /// builds the per-hop table once for every cell.
+    fn wire_rtt_stats_with(
+        &self,
+        sampler: &DelaySampler,
+        target_count: usize,
+        cell: CellId,
+        n: usize,
+    ) -> (f64, f64) {
         let key = StreamKey::root(self.seed)
             .with_label(&self.spec.calibration.label)
             .with(self.cell_key(cell));
         let mut rng = SimRng::for_stream(key);
+        let paths: Vec<&RoutedPath> =
+            (0..target_count).map(|ti| &self.routes[&(cell, ti)]).collect();
         let mut w = Welford::new();
         for i in 0..n {
-            let ti = i % targets.len();
-            let path = &self.routes[&(cell, ti)];
-            w.push(sampler.rtt_ms(&path.hops, 64, &mut rng));
+            w.push(sampler.rtt_ms(&paths[i % target_count].hops, 64, &mut rng));
         }
         (w.mean(), w.variance())
     }
 
     /// Inverts the analytic 5G access model per traversed cell so that wire
     /// path plus air interface reproduces the target mean/σ field.
+    ///
+    /// Cells calibrate on the thread pool. Each cell draws from its own
+    /// calibration stream, and results are collected in `included` order,
+    /// so the access models do not depend on the pool size.
     fn calibrate(&mut self) {
         let samples = self.spec.calibration.samples as usize;
-        for cell in self.included.clone() {
-            let (wire_mean, wire_var) = self.wire_rtt_stats(cell, samples);
-            let target_mean = self.targets.mean_of(cell);
-            let target_std = self.targets.std_of(cell);
-            let access_mean = (target_mean - wire_mean).max(1.0);
-            let access_var = (target_std * target_std - wire_var).max(0.01);
-            self.access.insert(cell, FiveGAccess::fit(access_mean, access_var.sqrt()));
-        }
+        let sampler = DelaySampler::new(&self.topo);
+        let target_count = self.measurement_targets().len();
+        let fitted: Vec<FiveGAccess> = self
+            .included
+            .par_iter()
+            .map(|&cell| {
+                let (wire_mean, wire_var) =
+                    self.wire_rtt_stats_with(&sampler, target_count, cell, samples);
+                let target_mean = self.targets.mean_of(cell);
+                let target_std = self.targets.std_of(cell);
+                let access_mean = (target_mean - wire_mean).max(1.0);
+                let access_var = (target_std * target_std - wire_var).max(0.01);
+                FiveGAccess::fit(access_mean, access_var.sqrt())
+            })
+            .collect();
+        self.access = self.included.iter().copied().zip(fitted).collect();
     }
 
     /// Deterministic stream-key component of a cell under this scenario's
@@ -685,6 +725,31 @@ mod tests {
         assert!((t.std_of(c3) - 0.75 * (t.mean_of(c3) - 66.0)).abs() < 1e-12);
         // Far from the hotspot the σ floor applies.
         assert_eq!(t.std_of(CellId::parse("B1").unwrap()), 0.75 * 22.0 * 0.125);
+    }
+
+    fn access_bits(s: &Scenario) -> Vec<(CellId, u64, u64)> {
+        s.access
+            .iter()
+            .map(|(&cell, a)| (cell, a.env.load.to_bits(), a.env.interference.to_bits()))
+            .collect()
+    }
+
+    /// Calibration runs on the pool, but every cell owns its stream, so
+    /// the calibrated access models are the same bits at any pool size.
+    #[test]
+    fn calibration_is_bitwise_independent_of_pool_size() {
+        use crate::parallel::with_thread_count;
+        for spec in [
+            ScenarioSpec::klagenfurt(),
+            ScenarioSpec::klagenfurt_flap(),
+            ScenarioSpec::skopje(),
+            ScenarioSpec::megacity(),
+        ] {
+            let one = with_thread_count(1, || Scenario::from_spec(&spec)).expect("compiles");
+            let four = with_thread_count(4, || Scenario::from_spec(&spec)).expect("compiles");
+            assert_eq!(one.access.len(), one.included.len(), "{}", spec.name);
+            assert_eq!(access_bits(&one), access_bits(&four), "{}", spec.name);
+        }
     }
 
     #[test]

@@ -38,7 +38,12 @@ pub fn propagation_ms(topo: &Topology, link: LinkId) -> f64 {
 
 /// Deterministic transmission delay for `size_bytes` on a link, ms.
 pub fn transmission_ms(topo: &Topology, link: LinkId, size_bytes: u32) -> f64 {
-    size_bytes as f64 * 8.0 / topo.link(link).params.bandwidth_bps * 1e3
+    serialisation_ms(size_bytes, topo.link(link).params.bandwidth_bps)
+}
+
+/// `size_bytes` serialised at `bandwidth_bps`, ms.
+fn serialisation_ms(size_bytes: u32, bandwidth_bps: f64) -> f64 {
+    size_bytes as f64 * 8.0 / bandwidth_bps * 1e3
 }
 
 /// The link's M/G/1 queueing [`Load`] given its background utilisation.
@@ -65,33 +70,111 @@ pub fn expected_link_ms(topo: &Topology, link: LinkId, into: NodeId) -> f64 {
         + topo.node(into).kind.base_processing_ms()
 }
 
+/// The constant parts of one link's delay model, fixed once the topology
+/// is built.
+#[derive(Debug, Clone, Copy)]
+struct LinkTerms {
+    /// [`propagation_ms`].
+    prop_ms: f64,
+    /// Capacity, for the size-dependent transmission term.
+    bandwidth_bps: f64,
+    /// Fixed extra latency (`LinkParams::extra_ms`).
+    extra_ms: f64,
+    /// [`mean_queue_ms`].
+    queue_ms: f64,
+}
+
+impl LinkTerms {
+    fn of(topo: &Topology, link: LinkId) -> Self {
+        let p = topo.link(link).params;
+        Self {
+            prop_ms: propagation_ms(topo, link),
+            bandwidth_bps: p.bandwidth_bps,
+            extra_ms: p.extra_ms,
+            queue_ms: mean_queue_ms(topo, link),
+        }
+    }
+
+    /// Background queueing wait. Waiting time in M/G/1 is approximately
+    /// exponential at moderate load; sampling it exponential with the P-K
+    /// mean is the standard fast abstraction.
+    fn sample_queue_ms(&self, rng: &mut SimRng) -> f64 {
+        if self.queue_ms > 0.0 {
+            -(1.0 - rng.unit()).ln() * self.queue_ms
+        } else {
+            0.0
+        }
+    }
+}
+
 /// Stochastic sampler for path delays.
+///
+/// Construction derives every per-link constant (propagation, bandwidth,
+/// extra, M/G/1 queue mean) and every node's processing [`LogNormal`]
+/// once, so a hop costs two draws and a few additions. Each hop keeps the
+/// floating-point order and the RNG draw order of the per-call formula,
+/// so the table changes no sampled bit.
 #[derive(Debug, Clone)]
 pub struct DelaySampler<'a> {
     topo: &'a Topology,
+    /// Indexed by `LinkId`; `None` for a removed link.
+    links: Vec<Option<LinkTerms>>,
+    /// Processing-time distribution of the node entered, indexed by `NodeId`.
+    processing: Vec<LogNormal>,
 }
 
 impl<'a> DelaySampler<'a> {
     /// Creates a sampler over a topology.
     pub fn new(topo: &'a Topology) -> Self {
-        Self { topo }
+        let links = topo
+            .links()
+            .iter()
+            .map(|l| (!topo.link_removed(l.id)).then(|| LinkTerms::of(topo, l.id)))
+            .collect();
+        let processing = topo
+            .nodes()
+            .iter()
+            .map(|n| LogNormal::from_mean_cv(n.kind.base_processing_ms(), PROCESSING_CV))
+            .collect();
+        Self { topo, links, processing }
+    }
+
+    fn terms(&self, link: LinkId) -> LinkTerms {
+        // A removed link has no entry; deriving it on the spot panics
+        // exactly as the per-call formula does.
+        self.links[link.0 as usize].unwrap_or_else(|| LinkTerms::of(self.topo, link))
     }
 
     /// Samples the one-way delay of a single hop (traverse `link`, be
     /// processed by `into`), milliseconds.
     pub fn hop_ms(&self, link: LinkId, into: NodeId, size_bytes: u32, rng: &mut SimRng) -> f64 {
-        let p = self.topo.link(link).params;
-        let fixed = propagation_ms(self.topo, link)
-            + transmission_ms(self.topo, link, size_bytes)
-            + p.extra_ms;
-        let qmean = mean_queue_ms(self.topo, link);
-        // Waiting time in M/G/1 is approximately exponential at moderate
-        // load; sampling it exponential with the P-K mean is the standard
-        // fast abstraction.
-        let queue = if qmean > 0.0 { -(1.0 - rng.unit()).ln() * qmean } else { 0.0 };
-        let proc_mean = self.topo.node(into).kind.base_processing_ms();
-        let proc = LogNormal::from_mean_cv(proc_mean, PROCESSING_CV).sample(rng);
+        let t = self.terms(link);
+        let fixed = t.prop_ms + serialisation_ms(size_bytes, t.bandwidth_bps) + t.extra_ms;
+        let queue = t.sample_queue_ms(rng);
+        let proc = self.processing[into.0 as usize].sample(rng);
         fixed + queue + proc
+    }
+
+    /// Samples one hop of a packet-level world, where the link's FIFO
+    /// server supplies the transmission delay: returns `(service_ms,
+    /// after_ms)`, the serialisation time of `size_bytes` on `link` and
+    /// the delay from leaving the server to arriving at the next hop.
+    /// `extra_ms` is the link's extra delay as the caller drew it; this
+    /// call then draws queue and processing, and `after_ms` sums
+    /// propagation, extra, queue and processing in that order.
+    pub fn leg_ms(
+        &self,
+        link: LinkId,
+        into: NodeId,
+        size_bytes: u32,
+        extra_ms: f64,
+        rng: &mut SimRng,
+    ) -> (f64, f64) {
+        let t = self.terms(link);
+        let service = serialisation_ms(size_bytes, t.bandwidth_bps);
+        let queue = t.sample_queue_ms(rng);
+        let proc = self.processing[into.0 as usize].sample(rng);
+        (service, t.prop_ms + extra_ms + queue + proc)
     }
 
     /// Samples the one-way delay along a path (list of `(node_entered,
@@ -199,6 +282,105 @@ mod tests {
             t.add_link(a, b, LinkParams { bandwidth_bps: 1e9, utilisation: 0.9, extra_ms: 0.0 });
         assert!(mean_queue_ms(&t, busy) > 10.0 * mean_queue_ms(&t, quiet));
         assert!(expected_link_ms(&t, busy, b) > expected_link_ms(&t, quiet, b));
+    }
+
+    /// A topology with every kind of link term: long and short links,
+    /// an idle link (zero queue mean, so no queue draw), fractional extras
+    /// and bandwidths whose sums round differently when reassociated, and
+    /// nodes of several processing classes.
+    fn mesh() -> Topology {
+        let mut t = Topology::new();
+        let ue = t.add_node(NodeKind::UserEquipment, "ue", GeoPoint::new(46.62, 14.31), Asn(1));
+        let gnb = t.add_node(NodeKind::GnB, "gnb", GeoPoint::new(46.63, 14.30), Asn(1));
+        let core = t.add_node(NodeKind::CoreRouter, "core", GeoPoint::new(47.07, 15.44), Asn(1));
+        let br = t.add_node(NodeKind::BorderRouter, "br", GeoPoint::new(48.21, 16.37), Asn(2));
+        let dc = t.add_node(NodeKind::CloudDc, "dc", GeoPoint::new(50.11, 8.68), Asn(3));
+        t.add_link(ue, gnb, LinkParams::access_wired());
+        t.add_link(gnb, core, LinkParams::metro());
+        t.add_link(core, br, LinkParams::backbone());
+        t.add_link(br, dc, LinkParams::transit_loaded());
+        t.add_link(core, dc, LinkParams { bandwidth_bps: 4e8, utilisation: 0.0, extra_ms: 1.25 });
+        for (i, extra_ms) in [0.1, 0.3, 0.7, 2.9].into_iter().enumerate() {
+            let bandwidth_bps = 1e8 * (i + 1) as f64 / 3.0;
+            t.add_link(gnb, dc, LinkParams { bandwidth_bps, utilisation: 0.55, extra_ms });
+        }
+        t
+    }
+
+    /// The per-call formula the table replaced: the test oracle.
+    fn formula_hop_ms(
+        t: &Topology,
+        link: LinkId,
+        into: NodeId,
+        size: u32,
+        rng: &mut SimRng,
+    ) -> f64 {
+        let fixed =
+            propagation_ms(t, link) + transmission_ms(t, link, size) + t.link(link).params.extra_ms;
+        let qmean = mean_queue_ms(t, link);
+        let queue = if qmean > 0.0 { -(1.0 - rng.unit()).ln() * qmean } else { 0.0 };
+        let proc_mean = t.node(into).kind.base_processing_ms();
+        fixed + queue + LogNormal::from_mean_cv(proc_mean, PROCESSING_CV).sample(rng)
+    }
+
+    /// Table-driven `hop_ms` and `leg_ms` reproduce the per-call formula
+    /// bit for bit over every (link, into) pair at two packet sizes, with
+    /// the draws consumed in the same order from one stream.
+    #[test]
+    fn table_matches_the_per_call_formula_bitwise() {
+        let t = mesh();
+        let sampler = DelaySampler::new(&t);
+        let mut table_rng = SimRng::from_seed(0x5EED);
+        let mut formula_rng = table_rng.clone();
+        for size in [64u32, 1500] {
+            for link in t.links().iter().map(|l| l.id) {
+                for into in t.nodes().iter().map(|n| n.id) {
+                    let table = sampler.hop_ms(link, into, size, &mut table_rng);
+                    let formula = formula_hop_ms(&t, link, into, size, &mut formula_rng);
+                    assert_eq!(table.to_bits(), formula.to_bits(), "hop {link:?} into {into:?}");
+
+                    let extra = 2.0 * table_rng.unit();
+                    let (service, after) = sampler.leg_ms(link, into, size, extra, &mut table_rng);
+                    let x = 2.0 * formula_rng.unit();
+                    let qmean = mean_queue_ms(&t, link);
+                    let queue =
+                        if qmean > 0.0 { -(1.0 - formula_rng.unit()).ln() * qmean } else { 0.0 };
+                    let proc_mean = t.node(into).kind.base_processing_ms();
+                    let proc =
+                        LogNormal::from_mean_cv(proc_mean, PROCESSING_CV).sample(&mut formula_rng);
+                    let expect_after = propagation_ms(&t, link) + x + queue + proc;
+                    let expect_service = transmission_ms(&t, link, size);
+                    assert_eq!(service.to_bits(), expect_service.to_bits(), "leg {link:?}");
+                    assert_eq!(after.to_bits(), expect_after.to_bits(), "leg {link:?}");
+                }
+            }
+        }
+    }
+
+    fn with_removed_link() -> (Topology, LinkId, LinkId) {
+        let mut t = mesh();
+        let (live, removed) = (LinkId(0), LinkId(2));
+        t.remove_link(removed);
+        (t, live, removed)
+    }
+
+    /// A tombstoned link does not stop the sampler being built, and the
+    /// live links still sample.
+    #[test]
+    fn removed_link_does_not_break_construction() {
+        let (t, live, _) = with_removed_link();
+        let sampler = DelaySampler::new(&t);
+        let mut rng = SimRng::from_seed(6);
+        assert!(sampler.hop_ms(live, NodeId(1), 64, &mut rng) > 0.0);
+    }
+
+    /// Sampling over a removed link panics, as the per-call formula did.
+    #[test]
+    #[should_panic(expected = "invalid rates")]
+    fn hop_over_removed_link_panics() {
+        let (t, _, removed) = with_removed_link();
+        let sampler = DelaySampler::new(&t);
+        sampler.hop_ms(removed, NodeId(3), 64, &mut SimRng::from_seed(6));
     }
 
     #[test]
