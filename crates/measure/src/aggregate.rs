@@ -31,11 +31,69 @@ impl CellStats {
     }
 }
 
+/// The report statistics of a field, taken in one pass over its
+/// accumulators. Each member equals what the same-named [`CellField`]
+/// method returns, bit for bit.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FieldSummary {
+    /// Total sample count over all cells, masked ones included.
+    pub total_samples: u64,
+    /// Grand mean over reported cells, ms (0.0 when none is reported).
+    pub grand_mean_ms: f64,
+    /// Minimum / maximum reported cell means with their cells.
+    pub mean_extrema: Option<(CellStats, CellStats)>,
+    /// Minimum / maximum reported cell standard deviations.
+    pub std_extrema: Option<(CellStats, CellStats)>,
+}
+
+/// Folds `s` into a running (min, max) pair under `key`, breaking ties
+/// as `Iterator::min_by` (first equal) and `Iterator::max_by` (last
+/// equal) do.
+fn fold_extrema(
+    slot: &mut Option<(CellStats, CellStats)>,
+    s: &CellStats,
+    key: fn(&CellStats) -> f64,
+) {
+    match slot {
+        None => *slot = Some((s.clone(), s.clone())),
+        Some((min, max)) => {
+            if key(s).total_cmp(&key(min)).is_lt() {
+                *min = s.clone();
+            }
+            if key(s).total_cmp(&key(max)).is_ge() {
+                *max = s.clone();
+            }
+        }
+    }
+}
+
 /// A full per-cell field over a grid.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CellField {
     grid: GridSpec,
     acc: Vec<Welford>,
+}
+
+/// A contiguous row-major run of a field's accumulators, borrowed mutably
+/// so that disjoint ranges can fill on different threads.
+pub(crate) struct CellRange<'a> {
+    grid: &'a GridSpec,
+    start: usize,
+    acc: &'a mut [Welford],
+}
+
+impl CellRange<'_> {
+    /// The accumulator of `cell`. Panics when the cell is outside the
+    /// grid or outside this range.
+    pub(crate) fn cell_mut(&mut self, cell: CellId) -> &mut Welford {
+        &mut self.acc[cell_index(self.grid, cell) - self.start]
+    }
+}
+
+/// Row-major accumulator index of `cell`; panics outside the grid.
+fn cell_index(grid: &GridSpec, cell: CellId) -> usize {
+    assert!(grid.contains(cell), "cell {cell} outside grid");
+    cell.row as usize * grid.cols as usize + cell.col as usize
 }
 
 impl CellField {
@@ -50,24 +108,32 @@ impl CellField {
         &self.grid
     }
 
-    fn idx(&self, cell: CellId) -> usize {
-        assert!(self.grid.contains(cell), "cell {cell} outside grid");
-        cell.row as usize * self.grid.cols as usize + cell.col as usize
+    /// Row-major accumulator index of `cell`; panics outside the grid.
+    pub(crate) fn index(&self, cell: CellId) -> usize {
+        cell_index(&self.grid, cell)
+    }
+
+    /// The accumulators split into contiguous row-major ranges of `span`
+    /// cells (the last one may be shorter), in index order.
+    pub(crate) fn ranges_mut(&mut self, span: usize) -> Vec<CellRange<'_>> {
+        let grid = &self.grid;
+        self.acc
+            .chunks_mut(span)
+            .enumerate()
+            .map(|(r, acc)| CellRange { grid, start: r * span, acc })
+            .collect()
     }
 
     /// Records one RTL sample for a cell.
     pub fn push(&mut self, cell: CellId, rtl_ms: f64) {
-        let i = self.idx(cell);
+        let i = self.index(cell);
         self.acc[i].push(rtl_ms);
     }
 
-    /// Folds `(cell, samples)` batches into the field in iteration order.
-    ///
-    /// This is the single accumulation path shared by the sequential and
-    /// parallel campaign runners: as long as both present the same batches
-    /// in the same order, the floating-point operation sequence — and hence
-    /// every bit of the resulting statistics — is identical, regardless of
-    /// how many threads *produced* the batches.
+    /// Folds `(cell, samples)` batches into the field in iteration order:
+    /// the same floating-point operation sequence as pushing every sample
+    /// with [`Self::push`] in that order, so the result is bitwise equal to
+    /// any runner that presents the same per-cell sample order.
     pub fn accumulate_ordered(&mut self, batches: impl IntoIterator<Item = (CellId, Vec<f64>)>) {
         for (cell, samples) in batches {
             for v in samples {
@@ -104,7 +170,10 @@ impl CellField {
 
     /// Statistics of one cell, with the masking rule applied.
     pub fn stats(&self, cell: CellId) -> CellStats {
-        let w = &self.acc[self.idx(cell)];
+        Self::stats_of(cell, &self.acc[self.index(cell)])
+    }
+
+    fn stats_of(cell: CellId, w: &Welford) -> CellStats {
         if w.count() < MIN_SAMPLES {
             CellStats { cell, count: w.count(), mean_ms: 0.0, std_ms: 0.0 }
         } else {
@@ -122,30 +191,48 @@ impl CellField {
         self.all_stats().into_iter().filter(|s| !s.is_masked()).collect()
     }
 
+    /// [`Self::total_samples`], [`Self::grand_mean_ms`],
+    /// [`Self::mean_extrema`] and [`Self::std_extrema`] from one row-major
+    /// pass over the accumulators, without materialising [`Self::reported`].
+    pub fn summary(&self) -> FieldSummary {
+        let cols = self.grid.cols as usize;
+        let mut total_samples = 0;
+        // `Iterator::sum`'s neutral element, so the grand mean keeps its bits.
+        let mut mean_sum = -0.0;
+        let mut reported = 0usize;
+        let mut mean_extrema = None;
+        let mut std_extrema = None;
+        for (i, w) in self.acc.iter().enumerate() {
+            total_samples += w.count();
+            if w.count() < MIN_SAMPLES {
+                continue;
+            }
+            let s = Self::stats_of(CellId::new((i % cols) as u32, (i / cols) as u32), w);
+            mean_sum += s.mean_ms;
+            reported += 1;
+            fold_extrema(&mut mean_extrema, &s, |s| s.mean_ms);
+            fold_extrema(&mut std_extrema, &s, |s| s.std_ms);
+        }
+        let grand_mean_ms = if reported == 0 { 0.0 } else { mean_sum / reported as f64 };
+        FieldSummary { total_samples, grand_mean_ms, mean_extrema, std_extrema }
+    }
+
     /// Grand mean over *reported* cells (unweighted across cells, as the
     /// paper compares cell means).
     pub fn grand_mean_ms(&self) -> f64 {
-        let rep = self.reported();
-        if rep.is_empty() {
-            return 0.0;
-        }
-        rep.iter().map(|s| s.mean_ms).sum::<f64>() / rep.len() as f64
+        self.summary().grand_mean_ms
     }
 
-    /// Minimum / maximum reported cell means with their cells.
+    /// Minimum / maximum reported cell means with their cells. Ties go to
+    /// the first equal cell for the minimum and the last for the maximum.
     pub fn mean_extrema(&self) -> Option<(CellStats, CellStats)> {
-        let rep = self.reported();
-        let min = rep.iter().min_by(|a, b| a.mean_ms.total_cmp(&b.mean_ms))?.clone();
-        let max = rep.iter().max_by(|a, b| a.mean_ms.total_cmp(&b.mean_ms))?.clone();
-        Some((min, max))
+        self.summary().mean_extrema
     }
 
-    /// Minimum / maximum reported cell standard deviations.
+    /// Minimum / maximum reported cell standard deviations, with ties
+    /// broken as in [`Self::mean_extrema`].
     pub fn std_extrema(&self) -> Option<(CellStats, CellStats)> {
-        let rep = self.reported();
-        let min = rep.iter().min_by(|a, b| a.std_ms.total_cmp(&b.std_ms))?.clone();
-        let max = rep.iter().max_by(|a, b| a.std_ms.total_cmp(&b.std_ms))?.clone();
-        Some((min, max))
+        self.summary().std_extrema
     }
 
     /// Total sample count over all cells.
@@ -267,11 +354,59 @@ mod tests {
         }
     }
 
+    /// The streaming statistics break ties exactly as the `reported()`
+    /// based ones they replaced: `min_by` keeps the first equal cell,
+    /// `max_by` the last, for means and σ alike.
+    #[test]
+    fn streaming_extrema_break_ties_like_min_by_and_max_by() {
+        let mut f = CellField::new(grid());
+        let low = [50.0, 52.0, 54.0, 50.0, 52.0, 54.0, 50.0, 52.0, 54.0, 50.0, 52.0, 54.0];
+        let high = low.map(|v| v + 40.0);
+        // Three cells tie at the lowest mean, three at the highest, and one
+        // sits strictly between; all seven share one σ. A masked cell with
+        // a lower mean and σ must not count.
+        for label in ["B1", "A3", "F5"] {
+            let c = CellId::parse(label).unwrap();
+            low.iter().for_each(|&v| f.push(c, v));
+        }
+        for label in ["E1", "C4", "A7"] {
+            let c = CellId::parse(label).unwrap();
+            high.iter().for_each(|&v| f.push(c, v));
+        }
+        let mid = CellId::parse("D2").unwrap();
+        low.iter().for_each(|&v| f.push(mid, v + 20.0));
+        f.push(CellId::parse("C3").unwrap(), 1.0);
+
+        let rep = f.reported();
+        assert_eq!(rep.len(), 7);
+        assert!(rep.iter().all(|s| s.std_ms.to_bits() == rep[0].std_ms.to_bits()), "σ must tie");
+        let by_mean = |a: &&CellStats, b: &&CellStats| a.mean_ms.total_cmp(&b.mean_ms);
+        let by_std = |a: &&CellStats, b: &&CellStats| a.std_ms.total_cmp(&b.std_ms);
+        let old_mean = (rep.iter().min_by(by_mean).cloned(), rep.iter().max_by(by_mean).cloned());
+        let old_std = (rep.iter().min_by(by_std).cloned(), rep.iter().max_by(by_std).cloned());
+        let old_grand = rep.iter().map(|s| s.mean_ms).sum::<f64>() / rep.len() as f64;
+
+        let (min, max) = f.mean_extrema().unwrap();
+        assert_eq!((Some(min.clone()), Some(max.clone())), old_mean);
+        assert_eq!((min.cell.label(), max.cell.label()), ("B1".into(), "A7".into()));
+        let (smin, smax) = f.std_extrema().unwrap();
+        assert_eq!((Some(smin.clone()), Some(smax.clone())), old_std);
+        assert_eq!((smin.cell.label(), smax.cell.label()), ("B1".into(), "A7".into()));
+        assert_eq!(f.grand_mean_ms().to_bits(), old_grand.to_bits());
+
+        let summary = f.summary();
+        assert_eq!(summary.mean_extrema, Some((min, max)));
+        assert_eq!(summary.std_extrema, Some((smin, smax)));
+        assert_eq!(summary.grand_mean_ms.to_bits(), old_grand.to_bits());
+        assert_eq!(summary.total_samples, f.total_samples());
+    }
+
     #[test]
     fn empty_field_grand_mean_zero() {
         let f = CellField::new(grid());
         assert_eq!(f.grand_mean_ms(), 0.0);
         assert!(f.mean_extrema().is_none());
+        assert!(f.std_extrema().is_none());
         assert_eq!(f.total_samples(), 0);
     }
 

@@ -235,19 +235,24 @@ impl<'a> MobileCampaign<'a> {
     /// The full campaign work list, in sequential execution order.
     ///
     /// Both runners consume exactly this list: the sequential runner in
-    /// order, the parallel runner sampling shards on any thread and then
-    /// merging batches back *in this order* — which is what makes the two
-    /// bitwise interchangeable.
+    /// order, the parallel runner sampling shards on any thread but
+    /// accumulating each cell's samples *in this order* — which is what
+    /// makes the two bitwise interchangeable. The list grows by exactly one
+    /// pass at a time and holds no intermediate copy: at continental scale
+    /// a pass is 10⁶ shards, and the allocator would keep a transient of
+    /// that size resident.
     pub fn shards(&self) -> Vec<Shard> {
-        (0..self.config.passes)
-            .flat_map(|pass| {
-                self.traversal(pass)
-                    .visits
-                    .into_iter()
-                    .map(move |v| Shard { pass, cell: v.cell, dwell_s: v.dwell_s })
-                    .collect::<Vec<_>>()
-            })
-            .collect()
+        let mut out = Vec::new();
+        for pass in 0..self.config.passes {
+            let visits = self.traversal(pass).visits;
+            out.reserve_exact(visits.len());
+            out.extend(visits.into_iter().map(|v| Shard {
+                pass,
+                cell: v.cell,
+                dwell_s: v.dwell_s,
+            }));
+        }
+        out
     }
 
     /// Samples of one shard, in cadence order (see [`Self::collect_cell`]).
@@ -261,9 +266,9 @@ impl<'a> MobileCampaign<'a> {
     }
 
     /// Runs the full campaign sequentially, shard by shard, reusing one
-    /// sample buffer across shards. The accumulation order is exactly
-    /// [`CellField::accumulate_ordered`] over the shard list, so the result
-    /// is bitwise identical to the parallel runner's.
+    /// sample buffer across shards. Each cell accumulates its samples in
+    /// shard-list order, as in the parallel runner, so the result is
+    /// bitwise identical to it.
     pub fn run(&self) -> CellField {
         crate::parallel::run_shards_sequential(self.scenario, &self.shards(), |shard, buf| {
             self.collect_shard_into(shard, buf)

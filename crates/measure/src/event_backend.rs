@@ -26,9 +26,10 @@
 //! Determinism: each probe's stochastic quantities are drawn *up front*
 //! from its own per-sample stream (phase label `"campaign-event"`), and
 //! each shard owns a private engine and world. Shards can therefore run on
-//! any thread in any order; results are folded back in work-list order by
-//! the shared work-list skeleton of [`crate::parallel`], making parallel
-//! runs bitwise equal to sequential ones at every pool size.
+//! any thread in any order; the shared plain-run skeleton of
+//! [`crate::parallel`] accumulates each cell's samples in work-list order,
+//! making parallel runs bitwise equal to sequential ones at every pool
+//! size.
 
 use crate::aggregate::CellField;
 use crate::campaign::{CampaignConfig, MobileCampaign, Shard};
@@ -258,8 +259,8 @@ impl<'a> EventCampaign<'a> {
 }
 
 /// Runs the event-driven campaign on the thread pool, sharding at (pass,
-/// cell) granularity and merging batches in deterministic work-list order
-/// — the event half of the [`crate::exec`] dispatch.
+/// cell) granularity and accumulating each cell's samples in work-list
+/// order — the event half of the [`crate::exec`] dispatch.
 pub(crate) fn event_field(scenario: &Scenario, config: CampaignConfig) -> CellField {
     let ec = EventCampaign::new(scenario, config);
     run_shards(scenario, &ec.shards(), |shard, buf| ec.collect_shard_into(shard, buf))

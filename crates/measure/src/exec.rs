@@ -25,10 +25,11 @@
 //!   `Executor` and multiplexes connections onto it.
 //!
 //! **Determinism.** Scenario compilation is a pure function of the
-//! canonical spec, and every runner folds samples in work-list order, so
-//! a cache hit, a cold compile, a different pool size, or a concurrent
-//! request on the same `Executor` all produce byte-identical reports —
-//! the contract the wire protocol extends to remote clients.
+//! canonical spec, and every runner accumulates each cell's samples in
+//! work-list order, so a cache hit, a cold compile, a different pool
+//! size, or a concurrent request on the same `Executor` all produce
+//! byte-identical reports — the contract the wire protocol extends to
+//! remote clients.
 //!
 //! **Error anchoring.** Envelope-level complaints (missing/forbidden
 //! request fields, override conflicts) anchor at the envelope member
@@ -626,11 +627,12 @@ impl RunReport {
         field: &CellField,
         requirement_ms: f64,
     ) -> Self {
-        let grand_mean_ms = field.grand_mean_ms();
+        let summary = field.summary();
+        let grand_mean_ms = summary.grand_mean_ms;
         let (mean_min_ms, mean_max_ms) =
-            field.mean_extrema().map_or((0.0, 0.0), |(a, b)| (a.mean_ms, b.mean_ms));
+            summary.mean_extrema.map_or((0.0, 0.0), |(a, b)| (a.mean_ms, b.mean_ms));
         let (std_min_ms, std_max_ms) =
-            field.std_extrema().map_or((0.0, 0.0), |(a, b)| (a.std_ms, b.std_ms));
+            summary.std_extrema.map_or((0.0, 0.0), |(a, b)| (a.std_ms, b.std_ms));
         let wide = KeyScheme::for_grid(field.grid()) == KeyScheme::Wide;
         let cells = if wide {
             Vec::new()
@@ -656,7 +658,7 @@ impl RunReport {
             passes: config.passes,
             sample_interval_s: config.sample_interval_s,
             requirement_ms,
-            total_samples: field.total_samples(),
+            total_samples: summary.total_samples,
             grand_mean_ms,
             mean_min_ms,
             mean_max_ms,
@@ -892,9 +894,11 @@ pub fn execute(req: &ExecRequest) -> Result<ExecReport, SpecError> {
 /// A long-lived execution context: the facade plus a shared
 /// [`ScenarioCache`]. `&self` methods take the cache mutex only around
 /// compilation, so concurrent callers (one per daemon connection)
-/// serialise the cheap compile step and run their campaigns on the shared
-/// rayon pool concurrently — which is safe *and* deterministic, because
-/// every campaign folds its own work list in its own order.
+/// serialise their cold compiles — each on the order of 80 ms for a
+/// calibrated site, most of it calibration, during which every other
+/// caller's cache lookup waits — and run their campaigns on the shared
+/// rayon pool concurrently. That is safe *and* deterministic, because
+/// every campaign accumulates its own work list in its own order.
 pub struct Executor {
     cache: Mutex<ScenarioCache>,
 }

@@ -40,7 +40,7 @@
 use crate::aggregate::CellField;
 use crate::campaign::{CampaignConfig, MobileCampaign, Shard};
 use crate::event_backend::{draw_legs, Leg, PHASE_LABEL};
-use crate::parallel::run_items_streaming;
+use crate::parallel::{run_shards, run_shards_sequential, CellItem};
 use crate::scenario::Scenario;
 use sixg_geo::CellId;
 use sixg_netsim::dist::{Component, DistSpec};
@@ -65,6 +65,12 @@ pub struct FaultShard {
     /// Seconds into the pass at which this shard's dwell window starts
     /// (cumulative dwell of the pass's earlier visits).
     pub t0_s: f64,
+}
+
+impl CellItem for FaultShard {
+    fn cell(&self) -> CellId {
+        self.shard.cell
+    }
 }
 
 /// A link state change on the per-pass campaign clock, after merging
@@ -226,8 +232,10 @@ impl<'a> FaultCampaign<'a> {
     pub fn shards(&self) -> Vec<FaultShard> {
         let mut out = Vec::new();
         for pass in 0..self.campaign.config().passes {
+            let visits = self.campaign.traversal(pass).visits;
+            out.reserve_exact(visits.len());
             let mut t0_s = 0.0;
-            for v in self.campaign.traversal(pass).visits {
+            for v in visits {
                 out.push(FaultShard {
                     shard: Shard { pass, cell: v.cell, dwell_s: v.dwell_s },
                     t0_s,
@@ -353,38 +361,20 @@ impl<'a> FaultCampaign<'a> {
     }
 
     /// Runs the full campaign sequentially, shard by shard (bitwise
-    /// identical to [`run_faulted_parallel`]).
+    /// identical to the parallel runner behind [`crate::exec::run_field`]).
     pub fn run(&self) -> CellField {
-        let mut field = CellField::new(self.campaign.scenario().grid.clone());
-        let mut buf = Vec::new();
-        for fs in self.shards() {
-            self.collect_shard_into(fs, &mut buf);
-            for &v in &buf {
-                field.push(fs.shard.cell, v);
-            }
-        }
-        field
+        run_shards_sequential(self.campaign.scenario(), &self.shards(), |fs, buf| {
+            self.collect_shard_into(fs, buf)
+        })
     }
 }
 
-/// Runs the fault-bearing campaign on the thread pool, merging per-shard
-/// batches in deterministic work-list order — bitwise equal to
-/// [`FaultCampaign::run`] at every pool size. The faulted half of the
-/// [`crate::exec`] dispatch.
+/// Runs the fault-bearing campaign on the thread pool through the plain-run
+/// skeleton — bitwise equal to [`FaultCampaign::run`] at every pool size.
+/// The faulted half of the [`crate::exec`] dispatch.
 pub(crate) fn faulted_field(scenario: &Scenario, config: CampaignConfig) -> CellField {
     let fc = FaultCampaign::new(scenario, config);
-    let shards = fc.shards();
-    let mut field = CellField::new(scenario.grid.clone());
-    run_items_streaming(
-        &shards,
-        |fs, buf| fc.collect_shard_into(fs, buf),
-        |fs, buf| {
-            for &v in buf {
-                field.push(fs.shard.cell, v);
-            }
-        },
-    );
-    field
+    run_shards(scenario, &fc.shards(), |fs, buf| fc.collect_shard_into(fs, buf))
 }
 
 #[doc(hidden)]

@@ -91,7 +91,7 @@ pub mod validate;
 pub mod wire;
 pub mod wired;
 
-pub use aggregate::{CellField, CellStats};
+pub use aggregate::{CellField, CellStats, FieldSummary};
 pub use campaign::{CampaignConfig, MobileCampaign};
 pub use dispatch::{
     dispatch_sweep, run_streamed_shard, DispatchConfig, DispatchError, DispatchRun, DispatchStats,

@@ -97,8 +97,9 @@ pub struct CellSummary {
 impl CampaignSummary {
     /// Builds the summary from a field.
     pub fn from_field(field: &CellField) -> Self {
-        let (mmin, mmax) = field.mean_extrema().expect("non-empty field");
-        let (smin, smax) = field.std_extrema().expect("non-empty field");
+        let summary = field.summary();
+        let (mmin, mmax) = summary.mean_extrema.expect("non-empty field");
+        let (smin, smax) = summary.std_extrema.expect("non-empty field");
         Self {
             cells: field
                 .reported()
@@ -110,12 +111,12 @@ impl CampaignSummary {
                     std_ms: s.std_ms,
                 })
                 .collect(),
-            grand_mean_ms: field.grand_mean_ms(),
+            grand_mean_ms: summary.grand_mean_ms,
             mean_min_ms: mmin.mean_ms,
             mean_max_ms: mmax.mean_ms,
             std_min_ms: smin.std_ms,
             std_max_ms: smax.std_ms,
-            total_samples: field.total_samples(),
+            total_samples: summary.total_samples,
         }
     }
 

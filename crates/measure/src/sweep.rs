@@ -1048,12 +1048,13 @@ impl VariantReport {
         requirement_ms: f64,
         base: Option<(f64, f64)>,
     ) -> Self {
-        let grand_mean_ms = field.grand_mean_ms();
+        let summary = field.summary();
+        let grand_mean_ms = summary.grand_mean_ms;
         let exceedance_pct = (grand_mean_ms - requirement_ms) / requirement_ms * 100.0;
         let (mean_min_ms, mean_max_ms) =
-            field.mean_extrema().map_or((0.0, 0.0), |(a, b)| (a.mean_ms, b.mean_ms));
+            summary.mean_extrema.map_or((0.0, 0.0), |(a, b)| (a.mean_ms, b.mean_ms));
         let (std_min_ms, std_max_ms) =
-            field.std_extrema().map_or((0.0, 0.0), |(a, b)| (a.std_ms, b.std_ms));
+            summary.std_extrema.map_or((0.0, 0.0), |(a, b)| (a.std_ms, b.std_ms));
         let (base_gm, base_ex) = base.unwrap_or((grand_mean_ms, exceedance_pct));
         Self {
             label,
@@ -1062,7 +1063,7 @@ impl VariantReport {
             seed: config.seed,
             passes: config.passes,
             sample_interval_s: config.sample_interval_s,
-            total_samples: field.total_samples(),
+            total_samples: summary.total_samples,
             grand_mean_ms,
             mean_min_ms,
             mean_max_ms,
