@@ -196,13 +196,6 @@ impl<'a> MobileCampaign<'a> {
         }
     }
 
-    /// Collects one (pass, cell) pair directly into `field`.
-    pub fn run_cell(&self, pass: u32, cell: CellId, dwell_s: f64, field: &mut CellField) {
-        for v in self.collect_cell(pass, cell, dwell_s) {
-            field.push(cell, v);
-        }
-    }
-
     /// The scenario this campaign runs over.
     pub fn scenario(&self) -> &'a Scenario {
         self.scenario

@@ -1,4 +1,5 @@
-//! The packet-level discrete-event campaign backend.
+//! The packet-level discrete-event campaign backend — the simulator's one
+//! packet world.
 //!
 //! The analytic backend ([`crate::campaign::MobileCampaign`]) draws each
 //! round-trip latency from closed-form per-hop delay models. This module
@@ -23,17 +24,26 @@
 //!   analytic `rtt = one_way + one_way` convention, so the two backends
 //!   agree in expectation (cross-validated by `repro_crossval`).
 //!
-//! Determinism: each probe's stochastic quantities are drawn *up front*
-//! from its own per-sample stream (phase label `"campaign-event"`), and
-//! each shard owns a private engine and world. Shards can therefore run on
-//! any thread in any order; the shared plain-run skeleton of
+//! The world carries an optional BGP control plane. A shard that the
+//! spec's fault timeline touches ([`crate::faults`] hands it a
+//! `FaultWindow`) starts from the converged control plane of its
+//! pre-window fault state; the probe loop applies each link change due
+//! before a launch on the same calendar the probes fly on, and routes the
+//! probe over the source AS's RIB at launch time. Every other shard —
+//! all of them in a fault-free spec — has no control plane and routes
+//! over the scenario's compiled static table.
+//!
+//! Determinism: each probe's stochastic quantities are drawn from its own
+//! per-sample stream (phase label `"campaign-event"`) at launch, and each
+//! shard owns a private engine and world. Shards can therefore run on any
+//! thread in any order; the shared plain-run skeleton of
 //! [`crate::parallel`] accumulates each cell's samples in work-list order,
 //! making parallel runs bitwise equal to sequential ones at every pool
 //! size.
 
 use crate::aggregate::CellField;
 use crate::campaign::{CampaignConfig, MobileCampaign, Shard};
-use crate::parallel::run_shards;
+use crate::faults::FaultWindow;
 use crate::scenario::Scenario;
 use bytes::arena::{Arena, Slice};
 use sixg_netsim::dist::{Component, DistSpec, Sample};
@@ -42,6 +52,8 @@ use sixg_netsim::latency::DelaySampler;
 use sixg_netsim::queueing::FifoServer;
 use sixg_netsim::radio::AccessModel;
 use sixg_netsim::rng::SimRng;
+use sixg_netsim::routing::dynamic::{ControlPlane, HasControlPlane};
+use sixg_netsim::routing::PathComputer;
 use sixg_netsim::time::{SimDuration, SimTime};
 use sixg_netsim::topology::{LinkId, NodeId};
 use std::cell::RefCell;
@@ -79,18 +91,16 @@ pub(crate) const PHASE_LABEL: &str = "campaign-event";
 /// `service`, then arrive at the next hop `after` later (propagation +
 /// sampled extra + background queueing + node processing).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Leg {
-    pub(crate) link: LinkId,
-    pub(crate) service: SimDuration,
-    pub(crate) after: SimDuration,
+struct Leg {
+    link: LinkId,
+    service: SimDuration,
+    after: SimDuration,
 }
 
 /// Draws a probe's journey over `hops` — the forward legs, then the echo
 /// back over the same hop list (the analytic backend's `rtt = one_way +
-/// one_way` convention) — handing each leg to `push`. The plain and the
-/// faulted packet worlds both draw through here, so their per-probe draw
-/// order cannot drift apart.
-pub(crate) fn draw_legs(
+/// one_way` convention) — handing each leg to `push`.
+fn draw_legs(
     sampler: &DelaySampler,
     extras: &[Component],
     hops: &[(NodeId, LinkId)],
@@ -126,16 +136,28 @@ struct Probe {
 }
 
 /// The per-shard event world: one FIFO server per link, one result slot
-/// per probe, and one arena holding every probe's legs.
+/// per probe (`None` until the echo lands, and for ever if the probe was
+/// blackholed), one arena holding every probe's legs, and the control
+/// plane of a shard with a fault window. `'static`, so control-plane
+/// message events and probe legs share one calendar.
 ///
-/// The arena replaces the per-probe `Vec<Leg>` allocations the backend
-/// used to make — one worker-local buffer is recycled across all shards a
+/// The arena is one worker-local buffer recycled across all shards a
 /// worker executes, so the steady-state hot loop performs no allocator
 /// calls for probe journeys.
-struct ProbeWorld {
+pub(crate) struct ProbeWorld {
     links: Vec<FifoServer>,
-    results: Vec<f64>,
+    results: Vec<Option<f64>>,
     legs: Arena<Leg>,
+    cp: Option<ControlPlane>,
+}
+
+impl HasControlPlane for ProbeWorld {
+    fn control_plane(&self) -> &ControlPlane {
+        self.cp.as_ref().expect("control-plane events run only in a fault window")
+    }
+    fn control_plane_mut(&mut self) -> &mut ControlPlane {
+        self.cp.as_mut().expect("control-plane events run only in a fault window")
+    }
 }
 
 thread_local! {
@@ -150,7 +172,7 @@ fn advance(eng: &mut Engine<ProbeWorld>, world: &mut ProbeWorld, mut probe: Prob
     match world.legs.get(probe.legs).get(probe.next).copied() {
         None => {
             let wire_ms = eng.now().since(probe.launched).as_millis_f64();
-            world.results[probe.id] = wire_ms + probe.air_ms;
+            world.results[probe.id] = Some(wire_ms + probe.air_ms);
         }
         Some(leg) => {
             probe.next += 1;
@@ -178,6 +200,12 @@ impl<'a> EventCampaign<'a> {
         Self { campaign: MobileCampaign::new(scenario, config), extras }
     }
 
+    /// The analytic campaign this one shares its work list, stream keys
+    /// and per-hop table with.
+    pub(crate) fn campaign(&self) -> &MobileCampaign<'a> {
+        &self.campaign
+    }
+
     /// The campaign work list — exactly the analytic backend's
     /// ([`MobileCampaign::shards`]), which is what makes the two backends
     /// shard-for-shard and count-for-count comparable.
@@ -192,12 +220,27 @@ impl<'a> EventCampaign<'a> {
         out
     }
 
-    /// [`Self::collect_shard`] into a caller-owned buffer (cleared first).
-    ///
-    /// Builds the shard's packet-level world — probe packets on the
-    /// sampling cadence, FIFO servers on every link — and runs its event
-    /// calendar to completion.
+    /// [`Self::collect_shard`] into a caller-owned buffer (cleared first),
+    /// every probe routed over the scenario's static table.
     pub fn collect_shard_into(&self, shard: Shard, out: &mut Vec<f64>) {
+        self.collect_probes(shard, None, out);
+    }
+
+    /// The probe loop: builds the shard's packet-level world — probe
+    /// packets on the sampling cadence, FIFO servers on every link, and the
+    /// converged control plane of `window`'s pre-window fault state if
+    /// there is a window — and runs its event calendar to completion.
+    /// Before each launch it applies the window's link changes due by
+    /// then and runs the calendar to the launch; the probe then routes
+    /// over the static table, or over the source AS's RIB in a window.
+    /// Blackholed probes produce no sample, so `out` can be shorter than
+    /// the shard's cadence count.
+    pub(crate) fn collect_probes(
+        &self,
+        shard: Shard,
+        mut window: Option<FaultWindow<'_>>,
+        out: &mut Vec<f64>,
+    ) {
         let s = self.campaign.scenario();
         let targets = self.campaign.targets();
         let access = s.access_for(shard.cell);
@@ -209,39 +252,66 @@ impl<'a> EventCampaign<'a> {
         let mut eng: Engine<ProbeWorld> = Engine::new();
         let mut world = ProbeWorld {
             links: vec![FifoServer::new(); s.topo.link_count()],
-            results: vec![f64::NAN; n],
+            results: vec![None; n],
             legs: LEG_ARENA.with(|a| std::mem::take(&mut *a.borrow_mut())),
+            // A transient from an earlier shard's window has had whole
+            // seconds of calendar to settle — reconvergence takes
+            // milliseconds — so the window starts at its fixed point.
+            cp: window
+                .as_ref()
+                .map(|w| ControlPlane::converged_from_topology(&w.topo, &s.as_graph)),
         };
         world.legs.reset();
 
         let mut launch = SimTime::ZERO;
         for i in 0..n {
+            if let Some(w) = &mut window {
+                while let Some((at, change)) = w.due.next_if(|&(at, _)| at <= launch) {
+                    eng.run_until(&mut world, at);
+                    w.apply_change(&mut eng, &mut world, change);
+                }
+            }
+            eng.run_until(&mut world, launch);
+
             // Every stochastic quantity of probe `i` comes from its own
-            // (seed, pass, cell, sample) stream, drawn before the calendar
-            // runs — event interleaving can shift *timing* (FIFO waits)
-            // but never which random numbers a probe consumes.
+            // (seed, pass, cell, sample) stream, in one order — ti,
+            // per-leg extras/queue/processing, then air — so event
+            // interleaving can shift *timing* (FIFO waits) but never which
+            // random numbers a probe consumes, whatever route it takes.
             let mut rng = SimRng::for_stream(key.with(i as u64));
             let ti = rng.below(targets.len() as u64) as usize;
-            let path = &s.routes[&(shard.cell, ti)];
-            let mark = world.legs.mark();
-            draw_legs(sampler, &self.extras, &path.hops, &mut rng, |leg| world.legs.push(leg));
-            let air_ms = access.sample_rtt_ms(&mut rng);
-
-            let probe =
-                Probe { id: i, launched: launch, next: 0, legs: world.legs.since(mark), air_ms };
-            eng.schedule_at(launch, move |e, w| advance(e, w, probe));
+            let routed;
+            let hops = match &window {
+                None => Some(&s.routes[&(shard.cell, ti)].hops[..]),
+                // Whatever the source AS's RIB holds *now*, stitched over
+                // live links; a live link of the shard-local topology
+                // carries the scenario's pristine parameters, so the
+                // campaign's table prices it exactly.
+                Some(w) => {
+                    let (ue, target) = (s.ue[&shard.cell], targets[ti]);
+                    let cp = world.cp.as_ref().expect("a fault window has a control plane");
+                    let as_path = cp.best_route(s.topo.node(ue).asn, w.topo.node(target).asn);
+                    routed = as_path.and_then(|p| {
+                        PathComputer::new(&w.topo, &s.as_graph).route_along(ue, target, &p)
+                    });
+                    routed.as_ref().map(|path| &path.hops[..])
+                }
+            };
+            if let Some(hops) = hops {
+                let mark = world.legs.mark();
+                draw_legs(sampler, &self.extras, hops, &mut rng, |leg| world.legs.push(leg));
+                let air_ms = access.sample_rtt_ms(&mut rng);
+                let legs = world.legs.since(mark);
+                let probe = Probe { id: i, launched: launch, next: 0, legs, air_ms };
+                advance(&mut eng, &mut world, probe);
+            }
             launch += interval;
         }
-
         eng.run(&mut world);
         debug_assert_eq!(eng.pending(), 0);
 
         out.clear();
-        out.reserve(n);
-        for (i, &rtl) in world.results.iter().enumerate() {
-            debug_assert!(rtl.is_finite(), "probe {i} never completed");
-            out.push(rtl);
-        }
+        out.extend(world.results.iter().flatten());
         // Hand the arena (and its grown capacity) back to the worker.
         LEG_ARENA.with(|a| *a.borrow_mut() = std::mem::take(&mut world.legs));
     }
@@ -256,24 +326,6 @@ impl<'a> EventCampaign<'a> {
             |shard, buf| self.collect_shard_into(shard, buf),
         )
     }
-}
-
-/// Runs the event-driven campaign on the thread pool, sharding at (pass,
-/// cell) granularity and accumulating each cell's samples in work-list
-/// order — the event half of the [`crate::exec`] dispatch.
-pub(crate) fn event_field(scenario: &Scenario, config: CampaignConfig) -> CellField {
-    let ec = EventCampaign::new(scenario, config);
-    run_shards(scenario, &ec.shards(), |shard, buf| ec.collect_shard_into(shard, buf))
-}
-
-#[doc(hidden)]
-#[deprecated(
-    note = "superseded by the ExecRequest facade: use `exec::run_field(scenario, config, \
-            ExecBackend::Event)` (or `exec::execute` on a spec); this shim forwards to the \
-            same event runner"
-)]
-pub fn run_event_parallel(scenario: &Scenario, config: CampaignConfig) -> CellField {
-    event_field(scenario, config)
 }
 
 #[cfg(test)]
@@ -306,7 +358,7 @@ mod tests {
         let config = CampaignConfig { seed: 5, passes: 2, ..Default::default() };
         let seq = EventCampaign::new(&s, config).run();
         for &threads in &[1usize, 2, 4] {
-            let par = with_thread_count(threads, || event_field(&s, config));
+            let par = with_thread_count(threads, || run_field(&s, config, ExecBackend::Event));
             assert_fields_bitwise_equal(&s, &seq, &par, &format!("{threads} threads"));
         }
     }
@@ -318,7 +370,7 @@ mod tests {
         let s = scenario();
         let config = CampaignConfig { seed: 9, passes: 2, ..Default::default() };
         let analytic = run_field(&s, config, ExecBackend::Analytic);
-        let event = event_field(&s, config);
+        let event = run_field(&s, config, ExecBackend::Event);
         for cell in s.grid.cells() {
             assert_eq!(analytic.stats(cell).count, event.stats(cell).count, "cell {cell}");
         }
@@ -333,7 +385,7 @@ mod tests {
         let s = scenario();
         let config = CampaignConfig { seed: 2, passes: 6, ..Default::default() };
         let analytic = run_field(&s, config, ExecBackend::Analytic);
-        let event = event_field(&s, config);
+        let event = run_field(&s, config, ExecBackend::Event);
         for cell in s.grid.cells() {
             let (a, e) = (analytic.stats(cell), event.stats(cell));
             if a.is_masked() {

@@ -1,11 +1,9 @@
 //! The unified execution facade: one typed request, one entry point.
 //!
-//! Before this module, every caller hand-picked one of five scattered
-//! entry points (`run_parallel`, `run_backend`, `run_event_parallel`,
-//! `run_faulted_parallel`, `run_checkpointed`) plus the [`Sweep::run`]
-//! path — a zoo with no single surface a daemon could expose, and a
-//! standing silent-drop hazard: nothing rejected a flag combination no
-//! runner honors. This module collapses the zoo into:
+//! Every caller — CLI subcommands, repro binaries, the `sixg-serve`
+//! daemon — states what it wants as a request instead of picking a runner
+//! by function name, and nothing a runner would not honor is silently
+//! dropped:
 //!
 //! * [`ExecRequest`] — a typed, JSON-codable request envelope carrying the
 //!   action (`validate` / `run` / `sweep`), the spec documents, run-level
@@ -14,11 +12,12 @@
 //!   `checkpoint` on a single run, `shard` without `checkpoint`, an
 //!   analytic backend override on a fault-bearing spec — each with a
 //!   machine-readable [`ErrorCode`].
-//! * [`execute`] — `ExecRequest → ExecReport`, with dispatch (analytic /
-//!   event / faulted / checkpointed) decided by validated request fields
-//!   instead of caller-chosen function names.
-//! * [`run_field`] — the compiled-scenario entry point the old free
-//!   functions forwarded to; tests, benches and repro bins call this.
+//! * [`execute`] — `ExecRequest → ExecReport`: a run, an in-memory sweep
+//!   or a checkpointed sweep, decided by validated request fields.
+//! * [`run_field`] — the compiled-scenario entry point; tests, benches and
+//!   repro bins call this. It and every run of a sweep choose their
+//!   backend in one place (`parallel::Runner`): the analytic sampler, the
+//!   packet world, or the packet world over a fault timeline.
 //! * [`Executor`] + [`ScenarioCache`] — a long-lived execution context
 //!   holding compiled [`Scenario`]s hot, keyed by canonical spec content
 //!   hash ([`scenario_content_hash`]); the `sixg-serve` daemon wraps one
@@ -41,7 +40,7 @@
 use crate::aggregate::CellField;
 use crate::campaign::CampaignConfig;
 use crate::hvt::{self, HvtConfig, HvtReport};
-use crate::parallel::{dispatch_backend, run_items_streaming};
+use crate::parallel::Runner;
 use crate::report::CellSummary;
 use crate::scenario::{KeyScheme, Scenario};
 use crate::spec::{
@@ -53,13 +52,12 @@ use serde::{Serialize, Value};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Runs a compiled scenario's campaign with the chosen backend on the
-/// thread pool — the supported replacement for the deprecated
-/// `run_parallel` / `run_event_parallel` / `run_faulted_parallel` /
-/// `run_backend` free functions. A fault schedule in the spec routes an
-/// event run to the live BGP control plane; the analytic backend samples
-/// closed-form path delays. Bitwise-deterministic at every pool size.
+/// thread pool. A fault schedule in the spec puts an event run on the
+/// live BGP control plane wherever the timeline touches a shard; the
+/// analytic backend samples closed-form path delays. Bitwise-deterministic
+/// at every pool size.
 pub fn run_field(scenario: &Scenario, config: CampaignConfig, backend: ExecBackend) -> CellField {
-    dispatch_backend(scenario, config, backend)
+    Runner::new(scenario, config, backend).field(scenario)
 }
 
 // ---------------------------------------------------------------------------
@@ -1060,62 +1058,7 @@ impl Executor {
         }
 
         let plan = sweep.plan_with_cache(Some(&mut self.cache()))?;
-        let runners = plan.runners();
-        let items = plan.items(&runners);
-        let mut fields: Vec<CellField> =
-            (0..plan.runs.len()).map(|r| CellField::new(plan.grid_of(r).clone())).collect();
-        let req_ms = sweep.spec.requirement_ms;
-        let mut base_ref: Option<(f64, f64)> = None;
-        let mut done = 0usize;
-        // The work list is run-major and folds in list order, so once the
-        // fold reaches run `ri`, every run before it is complete — emit
-        // them. The reports are built with exactly `build_sweep_run`'s
-        // arguments, so streamed bits equal final-report bits.
-        run_items_streaming(
-            &items,
-            |(ri, shard), buf| runners[ri as usize].collect_shard_into(shard, buf),
-            |(ri, shard), buf| {
-                emit_completed(&plan, req_ms, &fields, &mut base_ref, &mut done, ri as usize, emit);
-                let field = &mut fields[ri as usize];
-                for &v in buf {
-                    field.push(shard.cell, v);
-                }
-            },
-        );
-        emit_completed(&plan, req_ms, &fields, &mut base_ref, &mut done, plan.runs.len(), emit);
-        Ok(ExecReport::Sweep(Box::new(plan.build_sweep_run(&sweep, fields))))
-    }
-}
-
-/// Emits every fully-folded run below `upto`, in run order, capturing the
-/// base run's `(grand mean, exceedance)` reference for the variants'
-/// deltas — the same fold [`crate::sweep`]'s report construction applies.
-fn emit_completed(
-    plan: &crate::sweep::RunPlan,
-    req_ms: f64,
-    fields: &[CellField],
-    base_ref: &mut Option<(f64, f64)>,
-    done: &mut usize,
-    upto: usize,
-    emit: &mut impl FnMut(usize, &VariantReport),
-) {
-    while *done < upto {
-        let r = *done;
-        let meta = &plan.runs[r];
-        let report = VariantReport::from_field(
-            meta.label.clone(),
-            meta.settings.clone(),
-            meta.backend,
-            meta.config,
-            &fields[r],
-            req_ms,
-            if r == 0 { None } else { *base_ref },
-        );
-        if r == 0 {
-            *base_ref = Some((report.grand_mean_ms, report.exceedance_pct));
-        }
-        emit(r, &report);
-        *done += 1;
+        Ok(ExecReport::Sweep(Box::new(plan.run_in_memory(&sweep, emit))))
     }
 }
 
@@ -1168,39 +1111,6 @@ mod tests {
             .into_iter()
             .map(|s| (s.count, s.mean_ms.to_bits(), s.std_ms.to_bits()))
             .collect()
-    }
-
-    /// The deprecated shims and the facade share one runner per backend:
-    /// bit-for-bit equal fields, so migrating a caller can never change
-    /// results.
-    #[test]
-    #[allow(deprecated)]
-    fn shims_match_run_field_bitwise() {
-        let clean = Scenario::from_spec(&flat_spec()).expect("compiles");
-        let flap = Scenario::from_spec(&flap_spec()).expect("compiles");
-        let config = CampaignConfig { passes: 1, ..Default::default() };
-
-        let analytic = run_field(&clean, config, ExecBackend::Analytic);
-        assert_eq!(
-            field_bits(&analytic),
-            field_bits(&crate::parallel::run_parallel(&clean, config)),
-        );
-        assert_eq!(
-            field_bits(&analytic),
-            field_bits(&crate::parallel::run_backend(&clean, config, ExecBackend::Analytic)),
-        );
-
-        let event = run_field(&clean, config, ExecBackend::Event);
-        assert_eq!(
-            field_bits(&event),
-            field_bits(&crate::event_backend::run_event_parallel(&clean, config)),
-        );
-
-        let faulted = run_field(&flap, config, ExecBackend::Event);
-        assert_eq!(
-            field_bits(&faulted),
-            field_bits(&crate::faults::run_faulted_parallel(&flap, config)),
-        );
     }
 
     /// A minimal wide-scheme spec: one side past [`PACKABLE_GRID_DIM`]

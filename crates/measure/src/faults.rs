@@ -1,27 +1,28 @@
-//! Fault-bearing campaigns: link fail/recover schedules over a live
-//! control plane.
+//! Fault-bearing campaigns: the link fail/recover timeline a spec
+//! schedules, and the per-shard windows of it that the packet world
+//! replays over a live control plane.
 //!
-//! The plain event backend ([`crate::event_backend`]) routes every probe
-//! over the scenario's *static* Gao–Rexford fixed point. This runner
-//! executes the same campaign — same shard list, same
-//! `(seed, pass, cell, sample)` stream keys, same per-probe draw order —
-//! but applies the spec's validated [`FaultDef`](crate::spec::FaultDef)
-//! schedule mid-campaign and
-//! lets the routes *emerge* from the message-level BGP speakers of
-//! [`sixg_netsim::routing::dynamic`]:
+//! The packet world ([`crate::event_backend`]) routes every probe over the
+//! scenario's *static* Gao–Rexford fixed point. A [`FaultCampaign`] runs
+//! the same campaign — same shard list, same `(seed, pass, cell, sample)`
+//! stream keys, same per-probe draw order — but compiles the spec's
+//! validated [`FaultDef`](crate::spec::FaultDef) schedule into one merged
+//! timeline of link state changes on the per-pass campaign clock, and
+//! gives a shard a fault window when that timeline touches it:
 //!
 //! * each shard knows its start offset on the per-pass traversal clock
-//!   ([`FaultShard::t0_s`]), so a fault at `at_s` seconds into the pass
-//!   lands in exactly one shard's window and tombstones the link there
-//!   (earlier shards see the link up, later shards start from the
-//!   already-converged post-fault fixed point);
-//! * when a link dies or recovers, the BGP sessions it carried go down/up
-//!   and the speakers exchange withdraw/update messages (at
-//!   [`CONTROL_DELAY`](sixg_netsim::routing::dynamic::CONTROL_DELAY) per
-//!   hop) *on the same event calendar the probes fly
-//!   on* — a probe launched during the transient asks the source AS's RIB
-//!   at launch time and measures whatever the half-converged control plane
-//!   gives it;
+//!   ([`FaultShard::t0_s`]); the timeline touches the shard when a link is
+//!   down at the window start or a change falls at or before its last
+//!   launch. A fault at `at_s` seconds into the pass therefore lands in
+//!   exactly one shard's window and tombstones the link there; later
+//!   shards start from the already-converged post-fault fixed point;
+//! * in a window, when a link dies or recovers, the BGP sessions it
+//!   carried go down/up and the speakers of
+//!   [`sixg_netsim::routing::dynamic`] exchange withdraw/update messages
+//!   (at [`CONTROL_DELAY`](sixg_netsim::routing::dynamic::CONTROL_DELAY)
+//!   per hop) *on the same event calendar the probes fly on* — a probe
+//!   launched during the transient asks the source AS's RIB at launch time
+//!   and measures whatever the half-converged control plane gives it;
 //! * a probe whose RIB entry cannot be stitched over live links (a
 //!   blackhole: the withdraw has not reached the source yet, or no backup
 //!   route exists) is dropped — no sample, a smaller per-cell count,
@@ -30,28 +31,23 @@
 //! Determinism: every stochastic quantity of probe `i` still comes from
 //! its own stream (`key.with(i)`), so the sample a probe produces depends
 //! only on the route it resolves at launch — not on any other probe's
-//! draws. A fault-free run is therefore bitwise identical to the plain
-//! event backend, and post-recovery shards of a faulted run are bitwise
-//! identical to an unfaulted run of the same spec (the `repro_faults`
-//! gate). Shards rebuild their converged control plane independently, so
+//! draws. A shard the timeline does not touch gets no window and no
+//! control plane: it runs the plain packet world, bit for bit. A
+//! fault-free spec is all such shards, and the cells a fault leaves
+//! untouched reproduce an unfaulted run bitwise (the `repro_faults`
+//! gate). Windows rebuild their converged control plane independently, so
 //! the parallel runner stays bitwise equal to the sequential one at every
 //! pool size.
 
 use crate::aggregate::CellField;
-use crate::campaign::{CampaignConfig, MobileCampaign, Shard};
-use crate::event_backend::{draw_legs, Leg, PHASE_LABEL};
-use crate::parallel::{run_shards, run_shards_sequential, CellItem};
+use crate::campaign::{CampaignConfig, Shard};
+use crate::event_backend::{EventCampaign, ProbeWorld};
+use crate::parallel::{run_shards_sequential, CellItem};
 use crate::scenario::Scenario;
 use sixg_geo::CellId;
-use sixg_netsim::dist::{Component, DistSpec};
 use sixg_netsim::engine::Engine;
-use sixg_netsim::queueing::FifoServer;
-use sixg_netsim::radio::AccessModel;
-use sixg_netsim::rng::SimRng;
-use sixg_netsim::routing::dynamic::{
-    session_down, session_up, sessions_from_topology, ControlPlane, HasControlPlane,
-};
-use sixg_netsim::routing::PathComputer;
+use sixg_netsim::routing::dynamic::{session_down, session_up, sessions_from_topology};
+use sixg_netsim::routing::AsGraph;
 use sixg_netsim::time::{SimDuration, SimTime};
 use sixg_netsim::topology::{Asn, LinkId, LinkParams, Topology};
 use std::collections::BTreeMap;
@@ -76,63 +72,58 @@ impl CellItem for FaultShard {
 /// A link state change on the per-pass campaign clock, after merging
 /// (possibly overlapping) fault intervals per link.
 #[derive(Debug, Clone, Copy)]
-struct LinkChange {
+pub(crate) struct LinkChange {
     at_s: f64,
     link: LinkId,
     up: bool,
 }
 
-/// A probe in flight. Unlike the plain backend's, its result slot is an
-/// `Option`: a blackholed probe never produces a sample.
-struct Probe {
-    id: usize,
-    launched: SimTime,
-    next: usize,
-    legs: Vec<Leg>,
-    air_ms: f64,
+/// The slice of the timeline one shard replays: the shard-local topology
+/// with the pre-window fault state installed, and the link changes from
+/// the window start up to the last launch, on the shard-local clock
+/// (`t0` ↦ [`SimTime::ZERO`]).
+pub(crate) struct FaultWindow<'f> {
+    graph: &'f AsGraph,
+    /// Pristine parameters of every faulted link.
+    params: &'f BTreeMap<LinkId, LinkParams>,
+    /// The scenario's topology with every link that is down tombstoned.
+    pub(crate) topo: Topology,
+    /// The changes not yet applied, in calendar order.
+    pub(crate) due: std::iter::Peekable<std::vec::IntoIter<(SimTime, LinkChange)>>,
 }
 
-/// The per-shard world: the BGP control plane, one FIFO server per link,
-/// one optional result slot per probe. `'static`, so control-plane message
-/// events and probe legs share one calendar.
-struct FaultWorld {
-    cp: ControlPlane,
-    links: Vec<FifoServer>,
-    results: Vec<Option<f64>>,
-}
-
-impl HasControlPlane for FaultWorld {
-    fn control_plane(&self) -> &ControlPlane {
-        &self.cp
-    }
-    fn control_plane_mut(&mut self) -> &mut ControlPlane {
-        &mut self.cp
-    }
-}
-
-/// Advances a probe one leg; on the last leg, records the RTL sample.
-fn advance(eng: &mut Engine<FaultWorld>, world: &mut FaultWorld, mut probe: Probe) {
-    match probe.legs.get(probe.next).copied() {
-        None => {
-            let wire_ms = eng.now().since(probe.launched).as_millis_f64();
-            world.results[probe.id] = Some(wire_ms + probe.air_ms);
+impl FaultWindow<'_> {
+    /// Applies one link state change at the current calendar time:
+    /// tombstone/restore the link in the shard-local topology, then take
+    /// down / bring up every BGP session whose last physical link it was.
+    pub(crate) fn apply_change(
+        &mut self,
+        eng: &mut Engine<ProbeWorld>,
+        world: &mut ProbeWorld,
+        change: LinkChange,
+    ) {
+        let before = sessions_from_topology(&self.topo, self.graph);
+        if change.up {
+            self.topo.restore_link(change.link, self.params[&change.link]);
+        } else {
+            self.topo.remove_link(change.link);
         }
-        Some(leg) => {
-            probe.next += 1;
-            let depart = world.links[leg.link.0 as usize].admit(eng.now(), leg.service);
-            let arrival = depart + leg.after;
-            eng.schedule_at(arrival, move |e, w| advance(e, w, probe));
+        let after = sessions_from_topology(&self.topo, self.graph);
+        for &(a, b) in before.difference(&after) {
+            session_down(eng, world, Asn(a), Asn(b));
+        }
+        for &(a, b) in after.difference(&before) {
+            session_up(eng, world, Asn(a), Asn(b));
         }
     }
 }
 
-/// The fault-aware event campaign runner over a spec-compiled
-/// [`Scenario`]. Compiles the spec's fault schedule once (link names →
-/// ids, overlapping intervals merged); each shard then replays the slice
-/// of the timeline that intersects its dwell window.
+/// The fault-aware event campaign over a spec-compiled [`Scenario`].
+/// Compiles the spec's fault schedule once (link names → ids, overlapping
+/// intervals merged); each shard then replays the slice of the timeline
+/// that intersects its dwell window in the packet world.
 pub struct FaultCampaign<'a> {
-    campaign: MobileCampaign<'a>,
-    extras: Vec<Component>,
+    event: EventCampaign<'a>,
     /// Merged link state changes, ordered by (time, link).
     changes: Vec<LinkChange>,
     /// Pristine parameters of every faulted link (restore needs them —
@@ -144,7 +135,6 @@ impl<'a> FaultCampaign<'a> {
     /// Creates a fault-aware campaign over a scenario. The scenario's spec
     /// is already validated, so every fault names a declared link.
     pub fn new(scenario: &'a Scenario, config: CampaignConfig) -> Self {
-        let extras = scenario.link_extra_specs().iter().map(DistSpec::build).collect();
         let mut params = BTreeMap::new();
         let mut edges: BTreeMap<LinkId, Vec<(f64, i32)>> = BTreeMap::new();
         for fault in &scenario.spec.faults {
@@ -176,7 +166,7 @@ impl<'a> FaultCampaign<'a> {
             }
         }
         changes.sort_by(|a, b| a.at_s.total_cmp(&b.at_s).then(a.link.cmp(&b.link)));
-        Self { campaign: MobileCampaign::new(scenario, config), extras, changes, params }
+        Self { event: EventCampaign::new(scenario, config), changes, params }
     }
 
     /// Whether `link` is down at `t_s` seconds into a pass (state changes
@@ -230,9 +220,10 @@ impl<'a> FaultCampaign<'a> {
     /// The campaign work list with per-pass start offsets — the same
     /// shards, in the same order, as the plain backends'.
     pub fn shards(&self) -> Vec<FaultShard> {
+        let campaign = self.event.campaign();
         let mut out = Vec::new();
-        for pass in 0..self.campaign.config().passes {
-            let visits = self.campaign.traversal(pass).visits;
+        for pass in 0..campaign.config().passes {
+            let visits = campaign.traversal(pass).visits;
             out.reserve_exact(visits.len());
             let mut t0_s = 0.0;
             for v in visits {
@@ -246,145 +237,51 @@ impl<'a> FaultCampaign<'a> {
         out
     }
 
-    /// Applies one link state change at the current calendar time:
-    /// tombstone/restore the link in the shard-local topology, then take
-    /// down / bring up every BGP session whose last physical link it was.
-    fn apply_change(
-        &self,
-        topo: &mut Topology,
-        eng: &mut Engine<FaultWorld>,
-        world: &mut FaultWorld,
-        change: LinkChange,
-    ) {
-        let graph = &self.campaign.scenario().as_graph;
-        let before = sessions_from_topology(topo, graph);
-        if change.up {
-            topo.restore_link(change.link, self.params[&change.link]);
-        } else {
-            topo.remove_link(change.link);
+    /// The window of `fs`, or `None` when the timeline does not touch it:
+    /// no link is down at the window start and no change falls at or
+    /// before the last launch.
+    fn window(&self, fs: FaultShard) -> Option<FaultWindow<'_>> {
+        let campaign = self.event.campaign();
+        let interval_s = campaign.config().sample_interval_s;
+        let last_launch_s = (campaign.samples_for_dwell(fs.shard.dwell_s) - 1) as f64 * interval_s;
+        let due: Vec<_> = self
+            .changes
+            .iter()
+            .filter(|c| c.at_s >= fs.t0_s && c.at_s - fs.t0_s <= last_launch_s)
+            .map(|c| (SimTime::ZERO + SimDuration::from_secs_f64(c.at_s - fs.t0_s), *c))
+            .collect();
+        let down: Vec<LinkId> =
+            self.params.keys().copied().filter(|&l| self.link_down_at(l, fs.t0_s)).collect();
+        if due.is_empty() && down.is_empty() {
+            return None;
         }
-        let after = sessions_from_topology(topo, graph);
-        for &(a, b) in before.difference(&after) {
-            session_down(eng, world, Asn(a), Asn(b));
+        let s = campaign.scenario();
+        let mut topo = s.topo.clone();
+        for link in down {
+            topo.remove_link(link);
         }
-        for &(a, b) in after.difference(&before) {
-            session_up(eng, world, Asn(a), Asn(b));
-        }
+        Some(FaultWindow {
+            graph: &s.as_graph,
+            params: &self.params,
+            topo,
+            due: due.into_iter().peekable(),
+        })
     }
 
     /// Event-simulated samples of one shard, in probe order. Blackholed
     /// probes produce no sample, so the buffer can be shorter than the
     /// shard's cadence count.
     pub fn collect_shard_into(&self, fs: FaultShard, out: &mut Vec<f64>) {
-        let s = self.campaign.scenario();
-        let targets = self.campaign.targets();
-        let access = s.access_for(fs.shard.cell);
-        let interval_s = self.campaign.config().sample_interval_s;
-        let interval = SimDuration::from_secs_f64(interval_s);
-        let n = self.campaign.samples_for_dwell(fs.shard.dwell_s);
-        let key = self.campaign.shard_key(PHASE_LABEL, fs.shard.pass, fs.shard.cell);
-        let ue = s.ue[&fs.shard.cell];
-        let src_as = s.topo.node(ue).asn;
-
-        // Shard-local topology with the pre-window fault state installed,
-        // and the control plane already at that state's fixed point (a
-        // transient from an earlier shard's window has had whole seconds
-        // of calendar to settle — reconvergence takes milliseconds).
-        let mut topo = s.topo.clone();
-        for &link in self.params.keys() {
-            if self.link_down_at(link, fs.t0_s) {
-                topo.remove_link(link);
-            }
-        }
-        let mut eng: Engine<FaultWorld> = Engine::new();
-        let mut world = FaultWorld {
-            cp: ControlPlane::converged_from_topology(&topo, &s.as_graph),
-            links: vec![FifoServer::new(); s.topo.link_count()],
-            results: vec![None; n],
-        };
-
-        // The timeline slice that can still affect this shard's probes:
-        // changes from the window start up to the last launch, on the
-        // shard-local clock (t0 ↦ SimTime::ZERO).
-        let last_launch_s = (n - 1) as f64 * interval_s;
-        let mut transitions = self
-            .changes
-            .iter()
-            .filter(|c| c.at_s >= fs.t0_s && c.at_s - fs.t0_s <= last_launch_s)
-            .map(|c| (SimTime::ZERO + SimDuration::from_secs_f64(c.at_s - fs.t0_s), *c))
-            .collect::<Vec<_>>()
-            .into_iter()
-            .peekable();
-
-        let mut launch = SimTime::ZERO;
-        for i in 0..n {
-            while let Some(&(at, change)) = transitions.peek() {
-                if at > launch {
-                    break;
-                }
-                transitions.next();
-                eng.run_until(&mut world, at);
-                self.apply_change(&mut topo, &mut eng, &mut world, change);
-            }
-            eng.run_until(&mut world, launch);
-
-            // Probe `i`: the plain event backend's exact draw order — ti,
-            // per-leg extras/queue/processing, then air — but the route is
-            // whatever the source AS's RIB holds *now*, stitched over live
-            // links. Per-probe streams make the draws independent of every
-            // other probe's fate.
-            let mut rng = SimRng::for_stream(key.with(i as u64));
-            let ti = rng.below(targets.len() as u64) as usize;
-            let target = targets[ti];
-            let routed = world.cp.best_route(src_as, topo.node(target).asn).and_then(|as_path| {
-                PathComputer::new(&topo, &s.as_graph).route_along(ue, target, &as_path)
-            });
-            if let Some(path) = routed {
-                // The route runs over live links only, and a live link of
-                // the shard-local topology carries the scenario's pristine
-                // parameters, so the campaign's table prices it exactly.
-                let mut legs = Vec::with_capacity(2 * path.hops.len());
-                draw_legs(self.campaign.sampler(), &self.extras, &path.hops, &mut rng, |leg| {
-                    legs.push(leg)
-                });
-                let air_ms = access.sample_rtt_ms(&mut rng);
-                let probe = Probe { id: i, launched: launch, next: 0, legs, air_ms };
-                advance(&mut eng, &mut world, probe);
-            }
-            launch += interval;
-        }
-        eng.run(&mut world);
-        debug_assert_eq!(eng.pending(), 0);
-
-        out.clear();
-        out.extend(world.results.iter().filter_map(|r| *r));
+        self.event.collect_probes(fs.shard, self.window(fs), out);
     }
 
     /// Runs the full campaign sequentially, shard by shard (bitwise
     /// identical to the parallel runner behind [`crate::exec::run_field`]).
     pub fn run(&self) -> CellField {
-        run_shards_sequential(self.campaign.scenario(), &self.shards(), |fs, buf| {
+        run_shards_sequential(self.event.campaign().scenario(), &self.shards(), |fs, buf| {
             self.collect_shard_into(fs, buf)
         })
     }
-}
-
-/// Runs the fault-bearing campaign on the thread pool through the plain-run
-/// skeleton — bitwise equal to [`FaultCampaign::run`] at every pool size.
-/// The faulted half of the [`crate::exec`] dispatch.
-pub(crate) fn faulted_field(scenario: &Scenario, config: CampaignConfig) -> CellField {
-    let fc = FaultCampaign::new(scenario, config);
-    run_shards(scenario, &fc.shards(), |fs, buf| fc.collect_shard_into(fs, buf))
-}
-
-#[doc(hidden)]
-#[deprecated(
-    note = "superseded by the ExecRequest facade: use `exec::run_field(scenario, config, \
-            ExecBackend::Event)` on a fault-bearing spec (or `exec::execute`); this shim \
-            forwards to the same faulted runner"
-)]
-pub fn run_faulted_parallel(scenario: &Scenario, config: CampaignConfig) -> CellField {
-    faulted_field(scenario, config)
 }
 
 #[cfg(test)]
@@ -407,9 +304,8 @@ mod tests {
         }
     }
 
-    /// With an empty fault schedule the dynamic control plane converges to
-    /// the static fixed point before any probe flies, so the fault runner
-    /// is the plain event backend, bit for bit.
+    /// With an empty fault schedule no shard gets a window, so the fault
+    /// campaign is the plain packet world, bit for bit.
     #[test]
     fn fault_free_run_is_bitwise_the_plain_event_backend() {
         let mut spec = ScenarioSpec::klagenfurt();
@@ -520,6 +416,12 @@ mod tests {
         assert!(untouched.len() < s.included.len(), "flap must dirty some cells");
         // The traversal always starts at B1, well before the 900 s fault.
         assert!(untouched.contains(&CellId::parse("B1").unwrap()));
+        // An untouched cell's shards get no window: they run the static
+        // table, exactly as an unfaulted run does.
+        let windowed: Vec<FaultShard> =
+            fc.shards().into_iter().filter(|&fs| fc.window(fs).is_some()).collect();
+        assert!(!windowed.is_empty(), "the flap must open windows");
+        assert!(windowed.iter().all(|fs| !untouched.contains(&fs.shard.cell)));
 
         let mut eternal = spec.clone();
         eternal.faults = vec![FaultDef {
@@ -536,6 +438,8 @@ mod tests {
         let fc = FaultCampaign::new(&sn, config());
         assert_eq!(fc.untouched_cells(5.0).len(), sn.included.len());
         assert!(fc.outages().is_empty());
+        // A fault-free spec has no control plane at all.
+        assert!(fc.shards().into_iter().all(|fs| fc.window(fs).is_none()));
     }
 
     /// Overlapping fault intervals on one link merge into the union: the

@@ -11,31 +11,93 @@
 //! result is bitwise identical for every pool size — asserted by the
 //! `parallel_equals_sequential_bitwise` thread-count matrix test.
 //! Sweeps, which emit per-run reports in run order, use
-//! `run_items_streaming` instead.
+//! `run_items_streaming` instead. Both drive the same `Runner`, the one
+//! place a run's backend is chosen.
 
 use crate::aggregate::CellField;
 use crate::campaign::{CampaignConfig, MobileCampaign, Shard};
+use crate::event_backend::EventCampaign;
+use crate::faults::{FaultCampaign, FaultShard};
 use crate::scenario::Scenario;
 use crate::spec::ExecBackend;
 use rayon::prelude::*;
 use sixg_geo::CellId;
 
-/// Runs the campaign on the thread pool, sharding at (pass, cell)
-/// granularity and accumulating each cell's samples in work-list order.
-/// The analytic half of the [`crate::exec`] dispatch.
-pub(crate) fn analytic_field(scenario: &Scenario, config: CampaignConfig) -> CellField {
-    let campaign = MobileCampaign::new(scenario, config);
-    run_shards(scenario, &campaign.shards(), |shard, buf| campaign.collect_shard_into(shard, buf))
+/// One run's campaign runner with its typed work list — the single place
+/// the backend is chosen, for plain runs ([`crate::exec::run_field`]) and
+/// every run of a sweep plan alike. Both backends run over the same shard
+/// list and are bitwise-deterministic at every pool size; they differ
+/// only in how a shard's samples are produced (closed-form draws vs
+/// packet-level event simulation).
+pub(crate) enum Runner<'a> {
+    /// Closed-form analytic sampler.
+    Analytic(Vec<Shard>, MobileCampaign<'a>),
+    /// The packet world over the static routing table.
+    Event(Vec<Shard>, EventCampaign<'a>),
+    /// The packet world over a spec with a fault schedule: each shard's
+    /// start offset resolves the timeline.
+    Faulted(Vec<FaultShard>, FaultCampaign<'a>),
 }
 
-#[doc(hidden)]
-#[deprecated(
-    note = "superseded by the ExecRequest facade: use `exec::run_field(scenario, config, \
-            ExecBackend::Analytic)` (or `exec::execute` on a spec); this shim forwards to \
-            the same analytic runner"
-)]
-pub fn run_parallel(scenario: &Scenario, config: CampaignConfig) -> CellField {
-    analytic_field(scenario, config)
+impl<'a> Runner<'a> {
+    /// The runner of `backend` over `scenario`, with its work list built.
+    pub(crate) fn new(
+        scenario: &'a Scenario,
+        config: CampaignConfig,
+        backend: ExecBackend,
+    ) -> Self {
+        match backend {
+            ExecBackend::Analytic => {
+                let c = MobileCampaign::new(scenario, config);
+                Self::Analytic(c.shards(), c)
+            }
+            ExecBackend::Event if scenario.spec.faults.is_empty() => {
+                let c = EventCampaign::new(scenario, config);
+                Self::Event(c.shards(), c)
+            }
+            // A fault schedule needs the live control plane: same shard
+            // list and stream keys, but routes come from the BGP speakers'
+            // RIBs wherever the timeline touches a shard.
+            ExecBackend::Event => {
+                let c = FaultCampaign::new(scenario, config);
+                Self::Faulted(c.shards(), c)
+            }
+        }
+    }
+
+    /// The work list's length.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Self::Analytic(w, _) | Self::Event(w, _) => w.len(),
+            Self::Faulted(w, _) => w.len(),
+        }
+    }
+
+    /// Work item `i`'s `(pass, cell, dwell)` shard.
+    pub(crate) fn shard(&self, i: usize) -> Shard {
+        match self {
+            Self::Analytic(w, _) | Self::Event(w, _) => w[i],
+            Self::Faulted(w, _) => w[i].shard,
+        }
+    }
+
+    /// Collects work item `i`'s samples into `buf`.
+    pub(crate) fn collect(&self, i: usize, buf: &mut Vec<f64>) {
+        match self {
+            Self::Analytic(w, c) => c.collect_shard_into(w[i], buf),
+            Self::Event(w, c) => c.collect_shard_into(w[i], buf),
+            Self::Faulted(w, c) => c.collect_shard_into(w[i], buf),
+        }
+    }
+
+    /// Runs the whole work list on the thread pool ([`run_shards`]).
+    pub(crate) fn field(&self, scenario: &Scenario) -> CellField {
+        match self {
+            Self::Analytic(w, c) => run_shards(scenario, w, |x, buf| c.collect_shard_into(x, buf)),
+            Self::Event(w, c) => run_shards(scenario, w, |x, buf| c.collect_shard_into(x, buf)),
+            Self::Faulted(w, c) => run_shards(scenario, w, |x, buf| c.collect_shard_into(x, buf)),
+        }
+    }
 }
 
 /// Work items sampled per streaming round before folding — the memory
@@ -160,63 +222,6 @@ pub(crate) fn run_shards_sequential<T: CellItem>(
     field
 }
 
-/// Runs the campaign with the chosen execution backend — both run on the
-/// thread pool over the same shard list and both are bitwise-deterministic
-/// at every pool size; they differ only in how a shard's samples are
-/// produced (closed-form draws vs packet-level event simulation).
-pub(crate) fn dispatch_backend(
-    scenario: &Scenario,
-    config: CampaignConfig,
-    backend: ExecBackend,
-) -> CellField {
-    match backend {
-        ExecBackend::Analytic => analytic_field(scenario, config),
-        ExecBackend::Event if scenario.spec.faults.is_empty() => {
-            crate::event_backend::event_field(scenario, config)
-        }
-        // A fault schedule needs the live control plane: same shard list
-        // and stream keys, but routes come from the BGP speakers' RIBs.
-        ExecBackend::Event => crate::faults::faulted_field(scenario, config),
-    }
-}
-
-#[doc(hidden)]
-#[deprecated(
-    note = "superseded by the ExecRequest facade: use `exec::run_field(scenario, config, \
-            backend)` (or `exec::execute` on a spec); this shim forwards to the same dispatch"
-)]
-pub fn run_backend(scenario: &Scenario, config: CampaignConfig, backend: ExecBackend) -> CellField {
-    dispatch_backend(scenario, config, backend)
-}
-
-/// Result of one seed of a multi-seed sweep.
-#[derive(Debug, Clone)]
-pub struct SweepPoint {
-    /// Campaign seed.
-    pub seed: u64,
-    /// Grand mean over reported cells, ms.
-    pub grand_mean_ms: f64,
-    /// Reported mean range (min, max), ms.
-    pub mean_range: (f64, f64),
-}
-
-/// Runs the campaign for many seeds on the thread pool (scenario shared;
-/// results in input seed order).
-pub fn seed_sweep(scenario: &Scenario, base: CampaignConfig, seeds: &[u64]) -> Vec<SweepPoint> {
-    seeds
-        .par_iter()
-        .map(|&seed| {
-            let field = MobileCampaign::new(scenario, CampaignConfig { seed, ..base }).run();
-            let (min, max) = field.mean_extrema().expect("non-empty campaign");
-            SweepPoint {
-                seed,
-                grand_mean_ms: field.grand_mean_ms(),
-                mean_range: (min.mean_ms, max.mean_ms),
-            }
-        })
-        .collect()
-}
-
 pub use rayon::with_thread_count;
 
 #[cfg(test)]
@@ -273,7 +278,9 @@ mod tests {
         let check = |s: &Scenario, config: CampaignConfig| {
             let seq = accumulator_bits(&MobileCampaign::new(s, config).run());
             for threads in [1usize, 2, 3, 4, 8] {
-                let par = with_thread_count(threads, || analytic_field(s, config));
+                let par = with_thread_count(threads, || {
+                    crate::exec::run_field(s, config, ExecBackend::Analytic)
+                });
                 assert!(
                     accumulator_bits(&par) == seq,
                     "{}, seed {}, {} passes, {threads} threads: fields differ",
@@ -351,30 +358,6 @@ mod tests {
                 crate::exec::run_field(&s, config, ExecBackend::Analytic)
             });
             assert!(accumulator_bits(&par) == seq, "{threads} threads: pool did not recover");
-        }
-    }
-
-    #[test]
-    fn sweep_produces_stable_grand_means() {
-        let s = scenario();
-        let points = seed_sweep(&s, CampaignConfig::default(), &[1, 2, 3, 4]);
-        assert_eq!(points.len(), 4);
-        for p in &points {
-            assert!((p.grand_mean_ms - 74.1).abs() < 3.0, "seed {}: {}", p.seed, p.grand_mean_ms);
-            assert!(p.mean_range.0 < p.mean_range.1);
-        }
-    }
-
-    #[test]
-    fn sweep_is_deterministic_across_pool_sizes() {
-        let s = scenario();
-        let a = with_thread_count(1, || seed_sweep(&s, CampaignConfig::default(), &[5, 6]));
-        let b = with_thread_count(4, || seed_sweep(&s, CampaignConfig::default(), &[5, 6]));
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.seed, y.seed, "sweep must keep input seed order");
-            assert_eq!(x.grand_mean_ms.to_bits(), y.grand_mean_ms.to_bits());
-            assert_eq!(x.mean_range.0.to_bits(), y.mean_range.0.to_bits());
-            assert_eq!(x.mean_range.1.to_bits(), y.mean_range.1.to_bits());
         }
     }
 }

@@ -814,11 +814,12 @@ pub fn run_checkpointed_observed(
     let all_items = plan.items(&runners);
     let total_runs = plan.runs.len();
     let (runs_from, runs_to) = shard_run_range(total_runs, cfg.shard_index, cfg.shard_count);
-    let owned: Vec<(u32, crate::campaign::Shard)> = all_items
+    let owned: Vec<(u32, u32)> = all_items
         .iter()
         .copied()
         .filter(|(ri, _)| (runs_from..runs_to).contains(&(*ri as usize)))
         .collect();
+    let shard_of = |(ri, i): (u32, u32)| runners[ri as usize].shard(i as usize);
 
     let meta = StoreMeta {
         spec_hash: sweep_content_hash(sweep),
@@ -855,7 +856,7 @@ pub fn run_checkpointed_observed(
             }
             let next = c.next_item as usize;
             if next < owned.len() {
-                let (ri, shard) = owned[next];
+                let (ri, shard) = (owned[next].0, shard_of(owned[next]));
                 let want = (ri, shard.pass, shard.cell.col, shard.cell.row);
                 let got = (c.next_run, c.next_pass, c.next_col, c.next_row);
                 if got != want {
@@ -927,8 +928,8 @@ pub fn run_checkpointed_observed(
         let mut observer_stopped = false;
         run_items_streaming(
             &owned[next..end],
-            |(ri, shard), buf| runners[ri as usize].collect_shard_into(shard, buf),
-            |(ri, shard), buf| {
+            |(ri, i), buf| runners[ri as usize].collect(i as usize, buf),
+            |(ri, i), buf| {
                 if io_err.is_some() || observer_stopped {
                     return;
                 }
@@ -949,9 +950,10 @@ pub fn run_checkpointed_observed(
                     }
                     cur = Some((ri, CellField::new(plan.grid_of(ri as usize).clone())));
                 }
+                let cell = shard_of((ri, i)).cell;
                 let field = &mut cur.as_mut().expect("current run field").1;
                 for &v in buf {
-                    field.push(shard.cell, v);
+                    field.push(cell, v);
                 }
             },
         );
@@ -980,8 +982,8 @@ pub fn run_checkpointed_observed(
 
         next = end;
         let (next_run, next_pass, next_col, next_row) = if next < owned.len() {
-            let (ri, shard) = owned[next];
-            (ri, shard.pass, shard.cell.col, shard.cell.row)
+            let shard = shard_of(owned[next]);
+            (owned[next].0, shard.pass, shard.cell.col, shard.cell.row)
         } else {
             (0, 0, 0, 0)
         };

@@ -44,11 +44,10 @@
 //! compiled — and calibrated — [`Scenario`].
 
 use crate::aggregate::CellField;
-use crate::campaign::{CampaignConfig, MobileCampaign, Shard};
-use crate::event_backend::{crossval_tolerance_ms, EventCampaign, CROSSVAL_GRAND_MEAN_TOL};
+use crate::campaign::CampaignConfig;
+use crate::event_backend::{crossval_tolerance_ms, CROSSVAL_GRAND_MEAN_TOL};
 use crate::exec::ScenarioCache;
-use crate::faults::{FaultCampaign, FaultShard};
-use crate::parallel::run_items_streaming;
+use crate::parallel::{run_items_streaming, Runner};
 use crate::report::CellSummary;
 use crate::scenario::Scenario;
 use crate::spec::{
@@ -797,22 +796,7 @@ impl Sweep {
     /// Runs the whole matrix — base campaign plus every variant — on the
     /// thread pool and folds the results into a streaming [`SweepReport`].
     pub fn run(&self) -> Result<SweepRun, SpecError> {
-        let plan = self.plan()?;
-        let runners = plan.runners();
-        let items = plan.items(&runners);
-        let mut fields: Vec<CellField> =
-            (0..plan.runs.len()).map(|r| CellField::new(plan.grid_of(r).clone())).collect();
-        run_items_streaming(
-            &items,
-            |(ri, shard), buf| runners[ri as usize].collect_shard_into(shard, buf),
-            |(ri, shard), buf| {
-                let field = &mut fields[ri as usize];
-                for &v in buf {
-                    field.push(shard.cell, v);
-                }
-            },
-        );
-        Ok(plan.build_sweep_run(self, fields))
+        Ok(self.plan()?.run_in_memory(self, &mut |_, _| {}))
     }
 }
 
@@ -846,99 +830,77 @@ pub(crate) struct RunPlan {
     pub(crate) backend_axis: Option<usize>,
 }
 
-/// A campaign runner of either backend, borrowed from a [`RunPlan`].
-pub(crate) enum Runner<'a> {
-    /// Closed-form analytic sampler.
-    Analytic(MobileCampaign<'a>),
-    /// Packet-level discrete-event campaign.
-    Event(EventCampaign<'a>),
-    /// Event campaign over a spec with a fault schedule: routes come from
-    /// the live BGP control plane (same dispatch as
-    /// [`crate::exec::run_field`]).
-    Faulted(Box<FaultedRunner<'a>>),
-}
-
-/// A fault-bearing event runner. [`FaultCampaign`]'s work items carry the
-/// shard's absolute start time `t0_s` (derived from the traversal), which
-/// the sweep's `(run, Shard)` items do not — so it is recovered here from
-/// the `(pass, cell)` key, which the stream-keying discipline already
-/// requires to be unique per campaign.
-pub(crate) struct FaultedRunner<'a> {
-    campaign: FaultCampaign<'a>,
-    t0_by_shard: std::collections::BTreeMap<(u32, sixg_geo::CellId), f64>,
-}
-
-impl<'a> FaultedRunner<'a> {
-    fn new(scenario: &'a Scenario, config: CampaignConfig) -> Self {
-        let campaign = FaultCampaign::new(scenario, config);
-        let t0_by_shard = campaign
-            .shards()
-            .into_iter()
-            .map(|fs| ((fs.shard.pass, fs.shard.cell), fs.t0_s))
-            .collect();
-        Self { campaign, t0_by_shard }
-    }
-}
-
-impl Runner<'_> {
-    /// The runner's `(pass, cell)` shards, in accumulation order.
-    pub(crate) fn shards(&self) -> Vec<Shard> {
-        match self {
-            Runner::Analytic(c) => c.shards(),
-            Runner::Event(c) => c.shards(),
-            Runner::Faulted(f) => f.campaign.shards().into_iter().map(|fs| fs.shard).collect(),
-        }
-    }
-
-    /// Collects one shard's samples into `buf`.
-    pub(crate) fn collect_shard_into(&self, shard: Shard, buf: &mut Vec<f64>) {
-        match self {
-            Runner::Analytic(c) => c.collect_shard_into(shard, buf),
-            Runner::Event(c) => c.collect_shard_into(shard, buf),
-            Runner::Faulted(f) => {
-                let t0_s = f.t0_by_shard[&(shard.pass, shard.cell)];
-                f.campaign.collect_shard_into(FaultShard { shard, t0_s }, buf);
-            }
-        }
-    }
-}
-
 impl RunPlan {
-    /// Instantiates every run's campaign runner. The dispatch mirrors
-    /// [`crate::exec::run_field`]: an event run over a spec with a
-    /// fault schedule gets the live control plane, so fault axes (e.g.
+    /// Instantiates every run's campaign runner — the same dispatch as
+    /// [`crate::exec::run_field`], so an event run over a spec with a
+    /// fault schedule gets the live control plane, and fault axes (e.g.
     /// sweeping `$.faults[0].recover_at_s`) measure real convergence
     /// transients instead of silently ignoring the schedule.
     pub(crate) fn runners(&self) -> Vec<Runner<'_>> {
         self.runs
             .iter()
-            .map(|r| {
-                let scenario: &Scenario = &self.scenarios[r.scen];
-                match r.backend {
-                    ExecBackend::Analytic => {
-                        Runner::Analytic(MobileCampaign::new(scenario, r.config))
-                    }
-                    ExecBackend::Event if scenario.spec.faults.is_empty() => {
-                        Runner::Event(EventCampaign::new(scenario, r.config))
-                    }
-                    ExecBackend::Event => {
-                        Runner::Faulted(Box::new(FaultedRunner::new(scenario, r.config)))
-                    }
-                }
-            })
+            .map(|r| Runner::new(&self.scenarios[r.scen], r.config, r.backend))
             .collect()
     }
 
-    /// The global work list: every run's `(pass, cell)` shards, run-major —
-    /// one list, one pool pass, no drain between variants. This ordering
-    /// *is* the accumulation-order contract: any execution mode that folds
-    /// these items in list order reproduces identical bits.
-    pub(crate) fn items(&self, runners: &[Runner]) -> Vec<(u32, Shard)> {
-        let mut items: Vec<(u32, Shard)> = Vec::new();
+    /// The global work list: every run's work items as `(run, index into
+    /// the run's work list)`, run-major — one list, one pool pass, no drain
+    /// between variants. This ordering *is* the accumulation-order
+    /// contract: any execution mode that folds these items in list order
+    /// reproduces identical bits.
+    pub(crate) fn items(&self, runners: &[Runner]) -> Vec<(u32, u32)> {
+        let mut items = Vec::new();
         for (ri, runner) in runners.iter().enumerate() {
-            items.extend(runner.shards().into_iter().map(|s| (ri as u32, s)));
+            items.extend((0..runner.len() as u32).map(|i| (ri as u32, i)));
         }
         items
+    }
+
+    /// Runs every run in memory and folds the results into the executed
+    /// sweep. `emit` is called with `(run index, report)` for run 0 (the
+    /// base) and every variant the moment its last sample folds — in run
+    /// order, while later runs are still executing — with exactly the
+    /// arguments [`Self::build_sweep_run`] uses, so streamed bits equal
+    /// final-report bits.
+    pub(crate) fn run_in_memory(
+        &self,
+        sweep: &Sweep,
+        emit: &mut impl FnMut(usize, &VariantReport),
+    ) -> SweepRun {
+        let runners = self.runners();
+        let items = self.items(&runners);
+        let mut fields: Vec<CellField> =
+            (0..self.runs.len()).map(|r| CellField::new(self.grid_of(r).clone())).collect();
+        let req_ms = sweep.spec.requirement_ms;
+        let mut base_ref: Option<(f64, f64)> = None;
+        let mut done = 0usize;
+        // The work list is run-major and folds in list order, so once the
+        // fold reaches run `ri`, every run before it is complete — emit
+        // them, capturing the base run's `(grand mean, exceedance)`
+        // reference for the variants' deltas.
+        let mut emit_upto = |upto: usize, fields: &[CellField]| {
+            while done < upto {
+                let report =
+                    VariantReport::from_field(&self.runs[done], &fields[done], req_ms, base_ref);
+                base_ref.get_or_insert((report.grand_mean_ms, report.exceedance_pct));
+                emit(done, &report);
+                done += 1;
+            }
+        };
+        run_items_streaming(
+            &items,
+            |(ri, i), buf| runners[ri as usize].collect(i as usize, buf),
+            |(ri, i), buf| {
+                emit_upto(ri as usize, &fields);
+                let cell = runners[ri as usize].shard(i as usize).cell;
+                let field = &mut fields[ri as usize];
+                for &v in buf {
+                    field.push(cell, v);
+                }
+            },
+        );
+        emit_upto(self.runs.len(), &fields);
+        self.build_sweep_run(sweep, fields)
     }
 
     /// The grid run `run` accumulates over.
@@ -955,32 +917,13 @@ impl RunPlan {
         let req = sweep.spec.requirement_ms;
         let mut field_iter = fields.into_iter();
         let base_field = field_iter.next().expect("base run present");
-        let base_meta = &self.runs[0];
-        let base_report = VariantReport::from_field(
-            "base".into(),
-            Vec::new(),
-            base_meta.backend,
-            base_meta.config,
-            &base_field,
-            req,
-            None,
-        );
-        let base_ref = (base_report.grand_mean_ms, base_report.exceedance_pct);
+        let base_report = VariantReport::from_field(&self.runs[0], &base_field, req, None);
+        let base_ref = Some((base_report.grand_mean_ms, base_report.exceedance_pct));
         let variant_fields: Vec<CellField> = field_iter.collect();
         let variant_reports: Vec<VariantReport> = self.runs[1..]
             .iter()
             .zip(&variant_fields)
-            .map(|(m, field)| {
-                VariantReport::from_field(
-                    m.label.clone(),
-                    m.settings.clone(),
-                    m.backend,
-                    m.config,
-                    field,
-                    req,
-                    Some(base_ref),
-                )
-            })
+            .map(|(m, field)| VariantReport::from_field(m, field, req, base_ref))
             .collect();
         SweepRun {
             report: SweepReport {
@@ -1039,11 +982,10 @@ pub struct VariantReport {
 }
 
 impl VariantReport {
+    /// Run `meta`'s report over its folded `field`, with deltas against
+    /// the base run's `(grand mean, exceedance)` (`None` for the base).
     pub(crate) fn from_field(
-        label: String,
-        settings: Vec<String>,
-        backend: ExecBackend,
-        config: CampaignConfig,
+        meta: &RunMeta,
         field: &CellField,
         requirement_ms: f64,
         base: Option<(f64, f64)>,
@@ -1057,12 +999,12 @@ impl VariantReport {
             summary.std_extrema.map_or((0.0, 0.0), |(a, b)| (a.std_ms, b.std_ms));
         let (base_gm, base_ex) = base.unwrap_or((grand_mean_ms, exceedance_pct));
         Self {
-            label,
-            settings,
-            backend: backend.to_string(),
-            seed: config.seed,
-            passes: config.passes,
-            sample_interval_s: config.sample_interval_s,
+            label: meta.label.clone(),
+            settings: meta.settings.clone(),
+            backend: meta.backend.to_string(),
+            seed: meta.config.seed,
+            passes: meta.config.passes,
+            sample_interval_s: meta.config.sample_interval_s,
             total_samples: summary.total_samples,
             grand_mean_ms,
             mean_min_ms,
@@ -1307,28 +1249,37 @@ mod tests {
     /// single-campaign run of the base spec.
     #[test]
     fn empty_axes_degenerate_sweep_equals_plain_run_bitwise() {
-        let sweep = Sweep::new(sweep_spec(Vec::new()), &base_json(1)).expect("valid sweep");
-        let run = sweep.run().expect("runs");
-        assert_eq!(run.report.variant_count, 1);
-        assert_eq!(run.report.variants[0].label, "base");
+        // One base per backend path: analytic, the plain packet world, and
+        // the packet world over the transit-flap fault timeline.
+        let mut event = ScenarioSpec::klagenfurt();
+        event.backend = "event".into();
+        for mut base in [ScenarioSpec::klagenfurt(), event, ScenarioSpec::klagenfurt_flap()] {
+            base.campaign.passes = 1;
+            let sweep = Sweep::new(sweep_spec(Vec::new()), &base.to_json()).expect("valid sweep");
+            let run = sweep.run().expect("runs");
+            assert_eq!(run.report.variant_count, 1);
+            assert_eq!(run.report.variants[0].label, "base");
 
-        let scenario = Scenario::from_spec(&sweep.base).expect("compiles");
-        let config = CampaignConfig {
-            seed: sweep.base.campaign.seed,
-            sample_interval_s: sweep.base.campaign.sample_interval_s,
-            passes: sweep.base.campaign.passes,
-        };
-        let plain = run_field(&scenario, config, ExecBackend::Analytic);
-        for cell in scenario.grid.cells() {
-            let want = plain.stats(cell);
-            for field in [&run.base_field, &run.variant_fields[0]] {
-                let got = field.stats(cell);
-                assert_eq!(want.count, got.count, "cell {cell} count");
-                assert_eq!(want.mean_ms.to_bits(), got.mean_ms.to_bits(), "cell {cell} mean");
-                assert_eq!(want.std_ms.to_bits(), got.std_ms.to_bits(), "cell {cell} std");
+            let scenario = Scenario::from_spec(&sweep.base).expect("compiles");
+            let config = CampaignConfig {
+                seed: sweep.base.campaign.seed,
+                sample_interval_s: sweep.base.campaign.sample_interval_s,
+                passes: sweep.base.campaign.passes,
+            };
+            let backend = parse_backend(&sweep.base.backend).expect("valid backend");
+            let plain = run_field(&scenario, config, backend);
+            for cell in scenario.grid.cells() {
+                let want = plain.stats(cell);
+                for field in [&run.base_field, &run.variant_fields[0]] {
+                    let got = field.stats(cell);
+                    let at = format!("{} {backend}: cell {cell}", sweep.base.name);
+                    assert_eq!(want.count, got.count, "{at} count");
+                    assert_eq!(want.mean_ms.to_bits(), got.mean_ms.to_bits(), "{at} mean");
+                    assert_eq!(want.std_ms.to_bits(), got.std_ms.to_bits(), "{at} std");
+                }
             }
+            assert_eq!(run.report.variants[0].delta_grand_mean_ms, 0.0);
         }
-        assert_eq!(run.report.variants[0].delta_grand_mean_ms, 0.0);
     }
 
     /// The ordering contract: axes enumerate like an odometer with the

@@ -8,7 +8,6 @@
 use sixg::measure::campaign::{CampaignConfig, MobileCampaign};
 use sixg::measure::exec::run_field;
 use sixg::measure::klagenfurt::KlagenfurtScenario;
-use sixg::measure::parallel::seed_sweep;
 use sixg::measure::report::{to_csv, CampaignSummary};
 use sixg::measure::spec::ExecBackend;
 
@@ -28,10 +27,13 @@ fn main() {
     // Multi-seed sweep (each seed is one synthetic campaign day).
     let seeds: Vec<u64> = (1..=8).collect();
     println!("\nseed sweep (grand mean / min / max of cell means):");
-    for p in seed_sweep(&scenario, CampaignConfig::default(), &seeds) {
+    for seed in seeds {
+        let config = CampaignConfig { seed, ..Default::default() };
+        let summary = run_field(&scenario, config, ExecBackend::Analytic).summary();
+        let (min, max) = summary.mean_extrema.expect("non-empty campaign");
         println!(
-            "  seed {:>2}: {:>6.1} ms   [{:>5.1} .. {:>6.1}]",
-            p.seed, p.grand_mean_ms, p.mean_range.0, p.mean_range.1
+            "  seed {seed:>2}: {:>6.1} ms   [{:>5.1} .. {:>6.1}]",
+            summary.grand_mean_ms, min.mean_ms, max.mean_ms
         );
     }
 

@@ -1,9 +1,9 @@
 //! Golden-value regression suite.
 //!
 //! Pins the key numbers behind the `repro_*` binaries — the gap exceedance,
-//! the Table I hop count, the Klagenfurt campaign grand mean, and the
-//! multi-seed sweep extrema — against committed expected values **to the
-//! bit**. Any change to the RNG streams, distribution parameterisations,
+//! the Table I hop count, the Klagenfurt campaign grand mean, the
+//! multi-seed sweep extrema and the packet world's event runs — against
+//! committed expected values **to the bit**. Any change to the RNG streams, distribution parameterisations,
 //! routing metric, or accumulation order shows up here as a bit-exact diff,
 //! not a tolerance-sized drift.
 //!
@@ -21,10 +21,12 @@
 
 use sixg::core::gap::GapReport;
 use sixg::core::requirements::campaign_reference_requirement;
-use sixg::measure::campaign::{CampaignConfig, MobileCampaign};
+use sixg::measure::aggregate::FieldSummary;
+use sixg::measure::campaign::{CampaignConfig, MobileCampaign, Shard};
+use sixg::measure::event_backend::EventCampaign;
 use sixg::measure::exec::run_field;
 use sixg::measure::klagenfurt::KlagenfurtScenario;
-use sixg::measure::parallel::{seed_sweep, with_thread_count};
+use sixg::measure::parallel::with_thread_count;
 use sixg::measure::scenario::Scenario;
 use sixg::measure::spec::ScenarioSpec;
 use sixg::measure::ExecBackend;
@@ -59,9 +61,19 @@ fn compute_goldens() -> Vec<(&'static str, f64)> {
     let trace = MobileCampaign::new(s, CampaignConfig::default()).table1_traceroute(0);
 
     // The multi-seed sweep (repro_fig2/3 stability check).
-    let sweep = seed_sweep(s, CampaignConfig::default(), &SWEEP_SEEDS);
-    let sweep_min = sweep.iter().map(|p| p.mean_range.0).fold(f64::INFINITY, f64::min);
-    let sweep_max = sweep.iter().map(|p| p.mean_range.1).fold(f64::NEG_INFINITY, f64::max);
+    let sweep: Vec<(u64, FieldSummary)> = SWEEP_SEEDS
+        .iter()
+        .map(|&seed| {
+            let config = CampaignConfig { seed, ..Default::default() };
+            (seed, run_field(s, config, ExecBackend::Analytic).summary())
+        })
+        .collect();
+    let mean_range = |f: &FieldSummary| {
+        let (min, max) = f.mean_extrema.as_ref().expect("non-empty campaign");
+        (min.mean_ms, max.mean_ms)
+    };
+    let sweep_min = sweep.iter().map(|(_, f)| mean_range(f).0).fold(f64::INFINITY, f64::min);
+    let sweep_max = sweep.iter().map(|(_, f)| mean_range(f).1).fold(f64::NEG_INFINITY, f64::max);
 
     let mut out = vec![
         ("dense_grand_mean_ms", field.grand_mean_ms()),
@@ -78,14 +90,14 @@ fn compute_goldens() -> Vec<(&'static str, f64)> {
         ("sweep_mean_range_min_ms", sweep_min),
         ("sweep_mean_range_max_ms", sweep_max),
     ];
-    for p in &sweep {
-        let name: &'static str = match p.seed {
+    for (seed, f) in &sweep {
+        let name: &'static str = match seed {
             1 => "sweep_seed1_grand_mean_ms",
             2 => "sweep_seed2_grand_mean_ms",
             3 => "sweep_seed3_grand_mean_ms",
             _ => unreachable!("unpinned sweep seed"),
         };
-        out.push((name, p.grand_mean_ms));
+        out.push((name, f.grand_mean_ms));
     }
 
     // E22 / repro_faults: the transit-flap fault campaign over the live
@@ -102,6 +114,26 @@ fn compute_goldens() -> Vec<(&'static str, f64)> {
     out.push(("flap_grand_mean_ms", flap_field.grand_mean_ms()));
     out.push(("flap_total_samples", flap_field.total_samples() as f64));
     out.push(("flap_exceedance_pct", flap_gap.exceedance_pct));
+
+    // The plain packet world: a 2-pass Klagenfurt event run.
+    let event = run_field(
+        s,
+        CampaignConfig { seed: DENSE_SEED, passes: 2, sample_interval_s: 2.0 },
+        ExecBackend::Event,
+    )
+    .summary();
+    out.push(("event_grand_mean_ms", event.grand_mean_ms));
+    out.push(("event_total_samples", event.total_samples as f64));
+
+    // A 13x-oversubscribed narrowband shard, where the FIFO order of
+    // probe launches and leg arrivals decides the bits.
+    let mut narrow = ScenarioSpec::klagenfurt();
+    narrow.ue.bandwidth_bps = 80_000.0;
+    let narrow = Scenario::from_spec(&narrow).expect("narrowband spec compiles");
+    let saturated = CampaignConfig { seed: 1, passes: 1, sample_interval_s: 0.001 };
+    let shard = Shard { pass: 0, cell: narrow.reference_cell, dwell_s: 0.1 };
+    let probes = EventCampaign::new(&narrow, saturated).collect_shard(shard);
+    out.push(("saturated_shard_mean_ms", probes.iter().sum::<f64>() / probes.len() as f64));
     out
 }
 
@@ -129,6 +161,9 @@ const EXPECTED: &[(&str, u64, f64)] = &[
     ("flap_grand_mean_ms", 0x40503151bc888d22, 64.77061379752243),
     ("flap_total_samples", 0x40a0560000000000, 2091.0),
     ("flap_exceedance_pct", 0x406bfb4c575560d5, 223.85306898761215),
+    ("event_grand_mean_ms", 0x40529803e542fd56, 74.37523776571228),
+    ("event_total_samples", 0x40afc20000000000, 4065.0),
+    ("saturated_shard_mean_ms", 0x408d34c4631ba5ee, 934.5958921585095),
     // GOLDEN-TABLE-END
 ];
 
