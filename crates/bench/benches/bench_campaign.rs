@@ -3,14 +3,17 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use sixg_bench::shared_scenario;
 use sixg_measure::campaign::{CampaignConfig, MobileCampaign};
-use sixg_measure::exec::run_field;
+use sixg_measure::exec::{run_field, run_field_sequential};
 use sixg_measure::wired::WiredCampaign;
 use sixg_measure::ExecBackend;
 
 fn bench_sequential(c: &mut Criterion) {
     let s = shared_scenario();
     c.bench_function("campaign/sequential_1_pass", |b| {
-        b.iter(|| MobileCampaign::new(s, CampaignConfig::default()).run().total_samples());
+        b.iter(|| {
+            run_field_sequential(s, CampaignConfig::default(), ExecBackend::Analytic)
+                .total_samples()
+        });
     });
 }
 
@@ -24,9 +27,8 @@ fn bench_parallel(c: &mut Criterion) {
     });
     c.bench_function("campaign/sequential_4_passes", |b| {
         b.iter(|| {
-            MobileCampaign::new(s, CampaignConfig { passes: 4, ..Default::default() })
-                .run()
-                .total_samples()
+            let config = CampaignConfig { passes: 4, ..Default::default() };
+            run_field_sequential(s, config, ExecBackend::Analytic).total_samples()
         });
     });
 }

@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use sixg_bench::shared_scenario;
 use sixg_measure::campaign::{CampaignConfig, MobileCampaign};
-use sixg_measure::exec::run_field;
+use sixg_measure::exec::{run_field, run_field_sequential};
 use sixg_measure::parallel::with_thread_count;
 use sixg_measure::ExecBackend;
 
@@ -22,7 +22,7 @@ fn config() -> CampaignConfig {
 fn bench_sequential_baseline(c: &mut Criterion) {
     let s = shared_scenario();
     c.bench_function("parallel/sequential_baseline", |b| {
-        b.iter(|| MobileCampaign::new(s, config()).run().total_samples());
+        b.iter(|| run_field_sequential(s, config(), ExecBackend::Analytic).total_samples());
     });
 }
 

@@ -13,9 +13,11 @@
 
 use sixg_bench::{header, ms, REPRO_SEED};
 use sixg_measure::campaign::{CampaignConfig, MobileCampaign};
+use sixg_measure::exec::run_field;
 use sixg_measure::klagenfurt::{
     KlagenfurtScenario, ASCUS_AS, CAMPUS_AS, DATAPACKET_AS, IX_AS, OP_AS, ZET_AS,
 };
+use sixg_measure::spec::ExecBackend;
 use sixg_netsim::radio::{AccessModel, CellEnv, FiveGAccess};
 use sixg_netsim::rng::SimRng;
 use sixg_netsim::routing::{AsGraph, PathComputer};
@@ -58,7 +60,7 @@ fn main() {
     header("Ablation 2: calibration robustness across campaign seeds");
     println!("{:>6} {:>12} {:>12} {:>12}", "seed", "grand mean", "min cell", "max cell");
     for seed in [1u64, 2, 3, 4, 5] {
-        let field = MobileCampaign::new(&scenario, CampaignConfig::dense(seed)).run();
+        let field = run_field(&scenario, CampaignConfig::dense(seed), ExecBackend::Analytic);
         let (min, max) = field.mean_extrema().expect("non-empty");
         println!(
             "{seed:>6} {:>12} {:>12} {:>12}",

@@ -8,6 +8,8 @@ use sixg_core::gap::GapReport;
 use sixg_core::orchestrator;
 use sixg_core::requirements::campaign_reference_requirement;
 use sixg_measure::campaign::{CampaignConfig, MobileCampaign};
+use sixg_measure::exec::run_field;
+use sixg_measure::spec::ExecBackend;
 use sixg_measure::wired::{mobile_wired_factor, WiredCampaign};
 use sixg_netsim::radio::phy::MmWavePhy;
 use sixg_netsim::stats::Welford;
@@ -35,7 +37,7 @@ fn main() {
     let mut rows: Vec<Row> = Vec::new();
 
     header("Running dense mobile campaign (Figures 2-3)");
-    let field = MobileCampaign::new(s, CampaignConfig::dense(2)).run();
+    let field = run_field(s, CampaignConfig::dense(2), ExecBackend::Analytic);
     let (min, max) = field.mean_extrema().expect("non-empty");
     let (smin, smax) = field.std_extrema().expect("non-empty");
     rows.push(row(

@@ -32,9 +32,11 @@ use sixg_measure::campaign::CampaignConfig;
 use sixg_measure::event_backend::crossval_tolerance_ms;
 use sixg_measure::exec::run_field;
 use sixg_measure::faults::FaultCampaign;
-use sixg_measure::klagenfurt::klagenfurt_flap_spec;
+use sixg_measure::klagenfurt::{klagenfurt_flap_spec, klagenfurt_spec};
+use sixg_measure::megacity::megacity_spec;
 use sixg_measure::parallel::with_thread_count;
 use sixg_measure::scenario::Scenario;
+use sixg_measure::skopje::skopje_spec;
 use sixg_measure::spec::{parse_backend, ExecBackend, ScenarioSpec};
 use sixg_netsim::routing::dynamic::ControlPlane;
 use sixg_netsim::routing::PathComputer;
@@ -124,7 +126,7 @@ fn main() {
     // Gate 1 — static equivalence on every committed spec plus the flap
     // spec's own (fault-free) topology.
     let committed =
-        [ScenarioSpec::klagenfurt(), ScenarioSpec::skopje(), ScenarioSpec::megacity(), flap_spec];
+        [klagenfurt_spec().clone(), skopje_spec().clone(), megacity_spec().clone(), flap_spec];
     let mut routes_checked = 0usize;
     let mut equivalence = Vec::new();
     for spec in &committed {

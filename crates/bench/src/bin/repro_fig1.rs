@@ -8,7 +8,9 @@
 use sixg_bench::{compare, header, shared_scenario};
 use sixg_geo::CellId;
 use sixg_measure::campaign::{CampaignConfig, MobileCampaign};
+use sixg_measure::exec::run_field;
 use sixg_measure::report::{render_grid, FieldStat};
+use sixg_measure::spec::ExecBackend;
 
 fn main() {
     let s = shared_scenario();
@@ -40,7 +42,7 @@ fn main() {
     println!("total traversal time: {:.0} s", t.duration_s());
 
     header("Per-cell sample counts (one pass)");
-    let field = campaign.run();
+    let field = run_field(s, campaign.config(), ExecBackend::Analytic);
     println!("{}", render_grid(&field, FieldStat::Count));
     println!("masked (0-count) cells are the paper's 0.0 markers.");
 }

@@ -6,12 +6,14 @@
 //! mean behind the 270 % claim.
 
 use sixg_bench::{compare, header, ms, shared_scenario};
-use sixg_measure::campaign::{CampaignConfig, MobileCampaign};
+use sixg_measure::campaign::CampaignConfig;
+use sixg_measure::exec::run_field;
 use sixg_measure::report::{render_grid, CampaignSummary, FieldStat};
+use sixg_measure::spec::ExecBackend;
 
 fn main() {
     let s = shared_scenario();
-    let field = MobileCampaign::new(s, CampaignConfig::dense(2)).run();
+    let field = run_field(s, CampaignConfig::dense(2), ExecBackend::Analytic);
 
     header("Figure 2 — urban mean round-trip latency (ms)");
     println!("{}", render_grid(&field, FieldStat::Mean));

@@ -5,12 +5,14 @@
 //! (maximum).
 
 use sixg_bench::{compare, header, ms, shared_scenario};
-use sixg_measure::campaign::{CampaignConfig, MobileCampaign};
+use sixg_measure::campaign::CampaignConfig;
+use sixg_measure::exec::run_field;
 use sixg_measure::report::{render_grid, FieldStat};
+use sixg_measure::spec::ExecBackend;
 
 fn main() {
     let s = shared_scenario();
-    let field = MobileCampaign::new(s, CampaignConfig::dense(2)).run();
+    let field = run_field(s, CampaignConfig::dense(2), ExecBackend::Analytic);
 
     header("Figure 3 — per-cell RTL standard deviation (ms)");
     println!("{}", render_grid(&field, FieldStat::StdDev));

@@ -6,7 +6,9 @@
 use sixg_bench::{compare, header, ms, pct, shared_scenario};
 use sixg_core::gap::GapReport;
 use sixg_core::requirements::{campaign_reference_requirement, ApplicationClass};
-use sixg_measure::campaign::{CampaignConfig, MobileCampaign};
+use sixg_measure::campaign::CampaignConfig;
+use sixg_measure::exec::run_field;
+use sixg_measure::spec::ExecBackend;
 
 fn main() {
     header("Section III — application requirement envelopes");
@@ -29,7 +31,7 @@ fn main() {
 
     header("Gap analysis vs the measured campaign (AR budget: 20 ms)");
     let s = shared_scenario();
-    let field = MobileCampaign::new(s, CampaignConfig::dense(2)).run();
+    let field = run_field(s, CampaignConfig::dense(2), ExecBackend::Analytic);
     let report = GapReport::analyse(&field, &campaign_reference_requirement());
 
     compare("measured grand mean", "~74 ms", ms(report.measured_mean_ms));

@@ -18,8 +18,8 @@
 
 use sixg_bench::{compare, header, shared_scenario};
 use sixg_measure::aggregate::CellField;
-use sixg_measure::campaign::{CampaignConfig, MobileCampaign};
-use sixg_measure::exec::run_field;
+use sixg_measure::campaign::CampaignConfig;
+use sixg_measure::exec::{run_field, run_field_sequential};
 use sixg_measure::parallel::with_thread_count;
 use sixg_measure::ExecBackend;
 use std::time::Instant;
@@ -71,10 +71,10 @@ fn main() {
     compare("campaign passes", "n/a", passes);
 
     // Warm up caches (scenario routes, allocator) outside the timed region.
-    let _ = MobileCampaign::new(s, CampaignConfig { passes: 1, ..config }).run();
+    let _ = run_field_sequential(s, CampaignConfig { passes: 1, ..config }, ExecBackend::Analytic);
 
     let t0 = Instant::now();
-    let sequential = MobileCampaign::new(s, config).run();
+    let sequential = run_field_sequential(s, config, ExecBackend::Analytic);
     let seq_s = t0.elapsed().as_secs_f64();
     println!("\nsequential: {:>8.3} s   ({} samples)", seq_s, sequential.total_samples());
 

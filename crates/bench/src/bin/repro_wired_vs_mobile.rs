@@ -3,7 +3,9 @@
 //! Exoscale wired reference.
 
 use sixg_bench::{compare, header, ms, shared_scenario};
-use sixg_measure::campaign::{CampaignConfig, MobileCampaign};
+use sixg_measure::campaign::CampaignConfig;
+use sixg_measure::exec::run_field;
+use sixg_measure::spec::ExecBackend;
 use sixg_measure::wired::{mobile_wired_factor, WiredCampaign};
 
 fn main() {
@@ -17,7 +19,7 @@ fn main() {
     println!("samples: {}", wired.count);
 
     header("Mobile campaign (Figure 2)");
-    let field = MobileCampaign::new(s, CampaignConfig::dense(2)).run();
+    let field = run_field(s, CampaignConfig::dense(2), ExecBackend::Analytic);
     compare("mobile grand mean", "~74 ms", ms(field.grand_mean_ms()));
 
     header("Mobile vs wired");

@@ -6,6 +6,7 @@
 //! distinction lets CI and scripts tell a broken invocation from a broken
 //! spec.
 
+use sixg_measure::klagenfurt::klagenfurt_spec;
 use sixg_measure::spec::ScenarioSpec;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -321,7 +322,7 @@ impl SweepDir {
         let dir = std::env::temp_dir().join(format!("sixg-cli-ckpt-{}-{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("create sweep dir");
-        let mut base = sixg_measure::spec::ScenarioSpec::klagenfurt();
+        let mut base = klagenfurt_spec().clone();
         base.campaign.passes = 1;
         std::fs::write(dir.join("base.json"), base.to_json()).expect("write base");
         std::fs::write(

@@ -16,13 +16,14 @@
 use sixg_bench::serve::Server;
 use sixg_measure::dispatch::{dispatch_sweep, DispatchConfig, DispatchError};
 use sixg_measure::exec::{execute, ExecReport, ExecRequest};
+use sixg_measure::klagenfurt::klagenfurt_spec;
 use sixg_measure::spec::ScenarioSpec;
 use sixg_measure::sweep::{Sweep, SweepSpec};
 use std::time::Duration;
 
 /// One-pass Klagenfurt: the fast fixture every sweep below builds on.
 fn flat_spec() -> ScenarioSpec {
-    let mut spec = ScenarioSpec::klagenfurt();
+    let mut spec = klagenfurt_spec().clone();
     spec.campaign.passes = 1;
     spec
 }

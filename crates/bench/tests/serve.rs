@@ -9,6 +9,8 @@
 
 use sixg_bench::serve_client::ServeClient;
 use sixg_measure::exec::{execute, ExecRequest};
+use sixg_measure::klagenfurt::klagenfurt_spec;
+use sixg_measure::megacity::megacity_spec;
 use sixg_measure::spec::ScenarioSpec;
 use sixg_measure::sweep::SweepSpec;
 use std::io::{BufRead, BufReader};
@@ -55,7 +57,7 @@ impl Drop for Daemon {
 
 /// One-pass Klagenfurt: the fast fixture every request below builds on.
 fn flat_spec() -> ScenarioSpec {
-    let mut spec = ScenarioSpec::klagenfurt();
+    let mut spec = klagenfurt_spec().clone();
     spec.campaign.passes = 1;
     spec
 }
@@ -169,7 +171,7 @@ fn unroutable_spec_is_an_error_frame_and_the_daemon_keeps_serving() {
     let mut client = daemon.client();
     assert_eq!(client.request(&hot.to_json()).expect("cold request").report_text(), offline);
 
-    let mut unroutable = ScenarioSpec::megacity();
+    let mut unroutable = megacity_spec().clone();
     unroutable.as_relations.clear();
     let rejected =
         client.request(&ExecRequest::run(unroutable).to_json()).expect("exchange completes");

@@ -83,15 +83,17 @@ impl GapReport {
 mod tests {
     use super::*;
     use crate::requirements::campaign_reference_requirement;
-    use sixg_measure::campaign::{CampaignConfig, MobileCampaign};
+    use sixg_measure::campaign::CampaignConfig;
+    use sixg_measure::exec::run_field;
     use sixg_measure::klagenfurt::KlagenfurtScenario;
+    use sixg_measure::spec::ExecBackend;
     use std::sync::OnceLock;
 
     fn field() -> &'static CellField {
         static FIELD: OnceLock<CellField> = OnceLock::new();
         FIELD.get_or_init(|| {
             let s = KlagenfurtScenario::paper(0x6B6C_7531);
-            MobileCampaign::new(&s, CampaignConfig::dense(3)).run()
+            run_field(&s, CampaignConfig::dense(3), ExecBackend::Analytic)
         })
     }
 

@@ -6,7 +6,6 @@
 //! traffic flow exactly as in the paper. Samples are RIPE-Atlas-style pure
 //! network RTTs: wire path + radio access, no application processing.
 
-use crate::aggregate::CellField;
 use crate::scenario::{KeyScheme, Scenario};
 use bytes::Arena;
 use serde::{Deserialize, Serialize};
@@ -112,18 +111,6 @@ impl<'a> MobileCampaign<'a> {
         (dwell_s / interval).round().max(1.0) as usize
     }
 
-    /// Samples of one (pass, cell) pair, in cadence order.
-    ///
-    /// Each sample draws from a stream keyed by (campaign seed, pass, cell,
-    /// sample index), so the thread-pool runner can execute shards in any
-    /// order on any worker and still produce the sequential runner's exact
-    /// values — parallel and sequential runs are bitwise equal.
-    pub fn collect_cell(&self, pass: u32, cell: CellId, dwell_s: f64) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.collect_cell_into(pass, cell, dwell_s, &mut out);
-        out
-    }
-
     /// The shard random-stream key: (scenario seed, campaign seed, pass,
     /// packed cell), shared verbatim by both execution backends (the event
     /// backend substitutes its own phase label).
@@ -135,9 +122,15 @@ impl<'a> MobileCampaign<'a> {
             .with(self.scenario.cell_key(cell))
     }
 
-    /// [`Self::collect_cell`] into a caller-owned buffer (cleared first),
-    /// so tight loops — the runners visit thousands of shards — can reuse
-    /// one allocation instead of growing a fresh `Vec` per shard.
+    /// Samples of one (pass, cell) pair, in cadence order, into a
+    /// caller-owned buffer (cleared first), so tight loops — the runners
+    /// visit thousands of shards — can reuse one allocation instead of
+    /// growing a fresh `Vec` per shard.
+    ///
+    /// Each sample draws from a stream keyed by (campaign seed, pass, cell,
+    /// sample index), so the thread-pool runner can execute shards in any
+    /// order on any worker and still produce the sequential runner's exact
+    /// values — parallel and sequential runs are bitwise equal.
     pub fn collect_cell_into(&self, pass: u32, cell: CellId, dwell_s: f64, out: &mut Vec<f64>) {
         if self.scenario.key_scheme == KeyScheme::Wide {
             return self.collect_cell_wide(pass, cell, dwell_s, out);
@@ -248,24 +241,10 @@ impl<'a> MobileCampaign<'a> {
         out
     }
 
-    /// Samples of one shard, in cadence order (see [`Self::collect_cell`]).
-    pub fn collect_shard(&self, shard: Shard) -> Vec<f64> {
-        self.collect_cell(shard.pass, shard.cell, shard.dwell_s)
-    }
-
-    /// [`Self::collect_shard`] into a caller-owned buffer (cleared first).
+    /// Samples of one shard, in cadence order, into a caller-owned buffer
+    /// (cleared first; see [`Self::collect_cell_into`]).
     pub fn collect_shard_into(&self, shard: Shard, out: &mut Vec<f64>) {
         self.collect_cell_into(shard.pass, shard.cell, shard.dwell_s, out);
-    }
-
-    /// Runs the full campaign sequentially, shard by shard, reusing one
-    /// sample buffer across shards. Each cell accumulates its samples in
-    /// shard-list order, as in the parallel runner, so the result is
-    /// bitwise identical to it.
-    pub fn run(&self) -> CellField {
-        crate::parallel::run_shards_sequential(self.scenario, &self.shards(), |shard, buf| {
-            self.collect_shard_into(shard, buf)
-        })
     }
 
     /// The Table-I-style traceroute: the scenario's reference mobile node
@@ -286,7 +265,9 @@ impl<'a> MobileCampaign<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::run_field;
     use crate::klagenfurt::KlagenfurtScenario;
+    use crate::spec::ExecBackend;
     use sixg_netsim::stats::Welford;
 
     fn scenario() -> KlagenfurtScenario {
@@ -296,7 +277,7 @@ mod tests {
     #[test]
     fn default_campaign_reports_all_traversed_cells() {
         let s = scenario();
-        let field = MobileCampaign::new(&s, CampaignConfig::default()).run();
+        let field = run_field(&s, CampaignConfig::default(), ExecBackend::Analytic);
         let reported = field.reported();
         assert_eq!(reported.len(), 33);
         // Skipped cells masked at 0.0.
@@ -314,8 +295,7 @@ mod tests {
     #[test]
     fn sample_counts_vary_with_traffic_flow() {
         let s = scenario();
-        let c = MobileCampaign::new(&s, CampaignConfig::default());
-        let field = c.run();
+        let field = run_field(&s, CampaignConfig::default(), ExecBackend::Analytic);
         let counts: Vec<u64> = field.reported().iter().map(|st| st.count).collect();
         let min = counts.iter().min().unwrap();
         let max = counts.iter().max().unwrap();
@@ -325,7 +305,7 @@ mod tests {
     #[test]
     fn dense_campaign_reproduces_figure2_anchors() {
         let s = scenario();
-        let field = MobileCampaign::new(&s, CampaignConfig::dense(7)).run();
+        let field = run_field(&s, CampaignConfig::dense(7), ExecBackend::Analytic);
         let c1 = field.stats(CellId::parse("C1").unwrap());
         let c3 = field.stats(CellId::parse("C3").unwrap());
         assert!((c1.mean_ms - 61.0).abs() < 2.0, "C1 {}", c1.mean_ms);
@@ -341,7 +321,7 @@ mod tests {
     #[test]
     fn dense_campaign_reproduces_figure3_anchors() {
         let s = scenario();
-        let field = MobileCampaign::new(&s, CampaignConfig::dense(8)).run();
+        let field = run_field(&s, CampaignConfig::dense(8), ExecBackend::Analytic);
         let b3 = field.stats(CellId::parse("B3").unwrap());
         let e5 = field.stats(CellId::parse("E5").unwrap());
         assert!((b3.std_ms - 1.8).abs() < 0.5, "B3 σ {}", b3.std_ms);
@@ -354,8 +334,8 @@ mod tests {
     #[test]
     fn campaign_is_deterministic() {
         let s = scenario();
-        let a = MobileCampaign::new(&s, CampaignConfig::default()).run();
-        let b = MobileCampaign::new(&s, CampaignConfig::default()).run();
+        let a = run_field(&s, CampaignConfig::default(), ExecBackend::Analytic);
+        let b = run_field(&s, CampaignConfig::default(), ExecBackend::Analytic);
         for cell in s.grid.cells() {
             assert_eq!(a.stats(cell), b.stats(cell));
         }
@@ -439,9 +419,9 @@ mod tests {
     #[test]
     fn more_passes_more_samples() {
         let s = scenario();
-        let one = MobileCampaign::new(&s, CampaignConfig { passes: 1, ..Default::default() }).run();
-        let three =
-            MobileCampaign::new(&s, CampaignConfig { passes: 3, ..Default::default() }).run();
+        let config = |passes| CampaignConfig { passes, ..Default::default() };
+        let one = run_field(&s, config(1), ExecBackend::Analytic);
+        let three = run_field(&s, config(3), ExecBackend::Analytic);
         assert!(three.total_samples() > 2 * one.total_samples());
     }
 }

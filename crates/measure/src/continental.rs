@@ -18,136 +18,20 @@
 //!
 //! Wide-scheme constraints ([`crate::spec::ScenarioSpec::validate`]):
 //! analytic backend only, no fault schedules. The spec stays small on
-//! disk because the per-cell field is generated, never enumerated.
+//! disk because the per-cell field is generated, never enumerated. The
+//! campaign is one pass at a 6 s cadence: dwell jitter spans 72–168 s per
+//! cell, so every cell draws 12–28 samples, all above the masking
+//! threshold, about 2×10⁷ samples in total (the E25 workload).
+//!
+//! Thin wrapper over the committed spec file `specs/continental.json`, the
+//! only description of the site: to change it, edit the file.
 
 use crate::scenario::Scenario;
-use crate::spec::{
-    AsRelationDef, CalibrationDef, CampaignDef, DensityDef, GridDef, HopDef, LinkDef,
-    MeasurementDef, PeerDef, PositionDef, ScenarioSpec, TargetDef, UeDef, WorkloadMixDef,
-    WorkloadShareDef,
-};
-use sixg_netsim::dist::DistSpec;
-use sixg_netsim::topology::Asn;
+use crate::spec::ScenarioSpec;
 use std::sync::OnceLock;
-
-/// Pan-European mobile operator (projected).
-pub const EU_OP_AS: Asn = Asn(1273);
-/// Frankfurt exchange fabric.
-pub const IX_FRA_AS: Asn = Asn(6695);
-/// Tier-1 carrier backbone.
-pub const CARRIER_AS: Asn = Asn(1299);
-/// Continental anchor host network.
-pub const ANCHOR_AS: Asn = Asn(200_003);
 
 /// The committed spec file this module wraps.
 pub const CONTINENTAL_SPEC_JSON: &str = include_str!("../../../specs/continental.json");
-
-fn geo(lat: f64, lon: f64) -> PositionDef {
-    PositionDef::Geo { lat, lon }
-}
-
-fn bare_hop(name: &str, kind: &str, asn: Asn, position: PositionDef) -> HopDef {
-    HopDef { name: name.into(), kind: kind.into(), asn: asn.0, position, ip: None, rdns: None }
-}
-
-fn link(a: &str, b: &str, bandwidth_bps: f64, utilisation: f64, extra_ms: f64) -> LinkDef {
-    LinkDef {
-        a: a.into(),
-        b: b.into(),
-        bandwidth_bps,
-        utilisation,
-        extra: DistSpec::Constant { ms: extra_ms },
-    }
-}
-
-impl ScenarioSpec {
-    /// The continental mega-grid spec, as code. `specs/continental.json`
-    /// is this value serialised.
-    pub fn continental() -> Self {
-        Self {
-            name: "continental".into(),
-            description: "Continental-scale mega-grid over the European core: 1000×1000 km, \
-                          one million cells under the wide key scheme, sampled by the \
-                          columnar pipeline; sparse monocentric density, projected \
-                          floor+gradient+hotspot target field (not measured)"
-                .into(),
-            seed: 22,
-            backend: "analytic".into(),
-            grid: GridDef {
-                origin_lat: 41.9,
-                origin_lon: 2.1,
-                cols: 1000,
-                rows: 1000,
-                cell_km: 1.0,
-            },
-            // A single urban core at the grid centre; density decays to
-            // sparse within ~50 cells, so >99 % of the grid sits below the
-            // 1000 /km² threshold.
-            density: DensityDef {
-                core_col: 500.0,
-                core_row: 500.0,
-                peak: 12_000.0,
-                decay_cells: 48.0,
-                ..DensityDef::default()
-            },
-            targets: TargetDef::Projected {
-                floor_ms: 48.0,
-                gradient_ms: 30.0,
-                hotspot_ms: 18.0,
-                hotspot: "SG501".into(),
-                std_factor: 0.6,
-                std_floor_ms: 2.0,
-            },
-            skipped_cells: Vec::new(),
-            calibration: CalibrationDef { label: "continental-cal".into(), samples: 1500 },
-            hops: vec![
-                bare_hop("eu-core-par", "CoreRouter", EU_OP_AS, geo(48.8566, 2.3522)),
-                bare_hop("ix-fra", "BorderRouter", IX_FRA_AS, geo(50.1109, 8.6821)),
-                bare_hop("carrier-ams", "CoreRouter", CARRIER_AS, geo(52.3676, 4.9041)),
-                bare_hop("carrier-mil", "CoreRouter", CARRIER_AS, geo(45.4642, 9.19)),
-                bare_hop("eu-anchor-fra", "Anchor", ANCHOR_AS, geo(50.12, 8.69)),
-            ],
-            links: vec![
-                link("eu-core-par", "ix-fra", 100e9, 0.50, 0.7),
-                link("ix-fra", "carrier-ams", 40e9, 0.55, 0.5),
-                link("ix-fra", "carrier-mil", 40e9, 0.60, 0.6),
-                link("carrier-ams", "eu-anchor-fra", 10e9, 0.30, 0.3),
-            ],
-            faults: Vec::new(),
-            orgs: Vec::new(),
-            as_relations: vec![
-                AsRelationDef { kind: "peering".into(), a: EU_OP_AS.0, b: IX_FRA_AS.0 },
-                AsRelationDef { kind: "transit".into(), a: IX_FRA_AS.0, b: CARRIER_AS.0 },
-                AsRelationDef { kind: "transit".into(), a: CARRIER_AS.0, b: ANCHOR_AS.0 },
-            ],
-            ue: UeDef {
-                gateway: "eu-core-par".into(),
-                name_prefix: "eu-ue-".into(),
-                bandwidth_bps: 1e9,
-                utilisation: 0.10,
-                extra: DistSpec::Constant { ms: 0.0 },
-            },
-            peers: PeerDef::none(),
-            measurement: MeasurementDef {
-                anchor: "eu-anchor-fra".into(),
-                cloud: None,
-                reference_cell: "SG501".into(),
-                rdns_city: "fra".into(),
-            },
-            // One pass at a 6 s cadence: dwell jitter spans 72–168 s per
-            // cell, so every cell draws 12–28 samples (all above the
-            // masking threshold) — ~2×10⁷ samples total, the E25 workload.
-            campaign: CampaignDef { seed: 5, passes: 1, sample_interval_s: 6.0 },
-            workloads: WorkloadMixDef {
-                reference_class: "ArGaming".into(),
-                mix: vec![
-                    WorkloadShareDef { class: "ArGaming".into(), share: 0.5 },
-                    WorkloadShareDef { class: "IotTelemetry".into(), share: 0.5 },
-                ],
-            },
-        }
-    }
-}
 
 /// The committed continental spec, parsed once.
 pub fn continental_spec() -> &'static ScenarioSpec {
@@ -181,13 +65,8 @@ mod tests {
     }
 
     #[test]
-    fn committed_spec_file_matches_code_constructor() {
-        assert_eq!(*continental_spec(), ScenarioSpec::continental());
-    }
-
-    #[test]
     fn spec_validates_and_selects_the_wide_scheme() {
-        let spec = ScenarioSpec::continental();
+        let spec = continental_spec();
         let errors = spec.validate();
         assert!(errors.is_empty(), "{errors:?}");
         assert_eq!(spec.grid.cols, 1000);
@@ -207,7 +86,7 @@ mod tests {
 
     #[test]
     fn event_backend_and_faults_are_rejected_on_the_mega_grid() {
-        let mut spec = ScenarioSpec::continental();
+        let mut spec = continental_spec().clone();
         spec.backend = "event".into();
         let errors = spec.validate();
         assert!(
@@ -225,7 +104,8 @@ mod tests {
         for label in ["A1", "SG501", "ALL1000"] {
             let cell = CellId::parse(label).unwrap();
             let want = s.targets.mean_of(cell);
-            let samples = campaign.collect_cell(0, cell, 4000.0);
+            let mut samples = Vec::new();
+            campaign.collect_cell_into(0, cell, 4000.0, &mut samples);
             let mean = samples.iter().sum::<f64>() / samples.len() as f64;
             assert!(
                 (mean - want).abs() < 2.0,

@@ -41,7 +41,6 @@
 //! making parallel runs bitwise equal to sequential ones at every pool
 //! size.
 
-use crate::aggregate::CellField;
 use crate::campaign::{CampaignConfig, MobileCampaign, Shard};
 use crate::faults::FaultWindow;
 use crate::scenario::Scenario;
@@ -213,15 +212,9 @@ impl<'a> EventCampaign<'a> {
         self.campaign.shards()
     }
 
-    /// Event-simulated samples of one shard, in probe order.
-    pub fn collect_shard(&self, shard: Shard) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.collect_shard_into(shard, &mut out);
-        out
-    }
-
-    /// [`Self::collect_shard`] into a caller-owned buffer (cleared first),
-    /// every probe routed over the scenario's static table.
+    /// Event-simulated samples of one shard, in probe order, into a
+    /// caller-owned buffer (cleared first), every probe routed over the
+    /// scenario's static table.
     pub fn collect_shard_into(&self, shard: Shard, out: &mut Vec<f64>) {
         self.collect_probes(shard, None, out);
     }
@@ -315,27 +308,16 @@ impl<'a> EventCampaign<'a> {
         // Hand the arena (and its grown capacity) back to the worker.
         LEG_ARENA.with(|a| *a.borrow_mut() = std::mem::take(&mut world.legs));
     }
-
-    /// Runs the full campaign sequentially, shard by shard, reusing one
-    /// sample buffer (bitwise identical to the parallel runner behind
-    /// [`crate::exec::run_field`]).
-    pub fn run(&self) -> CellField {
-        crate::parallel::run_shards_sequential(
-            self.campaign.scenario(),
-            &self.shards(),
-            |shard, buf| self.collect_shard_into(shard, buf),
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::run_field;
-    use crate::klagenfurt::KlagenfurtScenario;
+    use crate::aggregate::CellField;
+    use crate::exec::{run_field, run_field_sequential};
+    use crate::klagenfurt::{klagenfurt_spec, KlagenfurtScenario};
     use crate::parallel::with_thread_count;
     use crate::spec::ExecBackend;
-    use crate::spec::ScenarioSpec;
 
     fn scenario() -> KlagenfurtScenario {
         KlagenfurtScenario::paper(0x6B6C_7531)
@@ -356,7 +338,7 @@ mod tests {
     fn event_parallel_equals_sequential_bitwise() {
         let s = scenario();
         let config = CampaignConfig { seed: 5, passes: 2, ..Default::default() };
-        let seq = EventCampaign::new(&s, config).run();
+        let seq = run_field_sequential(&s, config, ExecBackend::Event);
         for &threads in &[1usize, 2, 4] {
             let par = with_thread_count(threads, || run_field(&s, config, ExecBackend::Event));
             assert_fields_bitwise_equal(&s, &seq, &par, &format!("{threads} threads"));
@@ -412,7 +394,7 @@ mod tests {
     /// run clean end to end.
     #[test]
     fn normal_extra_distribution_runs_clean_on_the_event_backend() {
-        let mut spec = ScenarioSpec::klagenfurt();
+        let mut spec = klagenfurt_spec().clone();
         for link in &mut spec.links {
             link.extra = sixg_netsim::dist::DistSpec::Normal { mean_ms: 4.0, std_ms: 1.0 };
         }
@@ -420,7 +402,8 @@ mod tests {
         let s = Scenario::from_spec(&spec).expect("compiles");
         let config = CampaignConfig { seed: 1, passes: 1, ..Default::default() };
         let shard = Shard { pass: 0, cell: s.reference_cell, dwell_s: 8_000.0 };
-        let samples = EventCampaign::new(&s, config).collect_shard(shard);
+        let mut samples = Vec::new();
+        EventCampaign::new(&s, config).collect_shard_into(shard, &mut samples);
         assert_eq!(samples.len(), 4_000);
         assert!(samples.iter().all(|v| v.is_finite() && *v > 0.0));
     }
@@ -432,16 +415,17 @@ mod tests {
     fn saturating_cadence_produces_emergent_queueing() {
         // A narrowband scenario: the UE uplink serialises a 64-byte probe
         // in 6.4 ms, so a 1 ms cadence is ~13× oversubscribed round trip.
-        let mut spec = ScenarioSpec::klagenfurt();
+        let mut spec = klagenfurt_spec().clone();
         spec.ue.bandwidth_bps = 80_000.0;
         let s = Scenario::from_spec(&spec).expect("compiles");
 
         let saturated = CampaignConfig { seed: 1, passes: 1, sample_interval_s: 0.001 };
         let shard = Shard { pass: 0, cell: s.reference_cell, dwell_s: 0.1 };
 
-        let event = EventCampaign::new(&s, saturated).collect_shard(shard);
+        let (mut event, mut analytic) = (Vec::new(), Vec::new());
+        EventCampaign::new(&s, saturated).collect_shard_into(shard, &mut event);
         // The analytic backend is cadence-blind: same per-sample model.
-        let analytic = MobileCampaign::new(&s, saturated).collect_shard(shard);
+        MobileCampaign::new(&s, saturated).collect_shard_into(shard, &mut analytic);
         assert_eq!(event.len(), analytic.len());
 
         let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;

@@ -18,6 +18,10 @@
 //!   repro bins call this. It and every run of a sweep choose their
 //!   backend in one place (`parallel::Runner`): the analytic sampler, the
 //!   packet world, or the packet world over a fault timeline.
+//! * [`run_field_sequential`] — the determinism oracle: the same runner
+//!   and work list as [`run_field`], run in order on the calling thread.
+//!   Tests that compare pool sizes against it, `repro_scaling` and the
+//!   sequential bench baselines call this.
 //! * [`Executor`] + [`ScenarioCache`] — a long-lived execution context
 //!   holding compiled [`Scenario`]s hot, keyed by canonical spec content
 //!   hash ([`scenario_content_hash`]); the `sixg-serve` daemon wraps one
@@ -58,6 +62,17 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// at every pool size.
 pub fn run_field(scenario: &Scenario, config: CampaignConfig, backend: ExecBackend) -> CellField {
     Runner::new(scenario, config, backend).field(scenario)
+}
+
+/// [`run_field`]'s determinism oracle: the same runner, with the same
+/// backend choice and work list, run in work-list order on the calling
+/// thread. Every pool size reproduces its field bit for bit.
+pub fn run_field_sequential(
+    scenario: &Scenario,
+    config: CampaignConfig,
+    backend: ExecBackend,
+) -> CellField {
+    Runner::new(scenario, config, backend).field_sequential(scenario)
 }
 
 // ---------------------------------------------------------------------------
@@ -1091,16 +1106,19 @@ pub(crate) fn checkpoint_spec_error(e: CheckpointError) -> SpecError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::klagenfurt::{klagenfurt_flap_spec, klagenfurt_spec};
+    use crate::megacity::megacity_spec;
     use crate::parallel::with_thread_count;
+    use crate::skopje::skopje_spec;
 
     fn flat_spec() -> ScenarioSpec {
-        let mut spec = ScenarioSpec::klagenfurt();
+        let mut spec = klagenfurt_spec().clone();
         spec.campaign.passes = 1;
         spec
     }
 
     fn flap_spec() -> ScenarioSpec {
-        let mut spec = ScenarioSpec::klagenfurt_flap();
+        let mut spec = klagenfurt_flap_spec().clone();
         spec.campaign.passes = 1;
         spec
     }
@@ -1117,7 +1135,7 @@ mod tests {
     /// flips the key scheme while keeping the campaign small enough for a
     /// debug-build test.
     fn wide_spec() -> ScenarioSpec {
-        let mut spec = ScenarioSpec::skopje();
+        let mut spec = skopje_spec().clone();
         spec.name = "wide-test".into();
         spec.grid.cols = 257;
         spec.grid.rows = 12;
@@ -1269,10 +1287,10 @@ mod tests {
     #[test]
     fn committed_specs_key_the_cache_without_collisions() {
         let specs = [
-            ScenarioSpec::klagenfurt(),
-            ScenarioSpec::klagenfurt_flap(),
-            ScenarioSpec::skopje(),
-            ScenarioSpec::megacity(),
+            klagenfurt_spec().clone(),
+            klagenfurt_flap_spec().clone(),
+            skopje_spec().clone(),
+            megacity_spec().clone(),
         ];
         let hashes: Vec<u64> = specs.iter().map(scenario_content_hash).collect();
         for i in 0..hashes.len() {
@@ -1328,7 +1346,7 @@ mod tests {
     /// the entries cached before the panic.
     #[test]
     fn poisoned_cache_lock_still_serves_identical_bytes() {
-        let req = ExecRequest::run(ScenarioSpec::skopje());
+        let req = ExecRequest::run(skopje_spec().clone());
         let executor = Executor::new();
         let before = executor.execute(&req).expect("cold run").to_json();
         std::thread::scope(|scope| {
@@ -1349,9 +1367,9 @@ mod tests {
     #[test]
     fn cache_evicts_least_recently_used_at_capacity() {
         let mut cache = ScenarioCache::new(2);
-        let kla = ScenarioSpec::klagenfurt();
-        let flap = ScenarioSpec::klagenfurt_flap();
-        let sko = ScenarioSpec::skopje();
+        let kla = klagenfurt_spec().clone();
+        let flap = klagenfurt_flap_spec().clone();
+        let sko = skopje_spec().clone();
         cache.get_or_compile(&kla).expect("kla");
         cache.get_or_compile(&flap).expect("flap");
         cache.get_or_compile(&kla).expect("kla again"); // flap is now LRU

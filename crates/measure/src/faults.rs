@@ -39,10 +39,9 @@
 //! the parallel runner stays bitwise equal to the sequential one at every
 //! pool size.
 
-use crate::aggregate::CellField;
 use crate::campaign::{CampaignConfig, Shard};
 use crate::event_backend::{EventCampaign, ProbeWorld};
-use crate::parallel::{run_shards_sequential, CellItem};
+use crate::parallel::CellItem;
 use crate::scenario::Scenario;
 use sixg_geo::CellId;
 use sixg_netsim::engine::Engine;
@@ -274,22 +273,16 @@ impl<'a> FaultCampaign<'a> {
     pub fn collect_shard_into(&self, fs: FaultShard, out: &mut Vec<f64>) {
         self.event.collect_probes(fs.shard, self.window(fs), out);
     }
-
-    /// Runs the full campaign sequentially, shard by shard (bitwise
-    /// identical to the parallel runner behind [`crate::exec::run_field`]).
-    pub fn run(&self) -> CellField {
-        run_shards_sequential(self.event.campaign().scenario(), &self.shards(), |fs, buf| {
-            self.collect_shard_into(fs, buf)
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event_backend::EventCampaign;
-    use crate::parallel::with_thread_count;
-    use crate::spec::{FaultDef, ScenarioSpec};
+    use crate::aggregate::CellField;
+    use crate::exec::{run_field, run_field_sequential};
+    use crate::klagenfurt::{klagenfurt_flap_spec, klagenfurt_spec};
+    use crate::parallel::{run_shards_sequential, with_thread_count};
+    use crate::spec::{ExecBackend, FaultDef};
 
     fn config() -> CampaignConfig {
         CampaignConfig { seed: 2, passes: 1, sample_interval_s: 2.0 }
@@ -308,11 +301,14 @@ mod tests {
     /// campaign is the plain packet world, bit for bit.
     #[test]
     fn fault_free_run_is_bitwise_the_plain_event_backend() {
-        let mut spec = ScenarioSpec::klagenfurt();
+        let mut spec = klagenfurt_spec().clone();
         spec.backend = "event".into();
         let s = Scenario::from_spec(&spec).expect("compiles");
-        let faulted = FaultCampaign::new(&s, config()).run();
-        let plain = EventCampaign::new(&s, config()).run();
+        let fc = FaultCampaign::new(&s, config());
+        let faulted =
+            run_shards_sequential(&s, &fc.shards(), |x, buf| fc.collect_shard_into(x, buf));
+        let ec = EventCampaign::new(&s, config());
+        let plain = run_shards_sequential(&s, &ec.shards(), |x, buf| ec.collect_shard_into(x, buf));
         assert_fields_bitwise_equal(&s, &faulted, &plain, "fault-free");
     }
 
@@ -322,7 +318,7 @@ mod tests {
     /// whose window starts after recovery is bitwise the unfaulted run.
     #[test]
     fn flap_shifts_routes_in_outage_and_recovers_bitwise() {
-        let spec = ScenarioSpec::klagenfurt_flap();
+        let spec = klagenfurt_flap_spec().clone();
         let s = Scenario::from_spec(&spec).expect("compiles");
         let fc = FaultCampaign::new(&s, config());
         let ec = EventCampaign::new(&s, config());
@@ -331,9 +327,9 @@ mod tests {
 
         // Entirely inside the outage (fault at 900 s, recovery at 2500 s).
         let inside = FaultShard { shard: Shard { pass: 0, cell, dwell_s: 120.0 }, t0_s: 1200.0 };
-        let mut faulted = Vec::new();
+        let (mut faulted, mut unfaulted) = (Vec::new(), Vec::new());
         fc.collect_shard_into(inside, &mut faulted);
-        let unfaulted = ec.collect_shard(inside.shard);
+        ec.collect_shard_into(inside.shard, &mut unfaulted);
         assert_eq!(faulted.len(), unfaulted.len(), "backup path drops no probe");
         assert!(
             mean(&faulted) < mean(&unfaulted) - 5.0,
@@ -344,8 +340,9 @@ mod tests {
 
         // Entirely after recovery: bitwise the unfaulted samples.
         let after = FaultShard { shard: Shard { pass: 0, cell, dwell_s: 120.0 }, t0_s: 3000.0 };
+        let mut clean = Vec::new();
         fc.collect_shard_into(after, &mut faulted);
-        let clean = ec.collect_shard(after.shard);
+        ec.collect_shard_into(after.shard, &mut clean);
         assert_eq!(faulted.len(), clean.len());
         for (i, (f, c)) in faulted.iter().zip(&clean).enumerate() {
             assert_eq!(f.to_bits(), c.to_bits(), "post-recovery probe {i}");
@@ -358,7 +355,7 @@ mod tests {
     /// dropped probes shrink the sample count instead of panicking.
     #[test]
     fn unrecovered_egress_fault_blackholes_later_probes() {
-        let mut spec = ScenarioSpec::klagenfurt();
+        let mut spec = klagenfurt_spec().clone();
         spec.backend = "event".into();
         spec.faults = vec![FaultDef {
             link: ["op-cgnat-klu".into(), "dp-edge-vie".into()],
@@ -388,16 +385,22 @@ mod tests {
     }
 
     /// The determinism contract extends to faulted runs: sequential and
-    /// parallel are bitwise equal at pool sizes 1, 2 and 4.
+    /// parallel are bitwise equal at pool sizes 1, 2 and 4. The sequential
+    /// oracle runs the fault timeline, so its field is not the plain packet
+    /// world's over static routes.
     #[test]
     fn faulted_parallel_equals_sequential_bitwise() {
-        let spec = ScenarioSpec::klagenfurt_flap();
+        let spec = klagenfurt_flap_spec().clone();
         let s = Scenario::from_spec(&spec).expect("compiles");
-        let seq = FaultCampaign::new(&s, config()).run();
+        let seq = run_field_sequential(&s, config(), ExecBackend::Event);
+        let ec = EventCampaign::new(&s, config());
+        let plain = run_shards_sequential(&s, &ec.shards(), |x, buf| ec.collect_shard_into(x, buf));
+        assert!(
+            s.grid.cells().any(|cell| seq.stats(cell) != plain.stats(cell)),
+            "the oracle must replay the flap, not the static routes"
+        );
         for &threads in &[1usize, 2, 4] {
-            let par = with_thread_count(threads, || {
-                crate::exec::run_field(&s, config(), crate::spec::ExecBackend::Event)
-            });
+            let par = with_thread_count(threads, || run_field(&s, config(), ExecBackend::Event));
             assert_fields_bitwise_equal(&s, &seq, &par, &format!("{threads} threads"));
         }
     }
@@ -407,7 +410,7 @@ mod tests {
     /// pre-fault and post-recovery cells clean in every pass.
     #[test]
     fn untouched_cells_classify_the_timeline() {
-        let spec = ScenarioSpec::klagenfurt_flap();
+        let spec = klagenfurt_flap_spec().clone();
         let s = Scenario::from_spec(&spec).expect("compiles");
         let fc = FaultCampaign::new(&s, config());
         assert_eq!(fc.outages(), vec![(900.0, Some(2500.0))]);
@@ -446,7 +449,7 @@ mod tests {
     /// link recovers only when the last fault holding it down recovers.
     #[test]
     fn overlapping_faults_merge_into_union_outage() {
-        let mut spec = ScenarioSpec::klagenfurt();
+        let mut spec = klagenfurt_spec().clone();
         spec.backend = "event".into();
         spec.faults = vec![
             FaultDef {

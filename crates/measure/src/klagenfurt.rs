@@ -26,20 +26,14 @@
 //!   access model so that the campaign *reproduces* the field rather than
 //!   replaying it.
 //!
-//! [`ScenarioSpec::klagenfurt`] constructs the same spec in code; a test
-//! pins the committed JSON to it, and the golden suite pins the compiled
-//! scenario's campaign output to the bit.
+//! The committed file is the only description of the site: to change it,
+//! edit the file. The golden suite pins the compiled scenario's campaign
+//! output to the bit.
 
-use crate::spec::{
-    AsRelationDef, CalibrationDef, CampaignDef, DensityDef, FaultDef, GridDef, HopDef, LinkDef,
-    MeasurementDef, OrgDef, PeerDef, PositionDef, ScenarioSpec, TargetDef, UeDef, WorkloadMixDef,
-    WorkloadShareDef,
-};
-use sixg_netsim::dist::DistSpec;
+use crate::scenario::Scenario;
+use crate::spec::ScenarioSpec;
 use sixg_netsim::topology::Asn;
 use std::sync::OnceLock;
-
-pub use crate::scenario::{Scenario, TargetField};
 
 /// The Klagenfurt scenario is the generic [`Scenario`], compiled from
 /// `specs/klagenfurt.json`.
@@ -57,345 +51,18 @@ pub const IX_AS: Asn = Asn(39912);
 pub const ASCUS_AS: Asn = Asn(8445);
 /// University campus AS hosting the anchor (hop 10).
 pub const CAMPUS_AS: Asn = Asn(5383);
-/// Exoscale-like Vienna cloud (the 7–12 ms wired reference of \[3\]).
-pub const CLOUD_AS: Asn = Asn(61098);
-/// Backup Vienna transit crossing of the flap scenario (documentation
-/// range, RFC 5398). Lexicographically above AS57344, so with both
-/// crossings up the static tiebreak keeps the measured detour.
-pub const BACKUP_AS: Asn = Asn(64496);
 
 /// The committed spec file this module wraps.
 pub const KLAGENFURT_SPEC_JSON: &str = include_str!("../../../specs/klagenfurt.json");
 
-/// The committed transit-flap spec (`repro_faults`'s default campaign).
+/// The committed transit-flap spec (`repro_faults`'s default campaign):
+/// the measured infrastructure plus a backup Vienna crossing (AS64496,
+/// documentation range), with the Vienna→Prague peering wave failing 900 s
+/// into every pass and recovering at 2500 s. Statically the backup changes
+/// no route: both Vienna crossings give equal-length AS paths and AS57344
+/// wins the tiebreak. During the outage the BGP speakers reconverge onto
+/// the backup and the probes skip the Prague–Bucharest detour.
 pub const KLAGENFURT_FLAP_SPEC_JSON: &str = include_str!("../../../specs/klagenfurt_flap.json");
-
-impl TargetField {
-    /// The published per-cell field encoding the paper's Figures 2 and 3.
-    ///
-    /// `0.0` marks the nine non-traversed cells (rendered `0.0` in
-    /// Figure 2). Values are hand-assembled around the published anchors;
-    /// the grand mean over traversed cells is ≈74.1 ms, matching the
-    /// "≈270 % above the 20 ms requirement" claim.
-    pub fn paper() -> Self {
-        #[rustfmt::skip]
-        let mean = vec![
-            //     A      B      C      D      E      F
-            vec![  0.0,  66.0,  61.0,  63.0,  68.0,   0.0], // 1
-            vec![ 70.0,  64.0,  65.0,  68.0,  72.0,   0.0], // 2
-            vec![ 68.0,  63.0, 110.0,  74.0,  66.0,  70.0], // 3
-            vec![ 72.0,  68.0,  82.0,  78.0,  75.0,  77.0], // 4
-            vec![ 73.0,  71.0,  80.0,  80.0,  95.0,  82.0], // 5
-            vec![  0.0,  73.0,  75.0,  81.0,  82.0,   0.0], // 6
-            vec![  0.0,   0.0,  74.0,  80.0,   0.0,   0.0], // 7
-        ];
-        #[rustfmt::skip]
-        let std = vec![
-            vec![  0.0,   6.2,   4.1,   5.5,   9.0,   0.0],
-            vec![  8.5,   3.9,   5.0,   7.7,  12.3,   0.0],
-            vec![  7.4,   1.8,  38.0,  11.2,   5.6,   9.8],
-            vec![ 10.5,   6.8,  22.4,  15.0,  12.8,  14.2],
-            vec![ 11.0,   8.2,  19.5,  18.3,  46.4,  20.1],
-            vec![  0.0,   9.4,  12.6,  17.8,  21.7,   0.0],
-            vec![  0.0,   0.0,  10.9,  16.4,   0.0,   0.0],
-        ];
-        Self::from_rows(mean, std)
-    }
-}
-
-fn geo(lat: f64, lon: f64) -> PositionDef {
-    PositionDef::Geo { lat, lon }
-}
-
-fn hop(name: &str, kind: &str, asn: Asn, position: PositionDef, ip: [u8; 4], rdns: &str) -> HopDef {
-    HopDef {
-        name: name.into(),
-        kind: kind.into(),
-        asn: asn.0,
-        position,
-        ip: Some(ip),
-        rdns: Some(rdns.into()),
-    }
-}
-
-fn link(a: &str, b: &str, bandwidth_bps: f64, utilisation: f64, extra_ms: f64) -> LinkDef {
-    LinkDef {
-        a: a.into(),
-        b: b.into(),
-        bandwidth_bps,
-        utilisation,
-        extra: DistSpec::Constant { ms: extra_ms },
-    }
-}
-
-impl ScenarioSpec {
-    /// The Klagenfurt spec, as code. `specs/klagenfurt.json` is this
-    /// value serialised; [`Scenario::paper`] compiles the committed file.
-    pub fn klagenfurt() -> Self {
-        let targets = TargetField::paper();
-        Self {
-            name: "klagenfurt".into(),
-            description: "The measured Klagenfurt infrastructure of Section IV: 6×7 grid, \
-                          CGNAT operator without local peering, Vienna–Prague–Bucharest–Vienna \
-                          transit chain, campus anchor, eight fixed peers, Vienna cloud"
-                .into(),
-            seed: 0x6B6C_7531,
-            backend: "analytic".into(),
-            grid: GridDef {
-                origin_lat: 46.639,
-                origin_lon: 14.206,
-                cols: 6,
-                rows: 7,
-                cell_km: 1.0,
-            },
-            density: DensityDef {
-                core_col: 2.6,
-                core_row: 3.0,
-                peak: 4800.0,
-                decay_cells: 2.3,
-                ..DensityDef::default()
-            },
-            targets: TargetDef::Explicit { mean: targets.mean_rows(), std: targets.std_rows() },
-            skipped_cells: Vec::new(),
-            calibration: CalibrationDef { label: "calibration".into(), samples: 3000 },
-            hops: vec![
-                // Operator (hop 1).
-                hop(
-                    "op-cgnat-klu",
-                    "CoreRouter",
-                    OP_AS,
-                    geo(46.622, 14.300),
-                    [10, 12, 128, 1],
-                    "10.12.128.1",
-                ),
-                // DataPacket / CDN77, Vienna (hops 2-3).
-                hop(
-                    "dp-edge-vie",
-                    "BorderRouter",
-                    DATAPACKET_AS,
-                    geo(48.210, 16.363),
-                    [37, 19, 223, 61],
-                    "unn-37-19-223-61.datapacket.com",
-                ),
-                hop(
-                    "cdn77-core-vie",
-                    "CoreRouter",
-                    DATAPACKET_AS,
-                    geo(48.203, 16.378),
-                    [185, 156, 45, 138],
-                    "vl204.vie-itx1-core-2.cdn77.com",
-                ),
-                // zet.net constellation (hops 4-6).
-                hop(
-                    "zetservers-prg",
-                    "Ixp",
-                    ZET_AS,
-                    geo(50.0755, 14.4378),
-                    [185, 0, 20, 31],
-                    "zetservers.peering.cz",
-                ),
-                hop(
-                    "zet-dr2-buh",
-                    "CoreRouter",
-                    ZET_AS,
-                    geo(44.4268, 26.1025),
-                    [103, 246, 249, 33],
-                    "vie-dr2-cr1.zet.net",
-                ),
-                hop(
-                    "amanet-buh",
-                    "CoreRouter",
-                    ZET_AS,
-                    geo(44.440, 26.090),
-                    [185, 104, 63, 33],
-                    "amanet-cust.zet.net",
-                ),
-                // AS39912, Vienna (hop 7).
-                hop(
-                    "mx204-vie",
-                    "BorderRouter",
-                    IX_AS,
-                    geo(48.195, 16.370),
-                    [185, 211, 219, 155],
-                    "ae2-97.mx204-1.ix.vie.at.as39912.net",
-                ),
-                // ascus.at (hops 8-9).
-                hop(
-                    "ascus-bras-vie",
-                    "BorderRouter",
-                    ASCUS_AS,
-                    geo(48.220, 16.390),
-                    [195, 16, 228, 3],
-                    "003-228-016-195.ascus.at",
-                ),
-                hop(
-                    "ascus-agg-klu",
-                    "CoreRouter",
-                    ASCUS_AS,
-                    geo(46.630, 14.310),
-                    [195, 16, 246, 180],
-                    "180-246-016-195.ascus.at",
-                ),
-                // Campus anchor (hop 10), at the E3 centroid.
-                hop(
-                    "uni-anchor",
-                    "Anchor",
-                    CAMPUS_AS,
-                    PositionDef::Cell { cell: "E3".into(), bearing_deg: 0.0, offset_km: 0.0 },
-                    [195, 140, 139, 133],
-                    "195.140.139.133",
-                ),
-                // Exoscale-like cloud, Vienna.
-                HopDef {
-                    name: "cloud-vie".into(),
-                    kind: "CloudDc".into(),
-                    asn: CLOUD_AS.0,
-                    position: geo(48.230, 16.410),
-                    ip: None,
-                    rdns: None,
-                },
-            ],
-            links: vec![
-                // Operator backhaul to its (only) transit, physically
-                // Klagenfurt→Vienna.
-                link("op-cgnat-klu", "dp-edge-vie", 100e9, 0.50, 0.4),
-                // DataPacket internal Vienna fabric.
-                link("dp-edge-vie", "cdn77-core-vie", 10e9, 0.30, 0.0),
-                // Vienna→Prague private peering wave towards zet.
-                link("cdn77-core-vie", "zetservers-prg", 10e9, 0.55, 0.4),
-                // zet internal: Prague fabric → Bucharest core.
-                link("zetservers-prg", "zet-dr2-buh", 10e9, 0.60, 0.5),
-                link("zet-dr2-buh", "amanet-buh", 10e9, 0.30, 0.0),
-                // Bucharest → Vienna long-haul into AS39912.
-                link("amanet-buh", "mx204-vie", 10e9, 0.60, 0.4),
-                // AS39912 → ascus.
-                link("mx204-vie", "ascus-bras-vie", 1e9, 0.40, 0.0),
-                // ascus internal aggregation, Vienna → Klagenfurt.
-                link("ascus-bras-vie", "ascus-agg-klu", 10e9, 0.45, 0.2),
-                // ascus → campus access.
-                link("ascus-agg-klu", "uni-anchor", 1e9, 0.20, 0.0),
-                // ascus ↔ cloud peering in Vienna (cloud ingress pipeline
-                // adds fixed processing).
-                link("ascus-bras-vie", "cloud-vie", 100e9, 0.30, 2.0),
-            ],
-            faults: Vec::new(),
-            orgs: vec![
-                OrgDef {
-                    asn: CLOUD_AS.0,
-                    domain: "exo-cloud.net".into(),
-                    cc: "at".into(),
-                    style: "PlainHost".into(),
-                    prefix: [194, 182],
-                },
-                OrgDef {
-                    asn: ASCUS_AS.0,
-                    domain: "ascus.at".into(),
-                    cc: "at".into(),
-                    style: "ReverseOctets".into(),
-                    prefix: [195, 16],
-                },
-            ],
-            as_relations: vec![
-                // Operator buys transit from DataPacket.
-                AsRelationDef { kind: "transit".into(), a: DATAPACKET_AS.0, b: OP_AS.0 },
-                // Settlement-free at the Prague fabric.
-                AsRelationDef { kind: "peering".into(), a: DATAPACKET_AS.0, b: ZET_AS.0 },
-                AsRelationDef { kind: "transit".into(), a: ZET_AS.0, b: IX_AS.0 },
-                AsRelationDef { kind: "transit".into(), a: IX_AS.0, b: ASCUS_AS.0 },
-                AsRelationDef { kind: "transit".into(), a: ASCUS_AS.0, b: CAMPUS_AS.0 },
-                // VIX peering.
-                AsRelationDef { kind: "peering".into(), a: ASCUS_AS.0, b: CLOUD_AS.0 },
-            ],
-            ue: UeDef {
-                gateway: "op-cgnat-klu".into(),
-                name_prefix: "ue-".into(),
-                bandwidth_bps: 1e9,
-                utilisation: 0.10,
-                extra: DistSpec::Constant { ms: 0.0 },
-            },
-            peers: PeerDef {
-                cells: ["B2", "D2", "A3", "F3", "B5", "D5", "E4", "C6"]
-                    .iter()
-                    .map(|s| s.to_string())
-                    .collect(),
-                attach: "ascus-bras-vie".into(),
-                name_prefix: "peer-".into(),
-                bearing_deg: 45.0,
-                offset_km: 0.25,
-                bandwidth_bps: 1e9,
-                utilisation: 0.25,
-                extra: DistSpec::Constant { ms: 0.8 },
-            },
-            measurement: MeasurementDef {
-                anchor: "uni-anchor".into(),
-                cloud: Some("cloud-vie".into()),
-                reference_cell: "C2".into(),
-                rdns_city: "vie".into(),
-            },
-            campaign: CampaignDef { seed: 2, passes: 30, sample_interval_s: 2.0 },
-            workloads: WorkloadMixDef {
-                reference_class: "ArGaming".into(),
-                mix: vec![
-                    WorkloadShareDef { class: "ArGaming".into(), share: 0.35 },
-                    WorkloadShareDef { class: "VideoStreaming".into(), share: 0.25 },
-                    WorkloadShareDef { class: "IotTelemetry".into(), share: 0.25 },
-                    WorkloadShareDef { class: "SmartCity".into(), share: 0.15 },
-                ],
-            },
-        }
-    }
-
-    /// The Klagenfurt transit-flap spec (`specs/klagenfurt_flap.json`):
-    /// the measured infrastructure plus a backup Vienna crossing
-    /// (AS64496, documentation range), with the Vienna→Prague peering
-    /// wave — the detour's first long-haul segment — failing 900 s into
-    /// every pass and recovering at 2500 s.
-    ///
-    /// Statically the backup changes nothing: both candidate AS paths
-    /// through Vienna have equal length and the zet constellation
-    /// (AS57344) wins the lexicographic tiebreak, so the committed golden
-    /// routes are untouched. Dynamically, the fault takes the
-    /// AS60068–AS57344 session down mid-campaign and the BGP speakers
-    /// reconverge onto the backup crossing — probes launched during the
-    /// outage skip the Prague–Bucharest detour and measure the shift; the
-    /// `repro_faults` gates pin the recovery back to the unfaulted run.
-    pub fn klagenfurt_flap() -> Self {
-        let mut spec = Self::klagenfurt();
-        spec.name = "klagenfurt_flap".into();
-        spec.description = "Klagenfurt with a backup Vienna transit crossing (AS64496) and a \
-                            per-pass fail/recover flap of the Vienna-Prague peering wave, \
-                            exercising message-level BGP reconvergence mid-campaign"
-            .into();
-        spec.backend = "event".into();
-        spec.campaign.passes = 8;
-        spec.hops.push(hop(
-            "backup-vie",
-            "BorderRouter",
-            BACKUP_AS,
-            geo(48.201, 16.359),
-            [185, 211, 219, 200],
-            "ae0.backup-1.ix.vie.at.as64496.net",
-        ));
-        spec.links.push(link("cdn77-core-vie", "backup-vie", 10e9, 0.40, 0.1));
-        spec.links.push(link("backup-vie", "mx204-vie", 10e9, 0.40, 0.1));
-        spec.as_relations.push(AsRelationDef {
-            kind: "peering".into(),
-            a: DATAPACKET_AS.0,
-            b: BACKUP_AS.0,
-        });
-        spec.as_relations.push(AsRelationDef {
-            kind: "transit".into(),
-            a: BACKUP_AS.0,
-            b: IX_AS.0,
-        });
-        spec.faults = vec![FaultDef {
-            link: ["cdn77-core-vie".into(), "zetservers-prg".into()],
-            at_s: 900.0,
-            recover_at_s: Some(2500.0),
-        }];
-        spec
-    }
-}
 
 /// The committed Klagenfurt spec, parsed once.
 pub fn klagenfurt_spec() -> &'static ScenarioSpec {
@@ -423,35 +90,18 @@ impl Scenario {
         spec.seed = seed;
         Self::from_spec(&spec).expect("committed Klagenfurt spec compiles")
     }
-
-    /// Builds the Klagenfurt infrastructure against an arbitrary target
-    /// field (ablations). The field must match the 6 × 7 grid.
-    pub fn build(seed: u64, targets: TargetField) -> Self {
-        let mut spec = klagenfurt_spec().clone();
-        spec.seed = seed;
-        spec.targets = TargetDef::Explicit { mean: targets.mean_rows(), std: targets.std_rows() };
-        Self::from_spec(&spec).expect("Klagenfurt spec with custom targets compiles")
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::TargetDef;
     use sixg_geo::CellId;
     use sixg_netsim::radio::AccessModel;
     use sixg_netsim::routing::PathComputer;
 
     fn scenario() -> KlagenfurtScenario {
         KlagenfurtScenario::paper(0x6B6C_7531)
-    }
-
-    #[test]
-    fn committed_spec_file_matches_code_constructor() {
-        // The committed JSON is exactly ScenarioSpec::klagenfurt()
-        // serialised; regenerate with the spec_files regenerator test in
-        // tests/scenario_spec.rs after intentional model changes.
-        assert_eq!(*klagenfurt_spec(), ScenarioSpec::klagenfurt());
-        assert_eq!(*klagenfurt_flap_spec(), ScenarioSpec::klagenfurt_flap());
     }
 
     #[test]
@@ -486,7 +136,8 @@ mod tests {
 
     #[test]
     fn target_field_anchors_match_paper() {
-        let t = TargetField::paper();
+        let s = scenario();
+        let t = &s.targets;
         assert_eq!(t.mean_of(CellId::parse("C1").unwrap()), 61.0);
         assert_eq!(t.mean_of(CellId::parse("C3").unwrap()), 110.0);
         assert_eq!(t.mean_of(CellId::parse("C2").unwrap()), 65.0);
@@ -600,10 +251,16 @@ mod tests {
 
     #[test]
     fn custom_target_build_respects_field() {
-        let mut targets = TargetField::paper();
+        let mut spec = klagenfurt_spec().clone();
+        spec.seed = 7;
         let c4 = CellId::parse("C4").unwrap();
-        targets.set(c4, 0.0, 0.0); // mask one more cell
-        let s = Scenario::build(7, targets);
+        let TargetDef::Explicit { mean, std } = &mut spec.targets else {
+            panic!("the Klagenfurt targets are explicit");
+        };
+        // Mask one more cell.
+        mean[c4.row as usize][c4.col as usize] = 0.0;
+        std[c4.row as usize][c4.col as usize] = 0.0;
+        let s = Scenario::from_spec(&spec).expect("compiles");
         assert_eq!(s.included.len(), 32);
         assert!(!s.ue.contains_key(&c4));
     }

@@ -23,6 +23,8 @@
 //!   validated up front, one [`exec::execute`] entry point dispatching to
 //!   the analytic / event / faulted / checkpointed runners, plus the
 //!   compiled-[`Scenario`] cache the `sixg-serve` daemon keeps hot;
+//!   [`exec::run_field`] runs a compiled scenario on the pool, and
+//!   [`exec::run_field_sequential`] is its one sequential oracle;
 //! * [`event_backend`] — the packet-level discrete-event execution
 //!   backend: the same shard list and stream-keying discipline, but every
 //!   sample is a probe packet through per-hop FIFO queues (congestion is
@@ -63,12 +65,18 @@
 //! * [`scenario`] — the generic [`scenario::Scenario`] every spec compiles
 //!   into, and the dynamic [`scenario::TargetField`];
 //! * [`klagenfurt`] — the measured site as a thin wrapper over
-//!   `specs/klagenfurt.json` (bitwise pinned by the golden suite);
+//!   `specs/klagenfurt.json` and its transit-flap variant
+//!   `specs/klagenfurt_flap.json` (bitwise pinned by the golden suite);
 //! * [`skopje`] — a second, *projected* scenario at the partner site
 //!   (the paper's future-work promise to expand the geographic scope),
 //!   wrapper over `specs/skopje.json`;
 //! * [`megacity`] — a dense 10 × 10 synthetic sector with a local-peering
-//!   topology variant, wrapper over `specs/megacity.json`.
+//!   topology variant, wrapper over `specs/megacity.json`;
+//! * [`continental`] — the 1000 × 1000 wide-key mega-grid of the E25
+//!   throughput gate, wrapper over `specs/continental.json`.
+//!
+//! Each committed site is its spec file alone; the site modules parse and
+//! compile it.
 
 pub mod aggregate;
 pub mod campaign;

@@ -98,6 +98,22 @@ impl<'a> Runner<'a> {
             Self::Faulted(w, c) => run_shards(scenario, w, |x, buf| c.collect_shard_into(x, buf)),
         }
     }
+
+    /// Runs the whole work list in order on the calling thread
+    /// ([`run_shards_sequential`]): the oracle [`Self::field`] reproduces.
+    pub(crate) fn field_sequential(&self, scenario: &Scenario) -> CellField {
+        match self {
+            Self::Analytic(w, c) => {
+                run_shards_sequential(scenario, w, |x, buf| c.collect_shard_into(x, buf))
+            }
+            Self::Event(w, c) => {
+                run_shards_sequential(scenario, w, |x, buf| c.collect_shard_into(x, buf))
+            }
+            Self::Faulted(w, c) => {
+                run_shards_sequential(scenario, w, |x, buf| c.collect_shard_into(x, buf))
+            }
+        }
+    }
 }
 
 /// Work items sampled per streaming round before folding — the memory
@@ -227,6 +243,7 @@ pub use rayon::with_thread_count;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::run_field_sequential;
     use crate::klagenfurt::KlagenfurtScenario;
 
     fn scenario() -> KlagenfurtScenario {
@@ -249,8 +266,8 @@ mod tests {
     /// to `A1`, so any shape compiles. One side past 256 selects the wide
     /// key scheme.
     fn resized_skopje(cols: u32, rows: u32) -> Scenario {
-        use crate::spec::{PositionDef, ScenarioSpec, TargetDef};
-        let mut spec = ScenarioSpec::skopje();
+        use crate::spec::{PositionDef, TargetDef};
+        let mut spec = crate::skopje::skopje_spec().clone();
         spec.name = format!("skopje-{cols}x{rows}");
         spec.grid.cols = cols;
         spec.grid.rows = rows;
@@ -276,7 +293,7 @@ mod tests {
     #[test]
     fn parallel_equals_sequential_bitwise() {
         let check = |s: &Scenario, config: CampaignConfig| {
-            let seq = accumulator_bits(&MobileCampaign::new(s, config).run());
+            let seq = accumulator_bits(&run_field_sequential(s, config, ExecBackend::Analytic));
             for threads in [1usize, 2, 3, 4, 8] {
                 let par = with_thread_count(threads, || {
                     crate::exec::run_field(s, config, ExecBackend::Analytic)
@@ -346,7 +363,7 @@ mod tests {
         let mut broken = scenario();
         let victim = broken.included[broken.included.len() / 2];
         broken.routes.retain(|&(cell, _), _| cell != victim);
-        let seq = accumulator_bits(&MobileCampaign::new(&s, config).run());
+        let seq = accumulator_bits(&run_field_sequential(&s, config, ExecBackend::Analytic));
         for threads in [1usize, 2, 4] {
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 with_thread_count(threads, || {

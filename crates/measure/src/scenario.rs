@@ -133,16 +133,6 @@ impl TargetField {
         sum / n as f64
     }
 
-    /// The mean matrix as row-major rows (the spec's explicit form).
-    pub fn mean_rows(&self) -> Vec<Vec<f64>> {
-        self.mean.chunks(self.cols as usize).map(<[f64]>::to_vec).collect()
-    }
-
-    /// The σ matrix as row-major rows.
-    pub fn std_rows(&self) -> Vec<Vec<f64>> {
-        self.std.chunks(self.cols as usize).map(<[f64]>::to_vec).collect()
-    }
-
     /// Evaluates a spec's target definition over a grid, masking skipped
     /// cells to `0.0`.
     pub fn from_def(def: &TargetDef, grid: &GridSpec, skipped: &[CellId]) -> Self {
@@ -690,10 +680,8 @@ mod tests {
     fn target_field_round_trips_rows() {
         let mean = vec![vec![0.0, 61.0], vec![70.0, 0.0]];
         let std = vec![vec![0.0, 4.1], vec![8.5, 0.0]];
-        let t = TargetField::from_rows(mean.clone(), std.clone());
+        let t = TargetField::from_rows(mean, std);
         assert_eq!(t.dims(), (2, 2));
-        assert_eq!(t.mean_rows(), mean);
-        assert_eq!(t.std_rows(), std);
         assert_eq!(t.mean_of(CellId::new(1, 0)), 61.0);
         assert_eq!(t.std_of(CellId::new(0, 1)), 8.5);
         assert!(t.traversed(CellId::new(1, 0)));
@@ -740,13 +728,13 @@ mod tests {
     fn calibration_is_bitwise_independent_of_pool_size() {
         use crate::parallel::with_thread_count;
         for spec in [
-            ScenarioSpec::klagenfurt(),
-            ScenarioSpec::klagenfurt_flap(),
-            ScenarioSpec::skopje(),
-            ScenarioSpec::megacity(),
+            crate::klagenfurt::klagenfurt_spec(),
+            crate::klagenfurt::klagenfurt_flap_spec(),
+            crate::skopje::skopje_spec(),
+            crate::megacity::megacity_spec(),
         ] {
-            let one = with_thread_count(1, || Scenario::from_spec(&spec)).expect("compiles");
-            let four = with_thread_count(4, || Scenario::from_spec(&spec)).expect("compiles");
+            let one = with_thread_count(1, || Scenario::from_spec(spec)).expect("compiles");
+            let four = with_thread_count(4, || Scenario::from_spec(spec)).expect("compiles");
             assert_eq!(one.access.len(), one.included.len(), "{}", spec.name);
             assert_eq!(access_bits(&one), access_bits(&four), "{}", spec.name);
         }

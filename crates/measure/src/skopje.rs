@@ -6,7 +6,8 @@
 //! University of Klagenfurt and Mother Teresa University in Skopje, so the
 //! natural second site is Skopje — a thin wrapper over the committed spec
 //! file `specs/skopje.json`, compiled by the same
-//! [`crate::scenario::Scenario`] machinery as Klagenfurt.
+//! [`crate::scenario::Scenario`] machinery as Klagenfurt. The file is the
+//! only description of the site: to change it, edit the file.
 //!
 //! **This scenario is projected, not measured**: no published per-cell
 //! field exists, so the target field is generated from an explicit model
@@ -16,148 +17,20 @@
 //! generality*: a different grid, a different AS constellation (regional
 //! transit via a Vienna PoP, a Frankfurt hairpin instead of the Bucharest
 //! one), the same campaign, calibration, and recommendation pipeline.
+//! The projected parameters sit inside the 5G access model's reachable
+//! mean-vs-σ envelope, with at least 5 ms of headroom below the
+//! load-saturation ceiling, so the calibration inverts exactly.
 
 use crate::scenario::Scenario;
-use crate::spec::{
-    AsRelationDef, CalibrationDef, CampaignDef, DensityDef, GridDef, HopDef, LinkDef,
-    MeasurementDef, PeerDef, PositionDef, ScenarioSpec, TargetDef, UeDef, WorkloadMixDef,
-    WorkloadShareDef,
-};
-use sixg_netsim::dist::DistSpec;
-use sixg_netsim::topology::Asn;
+use crate::spec::ScenarioSpec;
 use std::sync::OnceLock;
 
 /// The Skopje scenario is the generic [`Scenario`], compiled from
 /// `specs/skopje.json`.
 pub type SkopjeScenario = Scenario;
 
-/// Macedonian mobile operator (projected).
-pub const MK_OP_AS: Asn = Asn(43612);
-/// Regional transit with a Vienna PoP.
-pub const TRANSIT_VIE_AS: Asn = Asn(8447);
-/// Pan-European carrier with the Frankfurt hairpin.
-pub const CARRIER_FRA_AS: Asn = Asn(3320);
-/// Local Skopje access ISP.
-pub const MK_ISP_AS: Asn = Asn(34547);
-/// Mother Teresa University campus.
-pub const UNT_AS: Asn = Asn(200_002);
-
 /// The committed spec file this module wraps.
 pub const SKOPJE_SPEC_JSON: &str = include_str!("../../../specs/skopje.json");
-
-fn geo(lat: f64, lon: f64) -> PositionDef {
-    PositionDef::Geo { lat, lon }
-}
-
-fn bare_hop(name: &str, kind: &str, asn: Asn, position: PositionDef) -> HopDef {
-    HopDef { name: name.into(), kind: kind.into(), asn: asn.0, position, ip: None, rdns: None }
-}
-
-fn link(a: &str, b: &str, bandwidth_bps: f64, utilisation: f64, extra_ms: f64) -> LinkDef {
-    LinkDef {
-        a: a.into(),
-        b: b.into(),
-        bandwidth_bps,
-        utilisation,
-        extra: DistSpec::Constant { ms: extra_ms },
-    }
-}
-
-impl ScenarioSpec {
-    /// The projected Skopje spec, as code. `specs/skopje.json` is this
-    /// value serialised; [`Scenario::projected`] compiles the committed
-    /// file.
-    pub fn skopje() -> Self {
-        Self {
-            name: "skopje".into(),
-            description: "Projected partner-site scenario over central Skopje: 5×6 grid, \
-                          regional transit via a Vienna PoP with a Frankfurt hairpin, \
-                          Mother Teresa University anchor; target field generated from a \
-                          floor+gradient+hotspot model (not measured)"
-                .into(),
-            seed: 7,
-            backend: "analytic".into(),
-            grid: GridDef { origin_lat: 42.02, origin_lon: 21.38, cols: 5, rows: 6, cell_km: 1.0 },
-            density: DensityDef {
-                core_col: 2.0,
-                core_row: 2.5,
-                peak: 5200.0,
-                decay_cells: 2.4,
-                ..DensityDef::default()
-            },
-            // Parameters sit inside the 5G access model's reachable
-            // envelope (mean vs σ): the calibration inverts exactly, with
-            // ≥5 ms of headroom below the load-saturation ceiling.
-            targets: TargetDef::Projected {
-                floor_ms: 66.0,
-                gradient_ms: 22.0,
-                hotspot_ms: 14.0,
-                hotspot: "C3".into(),
-                std_factor: 1.0,
-                std_floor_ms: 2.0,
-            },
-            // Skip the four corners plus two border cells: 24 traversed.
-            skipped_cells: ["A1", "E1", "A6", "E6", "C1", "A4"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-            calibration: CalibrationDef { label: "skopje-cal".into(), samples: 1500 },
-            hops: vec![
-                bare_hop("mk-cgnat-skp", "CoreRouter", MK_OP_AS, geo(41.9981, 21.4254)),
-                bare_hop("transit-vie", "BorderRouter", TRANSIT_VIE_AS, geo(48.2082, 16.3738)),
-                bare_hop("carrier-fra", "CoreRouter", CARRIER_FRA_AS, geo(50.1109, 8.6821)),
-                bare_hop("carrier-vie", "CoreRouter", CARRIER_FRA_AS, geo(48.21, 16.39)),
-                bare_hop("mk-isp-skp", "CoreRouter", MK_ISP_AS, geo(42.00, 21.43)),
-                bare_hop(
-                    "unt-anchor",
-                    "Anchor",
-                    UNT_AS,
-                    PositionDef::Cell { cell: "C3".into(), bearing_deg: 0.0, offset_km: 0.0 },
-                ),
-            ],
-            links: vec![
-                // Operator backhaul lands in Vienna (regional transit), the
-                // carrier hairpins via Frankfurt before descending to the
-                // local ISP.
-                link("mk-cgnat-skp", "transit-vie", 40e9, 0.55, 0.6),
-                link("transit-vie", "carrier-vie", 10e9, 0.65, 0.5),
-                link("carrier-vie", "carrier-fra", 10e9, 0.55, 0.5),
-                link("carrier-fra", "mk-isp-skp", 10e9, 0.60, 0.6),
-                link("mk-isp-skp", "unt-anchor", 1e9, 0.20, 0.0),
-            ],
-            faults: Vec::new(),
-            orgs: Vec::new(),
-            as_relations: vec![
-                AsRelationDef { kind: "transit".into(), a: TRANSIT_VIE_AS.0, b: MK_OP_AS.0 },
-                AsRelationDef { kind: "peering".into(), a: TRANSIT_VIE_AS.0, b: CARRIER_FRA_AS.0 },
-                AsRelationDef { kind: "transit".into(), a: CARRIER_FRA_AS.0, b: MK_ISP_AS.0 },
-                AsRelationDef { kind: "transit".into(), a: MK_ISP_AS.0, b: UNT_AS.0 },
-            ],
-            ue: UeDef {
-                gateway: "mk-cgnat-skp".into(),
-                name_prefix: "mk-ue-".into(),
-                bandwidth_bps: 1e9,
-                utilisation: 0.10,
-                extra: DistSpec::Constant { ms: 0.0 },
-            },
-            peers: PeerDef::none(),
-            measurement: MeasurementDef {
-                anchor: "unt-anchor".into(),
-                cloud: None,
-                reference_cell: "C3".into(),
-                rdns_city: "skp".into(),
-            },
-            campaign: CampaignDef { seed: 1, passes: 4, sample_interval_s: 2.0 },
-            workloads: WorkloadMixDef {
-                reference_class: "ArGaming".into(),
-                mix: vec![
-                    WorkloadShareDef { class: "ArGaming".into(), share: 0.5 },
-                    WorkloadShareDef { class: "IotTelemetry".into(), share: 0.5 },
-                ],
-            },
-        }
-    }
-}
 
 /// The committed Skopje spec, parsed once.
 pub fn skopje_spec() -> &'static ScenarioSpec {
@@ -187,11 +60,6 @@ mod tests {
     fn scenario() -> &'static SkopjeScenario {
         static S: OnceLock<SkopjeScenario> = OnceLock::new();
         S.get_or_init(|| SkopjeScenario::projected(7))
-    }
-
-    #[test]
-    fn committed_spec_file_matches_code_constructor() {
-        assert_eq!(*skopje_spec(), ScenarioSpec::skopje());
     }
 
     #[test]
@@ -250,12 +118,14 @@ mod tests {
         let c3 = CellId::parse("C3").unwrap();
         let ue = s.ue[&c3];
         let isp = s.topo.find_by_name("mk-isp-skp").unwrap();
+        let asn_of = |name: &str| s.topo.node(s.topo.find_by_name(name).unwrap()).asn;
+        let (op_as, isp_as) = (asn_of("mk-cgnat-skp"), asn_of("mk-isp-skp"));
         s.topo.add_link(
             s.gw,
             isp,
             LinkParams { bandwidth_bps: 100e9, utilisation: 0.15, extra_ms: 0.05 },
         );
-        s.as_graph.add_peering(MK_OP_AS, MK_ISP_AS);
+        s.as_graph.add_peering(op_as, isp_as);
         let pc = PathComputer::new(&s.topo, &s.as_graph);
         let path = pc.route(ue, s.anchor).expect("routable");
         assert!(path.hop_count() <= 3, "hops {}", path.hop_count());

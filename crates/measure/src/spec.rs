@@ -1595,26 +1595,6 @@ mod tests {
         assert!(err.message.contains("invalid JSON"), "{err}");
     }
 
-    /// Writes `specs/*.json` from the code constructors; run with
-    /// `cargo test -p sixg-measure --lib regenerate_spec_files -- --ignored`
-    /// after an intentional change to a built-in scenario.
-    #[test]
-    #[ignore = "generator: overwrites the committed specs/*.json files"]
-    fn regenerate_spec_files() {
-        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs");
-        for spec in [
-            ScenarioSpec::klagenfurt(),
-            ScenarioSpec::klagenfurt_flap(),
-            ScenarioSpec::skopje(),
-            ScenarioSpec::megacity(),
-            ScenarioSpec::continental(),
-        ] {
-            let path = format!("{dir}/{}.json", spec.name);
-            std::fs::write(&path, spec.to_json() + "\n").expect("write spec file");
-            println!("wrote {path}");
-        }
-    }
-
     #[test]
     fn unknown_backend_is_rejected_with_path() {
         let mut spec = minimal();

@@ -1135,11 +1135,12 @@ impl SweepRun {
 mod tests {
     use super::*;
     use crate::exec::run_field;
+    use crate::klagenfurt::{klagenfurt_flap_spec, klagenfurt_spec};
     use crate::parallel::with_thread_count;
 
     /// A Klagenfurt base trimmed to `passes` traversals, as JSON.
     fn base_json(passes: u32) -> String {
-        let mut spec = ScenarioSpec::klagenfurt();
+        let mut spec = klagenfurt_spec().clone();
         spec.campaign.passes = passes;
         spec.to_json()
     }
@@ -1251,9 +1252,9 @@ mod tests {
     fn empty_axes_degenerate_sweep_equals_plain_run_bitwise() {
         // One base per backend path: analytic, the plain packet world, and
         // the packet world over the transit-flap fault timeline.
-        let mut event = ScenarioSpec::klagenfurt();
+        let mut event = klagenfurt_spec().clone();
         event.backend = "event".into();
-        for mut base in [ScenarioSpec::klagenfurt(), event, ScenarioSpec::klagenfurt_flap()] {
+        for mut base in [klagenfurt_spec().clone(), event, klagenfurt_flap_spec().clone()] {
             base.campaign.passes = 1;
             let sweep = Sweep::new(sweep_spec(Vec::new()), &base.to_json()).expect("valid sweep");
             let run = sweep.run().expect("runs");

@@ -7,7 +7,7 @@
 //! calibration ablation use it.
 
 use crate::aggregate::CellField;
-use crate::klagenfurt::TargetField;
+use crate::scenario::TargetField;
 use serde::{Deserialize, Serialize};
 
 /// Agreement metrics for one statistic of the field.
@@ -96,8 +96,10 @@ fn target_extrema(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{CampaignConfig, MobileCampaign};
+    use crate::campaign::CampaignConfig;
+    use crate::exec::run_field;
     use crate::klagenfurt::KlagenfurtScenario;
+    use crate::spec::ExecBackend;
     use std::sync::OnceLock;
 
     fn scenario() -> &'static KlagenfurtScenario {
@@ -108,7 +110,7 @@ mod tests {
     #[test]
     fn dense_campaign_field_agrees_with_paper() {
         let s = scenario();
-        let field = MobileCampaign::new(s, CampaignConfig::dense(6)).run();
+        let field = run_field(s, CampaignConfig::dense(6), ExecBackend::Analytic);
         let mean = mean_agreement(&field, &s.targets);
         assert_eq!(mean.cells, 33);
         assert!(mean.rmse < 1.2, "mean RMSE {}", mean.rmse);
@@ -123,8 +125,8 @@ mod tests {
     #[test]
     fn sparse_campaign_agrees_more_loosely() {
         let s = scenario();
-        let one_pass = MobileCampaign::new(s, CampaignConfig::default()).run();
-        let dense = MobileCampaign::new(s, CampaignConfig::dense(6)).run();
+        let one_pass = run_field(s, CampaignConfig::default(), ExecBackend::Analytic);
+        let dense = run_field(s, CampaignConfig::dense(6), ExecBackend::Analytic);
         let loose = mean_agreement(&one_pass, &s.targets);
         let tight = mean_agreement(&dense, &s.targets);
         assert!(tight.rmse < loose.rmse, "dense {} vs sparse {}", tight.rmse, loose.rmse);

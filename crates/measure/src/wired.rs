@@ -105,8 +105,10 @@ pub fn mobile_wired_factor(mobile_grand_mean_ms: f64, wired: &WiredStats) -> f64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{CampaignConfig, MobileCampaign};
+    use crate::campaign::CampaignConfig;
+    use crate::exec::run_field;
     use crate::klagenfurt::KlagenfurtScenario;
+    use crate::spec::ExecBackend;
 
     fn scenario() -> KlagenfurtScenario {
         KlagenfurtScenario::paper(0x6B6C_7531)
@@ -132,7 +134,7 @@ mod tests {
     #[test]
     fn factor_of_seven_reproduced() {
         let s = scenario();
-        let field = MobileCampaign::new(&s, CampaignConfig::dense(5)).run();
+        let field = run_field(&s, CampaignConfig::dense(5), ExecBackend::Analytic);
         let wired = WiredCampaign::new(&s, 5).run();
         let factor = mobile_wired_factor(field.grand_mean_ms(), &wired);
         assert!((6.0..=8.5).contains(&factor), "factor {factor}");

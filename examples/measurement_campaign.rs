@@ -5,8 +5,8 @@
 //! cargo run --release --example measurement_campaign
 //! ```
 
-use sixg::measure::campaign::{CampaignConfig, MobileCampaign};
-use sixg::measure::exec::run_field;
+use sixg::measure::campaign::CampaignConfig;
+use sixg::measure::exec::{run_field, run_field_sequential};
 use sixg::measure::klagenfurt::KlagenfurtScenario;
 use sixg::measure::report::{to_csv, CampaignSummary};
 use sixg::measure::spec::ExecBackend;
@@ -16,7 +16,7 @@ fn main() {
 
     // Parallel == sequential, bit for bit.
     let config = CampaignConfig { passes: 2, ..Default::default() };
-    let seq = MobileCampaign::new(&scenario, config).run();
+    let seq = run_field_sequential(&scenario, config, ExecBackend::Analytic);
     let par = run_field(&scenario, config, ExecBackend::Analytic);
     let identical = scenario
         .grid
@@ -38,7 +38,7 @@ fn main() {
     }
 
     // Exports.
-    let field = MobileCampaign::new(&scenario, CampaignConfig::dense(1)).run();
+    let field = run_field(&scenario, CampaignConfig::dense(1), ExecBackend::Analytic);
     let csv = to_csv(&field);
     let json = CampaignSummary::from_field(&field).to_json();
     println!("\nCSV rows: {}, JSON bytes: {}", csv.lines().count(), json.len());

@@ -8,8 +8,10 @@
 use sixg::core::gap::GapReport;
 use sixg::core::requirements::campaign_reference_requirement;
 use sixg::measure::campaign::{CampaignConfig, MobileCampaign};
+use sixg::measure::exec::run_field;
 use sixg::measure::klagenfurt::KlagenfurtScenario;
 use sixg::measure::report::{render_grid, FieldStat};
+use sixg::measure::spec::ExecBackend;
 
 fn main() {
     // 1. Build the scenario: topology, AS policies, grid, calibration.
@@ -23,7 +25,7 @@ fn main() {
     );
 
     // 2. Run one measurement pass (the paper's Figures 2-3 pipeline).
-    let field = MobileCampaign::new(&scenario, CampaignConfig::default()).run();
+    let field = run_field(&scenario, CampaignConfig::default(), ExecBackend::Analytic);
     println!("\nmean RTL per cell (ms):\n{}", render_grid(&field, FieldStat::Mean));
 
     // 3. Gap analysis against the AR use case's 20 ms budget.

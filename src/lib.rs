@@ -10,11 +10,13 @@
 //! ```
 //! use sixg::measure::klagenfurt::KlagenfurtScenario;
 //! use sixg::measure::campaign::{CampaignConfig, MobileCampaign};
+//! use sixg::measure::exec::run_field;
+//! use sixg::measure::ExecBackend;
 //! use sixg::core::gap::GapReport;
 //! use sixg::core::requirements::campaign_reference_requirement;
 //!
 //! let scenario = KlagenfurtScenario::paper(42);
-//! let field = MobileCampaign::new(&scenario, CampaignConfig::default()).run();
+//! let field = run_field(&scenario, CampaignConfig::default(), ExecBackend::Analytic);
 //! let gap = GapReport::analyse(&field, &campaign_reference_requirement());
 //!
 //! // The paper: measured RTL exceeds the 20 ms requirement by ≈270 %.

@@ -8,8 +8,8 @@
 //! here compares serialized `SweepReport`s (`to_json()`, which carries no
 //! wall times) for *equality of every byte*.
 
+use sixg_measure::klagenfurt::klagenfurt_spec;
 use sixg_measure::parallel::with_thread_count;
-use sixg_measure::spec::ScenarioSpec;
 use sixg_measure::store::{
     merge_stores, run_checkpointed, CheckpointConfig, CheckpointError, CheckpointOutcome,
 };
@@ -22,7 +22,7 @@ const COMMITTED_SWEEP: &str =
 
 /// A Klagenfurt base trimmed to `passes` traversals, as JSON.
 fn base_json(passes: u32) -> String {
-    let mut spec = ScenarioSpec::klagenfurt();
+    let mut spec = klagenfurt_spec().clone();
     spec.campaign.passes = passes;
     spec.to_json()
 }

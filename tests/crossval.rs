@@ -7,8 +7,8 @@
 //! the tier-1 loop.
 
 use sixg::measure::campaign::CampaignConfig;
-use sixg::measure::event_backend::{crossval_tolerance_ms, EventCampaign, CROSSVAL_GRAND_MEAN_TOL};
-use sixg::measure::exec::run_field;
+use sixg::measure::event_backend::{crossval_tolerance_ms, CROSSVAL_GRAND_MEAN_TOL};
+use sixg::measure::exec::{run_field, run_field_sequential};
 use sixg::measure::klagenfurt::KlagenfurtScenario;
 use sixg::measure::parallel::with_thread_count;
 use sixg::measure::ExecBackend;
@@ -53,7 +53,7 @@ fn backends_agree_on_per_cell_means_within_tolerance() {
 fn event_backend_is_bitwise_deterministic_across_pool_sizes() {
     let s = scenario();
     let config = CampaignConfig { seed: 7, passes: 2, ..Default::default() };
-    let seq = EventCampaign::new(&s, config).run();
+    let seq = run_field_sequential(&s, config, ExecBackend::Event);
     for &threads in &[1usize, 4] {
         let par = with_thread_count(threads, || run_field(&s, config, ExecBackend::Event));
         for cell in s.grid.cells() {

@@ -6,8 +6,10 @@ use sixg::core::gap::GapReport;
 use sixg::core::orchestrator;
 use sixg::core::requirements::campaign_reference_requirement;
 use sixg::measure::campaign::{CampaignConfig, MobileCampaign};
+use sixg::measure::exec::run_field;
 use sixg::measure::klagenfurt::KlagenfurtScenario;
 use sixg::measure::wired::{mobile_wired_factor, WiredCampaign};
+use sixg::measure::ExecBackend;
 use std::sync::OnceLock;
 
 const SEED: u64 = 0x6B6C_7531;
@@ -19,7 +21,7 @@ fn scenario() -> &'static KlagenfurtScenario {
 
 fn dense_field() -> &'static sixg::measure::aggregate::CellField {
     static F: OnceLock<sixg::measure::aggregate::CellField> = OnceLock::new();
-    F.get_or_init(|| MobileCampaign::new(scenario(), CampaignConfig::dense(2)).run())
+    F.get_or_init(|| run_field(scenario(), CampaignConfig::dense(2), ExecBackend::Analytic))
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Failure-injection tests: the simulator must degrade gracefully — and
 //! realistically — when links die or policies are withdrawn.
 
-use sixg::measure::klagenfurt::{KlagenfurtScenario, ASCUS_AS, OP_AS};
+use sixg::measure::klagenfurt::{klagenfurt_flap_spec, KlagenfurtScenario, ASCUS_AS, OP_AS};
 use sixg::netsim::routing::PathComputer;
 use sixg::netsim::topology::LinkId;
 use std::sync::OnceLock;
@@ -103,8 +103,8 @@ fn poisoned_worker_propagates_and_pool_stays_usable() {
     // thread (not deadlock the pool, not abort a worker for good) and leave
     // the pool fully usable — including for the campaign runner.
     use rayon::prelude::*;
-    use sixg::measure::campaign::{CampaignConfig, MobileCampaign};
-    use sixg::measure::exec::run_field;
+    use sixg::measure::campaign::CampaignConfig;
+    use sixg::measure::exec::{run_field, run_field_sequential};
     use sixg::measure::parallel::with_thread_count;
     use sixg::measure::ExecBackend;
 
@@ -127,7 +127,7 @@ fn poisoned_worker_propagates_and_pool_stays_usable() {
         // ...and the determinism contract still holds after the poisoning.
         let s = scenario();
         let config = CampaignConfig::default();
-        let seq = MobileCampaign::new(s, config).run();
+        let seq = run_field_sequential(s, config, ExecBackend::Analytic);
         let par = run_field(s, config, ExecBackend::Analytic);
         for cell in s.grid.cells() {
             let (a, b) = (seq.stats(cell), par.stats(cell));
@@ -144,8 +144,7 @@ fn poisoned_worker_leaves_event_backend_usable_and_deterministic() {
     // packet-level event backend normally — bitwise-deterministically.
     use rayon::prelude::*;
     use sixg::measure::campaign::CampaignConfig;
-    use sixg::measure::event_backend::EventCampaign;
-    use sixg::measure::exec::run_field;
+    use sixg::measure::exec::{run_field, run_field_sequential};
     use sixg::measure::parallel::with_thread_count;
     use sixg::measure::ExecBackend;
 
@@ -160,7 +159,7 @@ fn poisoned_worker_leaves_event_backend_usable_and_deterministic() {
 
         let s = scenario();
         let config = CampaignConfig::default();
-        let seq = EventCampaign::new(s, config).run();
+        let seq = run_field_sequential(s, config, ExecBackend::Event);
         let par = run_field(s, config, ExecBackend::Event);
         for cell in s.grid.cells() {
             let (a, b) = (seq.stats(cell), par.stats(cell));
@@ -183,10 +182,9 @@ fn poisoned_worker_leaves_fault_campaigns_usable_and_deterministic() {
     use sixg::measure::exec::run_field;
     use sixg::measure::parallel::with_thread_count;
     use sixg::measure::scenario::Scenario;
-    use sixg::measure::spec::ScenarioSpec;
     use sixg::measure::ExecBackend;
 
-    let s = Scenario::from_spec(&ScenarioSpec::klagenfurt_flap()).expect("compiles");
+    let s = Scenario::from_spec(klagenfurt_flap_spec()).expect("compiles");
     let config = CampaignConfig { seed: 2, passes: 1, sample_interval_s: 2.0 };
     let undisturbed = with_thread_count(4, || run_field(&s, config, ExecBackend::Event));
 

@@ -19,10 +19,12 @@
 
 use sixg::measure::campaign::CampaignConfig;
 use sixg::measure::exec::run_field;
+use sixg::measure::klagenfurt::{klagenfurt_flap_spec, klagenfurt_spec};
+use sixg::measure::megacity::megacity_spec;
 use sixg::measure::parallel::with_thread_count;
 use sixg::measure::report::{to_csv, CampaignSummary};
 use sixg::measure::scenario::Scenario;
-use sixg::measure::spec::ScenarioSpec;
+use sixg::measure::skopje::skopje_spec;
 use sixg::measure::ExecBackend;
 use sixg::netsim::rng::SimRng;
 use sixg::netsim::routing::bgp::AsGraph;
@@ -60,7 +62,7 @@ fn assert_dynamic_equals_static(s: &Scenario) {
 
 #[test]
 fn klagenfurt_dynamic_routes_equal_static() {
-    let s = Scenario::from_spec(&ScenarioSpec::klagenfurt()).expect("compiles");
+    let s = Scenario::from_spec(klagenfurt_spec()).expect("compiles");
     assert_dynamic_equals_static(&s);
 }
 
@@ -69,19 +71,19 @@ fn klagenfurt_flap_dynamic_routes_equal_static() {
     // The flap spec's *unfaulted* topology (with the backup Vienna
     // crossing in place) must still pick the measured detour statically
     // and dynamically alike.
-    let s = Scenario::from_spec(&ScenarioSpec::klagenfurt_flap()).expect("compiles");
+    let s = Scenario::from_spec(klagenfurt_flap_spec()).expect("compiles");
     assert_dynamic_equals_static(&s);
 }
 
 #[test]
 fn skopje_dynamic_routes_equal_static() {
-    let s = Scenario::from_spec(&ScenarioSpec::skopje()).expect("compiles");
+    let s = Scenario::from_spec(skopje_spec()).expect("compiles");
     assert_dynamic_equals_static(&s);
 }
 
 #[test]
 fn megacity_dynamic_routes_equal_static() {
-    let s = Scenario::from_spec(&ScenarioSpec::megacity()).expect("compiles");
+    let s = Scenario::from_spec(megacity_spec()).expect("compiles");
     assert_dynamic_equals_static(&s);
 }
 
@@ -184,7 +186,7 @@ fn fuzzed_hierarchies_keep_every_rib_entry_valley_free() {
 fn flap_campaign_reports_are_identical_at_1_2_4_threads() {
     // The full export surface — JSON summary and CSV — must come out byte
     // for byte identical at every pool size, not just the stats structs.
-    let s = Scenario::from_spec(&ScenarioSpec::klagenfurt_flap()).expect("compiles");
+    let s = Scenario::from_spec(klagenfurt_flap_spec()).expect("compiles");
     let config = CampaignConfig { seed: 2, passes: 1, sample_interval_s: 2.0 };
     let reference = with_thread_count(1, || run_field(&s, config, ExecBackend::Event));
     let ref_json = CampaignSummary::from_field(&reference).to_json();

@@ -25,10 +25,9 @@ use sixg::measure::aggregate::FieldSummary;
 use sixg::measure::campaign::{CampaignConfig, MobileCampaign, Shard};
 use sixg::measure::event_backend::EventCampaign;
 use sixg::measure::exec::run_field;
-use sixg::measure::klagenfurt::KlagenfurtScenario;
+use sixg::measure::klagenfurt::{klagenfurt_flap_spec, klagenfurt_spec, KlagenfurtScenario};
 use sixg::measure::parallel::with_thread_count;
 use sixg::measure::scenario::Scenario;
-use sixg::measure::spec::ScenarioSpec;
 use sixg::measure::ExecBackend;
 use std::sync::OnceLock;
 
@@ -52,7 +51,7 @@ fn compute_goldens() -> Vec<(&'static str, f64)> {
     let s = scenario();
 
     // Figures 2-3 / repro_requirements: the dense campaign and its gap.
-    let field = MobileCampaign::new(s, CampaignConfig::dense(DENSE_SEED)).run();
+    let field = run_field(s, CampaignConfig::dense(DENSE_SEED), ExecBackend::Analytic);
     let (mean_min, mean_max) = field.mean_extrema().expect("non-empty");
     let (std_min, std_max) = field.std_extrema().expect("non-empty");
     let gap = GapReport::analyse(&field, &campaign_reference_requirement());
@@ -104,7 +103,7 @@ fn compute_goldens() -> Vec<(&'static str, f64)> {
     // control plane (one pass keeps the suite fast; the in-outage detour
     // shift makes these bits sensitive to every layer from the BGP
     // message order down to the per-probe draws).
-    let flap = Scenario::from_spec(&ScenarioSpec::klagenfurt_flap()).expect("flap spec compiles");
+    let flap = Scenario::from_spec(klagenfurt_flap_spec()).expect("flap spec compiles");
     let flap_field = run_field(
         &flap,
         CampaignConfig { seed: DENSE_SEED, passes: 1, sample_interval_s: 2.0 },
@@ -127,12 +126,13 @@ fn compute_goldens() -> Vec<(&'static str, f64)> {
 
     // A 13x-oversubscribed narrowband shard, where the FIFO order of
     // probe launches and leg arrivals decides the bits.
-    let mut narrow = ScenarioSpec::klagenfurt();
+    let mut narrow = klagenfurt_spec().clone();
     narrow.ue.bandwidth_bps = 80_000.0;
     let narrow = Scenario::from_spec(&narrow).expect("narrowband spec compiles");
     let saturated = CampaignConfig { seed: 1, passes: 1, sample_interval_s: 0.001 };
     let shard = Shard { pass: 0, cell: narrow.reference_cell, dwell_s: 0.1 };
-    let probes = EventCampaign::new(&narrow, saturated).collect_shard(shard);
+    let mut probes = Vec::new();
+    EventCampaign::new(&narrow, saturated).collect_shard_into(shard, &mut probes);
     out.push(("saturated_shard_mean_ms", probes.iter().sum::<f64>() / probes.len() as f64));
     out
 }

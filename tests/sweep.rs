@@ -6,9 +6,10 @@
 use serde::Value;
 use sixg_measure::campaign::CampaignConfig;
 use sixg_measure::exec::run_field;
+use sixg_measure::klagenfurt::klagenfurt_spec;
 use sixg_measure::parallel::with_thread_count;
 use sixg_measure::scenario::Scenario;
-use sixg_measure::spec::{ExecBackend, ScenarioSpec};
+use sixg_measure::spec::ExecBackend;
 use sixg_measure::sweep::{AxisDef, BackendSelect, Sweep, SweepSpec, DEFAULT_REQUIREMENT_MS};
 
 const COMMITTED_SWEEP: &str =
@@ -16,7 +17,7 @@ const COMMITTED_SWEEP: &str =
 
 /// A Klagenfurt base trimmed to `passes` traversals, as JSON.
 fn base_json(passes: u32) -> String {
-    let mut spec = ScenarioSpec::klagenfurt();
+    let mut spec = klagenfurt_spec().clone();
     spec.campaign.passes = passes;
     spec.to_json()
 }

@@ -2,7 +2,9 @@
 //! and compose across crate boundaries, and the measured Klagenfurt
 //! scenario must be bit-for-bit deterministic per seed.
 
+use sixg::measure::exec::run_field;
 use sixg::measure::report::CampaignSummary;
+use sixg::measure::ExecBackend;
 use sixg::prelude::*;
 
 #[test]
@@ -29,7 +31,7 @@ fn prelude_reexports_resolve_and_compose() {
 
     // sixg-measure + sixg-core via the prelude: a tiny end-to-end slice.
     let scenario = KlagenfurtScenario::paper(7);
-    let field: CellField = MobileCampaign::new(&scenario, CampaignConfig::default()).run();
+    let field: CellField = run_field(&scenario, CampaignConfig::default(), ExecBackend::Analytic);
     let stats: CellStats = field.stats(CellId::new(2, 1));
     assert!(stats.count > 0, "campaign produced samples for C2");
     let profile: RequirementProfile = ApplicationClass::ArGaming.profile();
@@ -42,8 +44,8 @@ fn klagenfurt_paper_scenario_is_deterministic() {
     let a = KlagenfurtScenario::paper(42);
     let b = KlagenfurtScenario::paper(42);
 
-    let field_a = MobileCampaign::new(&a, CampaignConfig::default()).run();
-    let field_b = MobileCampaign::new(&b, CampaignConfig::default()).run();
+    let field_a = run_field(&a, CampaignConfig::default(), ExecBackend::Analytic);
+    let field_b = run_field(&b, CampaignConfig::default(), ExecBackend::Analytic);
 
     // Same seed ⇒ identical per-cell statistics, bit for bit.
     for cell in a.grid.cells() {
@@ -62,7 +64,7 @@ fn klagenfurt_paper_scenario_is_deterministic() {
 
     // A different seed must not reproduce the same field bit-for-bit.
     let other = KlagenfurtScenario::paper(43);
-    let field_other = MobileCampaign::new(&other, CampaignConfig::default()).run();
+    let field_other = run_field(&other, CampaignConfig::default(), ExecBackend::Analytic);
     assert_ne!(
         CampaignSummary::from_field(&field_other).to_json(),
         summary_a,
