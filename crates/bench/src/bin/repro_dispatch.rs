@@ -100,7 +100,7 @@ fn main() {
     let text = std::fs::read_to_string(sweep_file)
         .unwrap_or_else(|e| die(format!("cannot read {sweep_file}: {e}")));
     let dir = Path::new(sweep_file).parent().unwrap_or_else(|| Path::new("."));
-    let sweep = Sweep::from_json_in_dir_unbounded(&text, dir)
+    let sweep = Sweep::from_json_in_dir(&text, dir)
         .unwrap_or_else(|e| die(format!("{sweep_file}: invalid sweep: {e}")));
     let variant_count = sweep.spec.variant_count();
 

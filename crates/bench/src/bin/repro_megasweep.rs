@@ -46,7 +46,7 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
 
 fn load(name: &str) -> Sweep {
     let path = format!("{SWEEPS_DIR}/{name}.json");
-    Sweep::from_file_unbounded(&path).unwrap_or_else(|e| {
+    Sweep::from_file(&path).unwrap_or_else(|e| {
         eprintln!("repro_megasweep: cannot load {path}: {e}");
         std::process::exit(2);
     })

@@ -430,10 +430,8 @@ fn cmd_merge(args: &[String]) -> Result<(), CliError> {
     if stores.is_empty() {
         return Err(CliError::usage("merge needs at least one --store DIR"));
     }
-    // Mega-sweeps beyond the in-memory cap are exactly what sharded stores
-    // are for, so merge loads the sweep uncapped.
-    let sweep = Sweep::from_json_in_dir_unbounded(&text, dir)
-        .map_err(|e| CliError::fail(format!("{path}: {e}")))?;
+    let sweep =
+        Sweep::from_json_in_dir(&text, dir).map_err(|e| CliError::fail(format!("{path}: {e}")))?;
 
     println!("=== merge: {} ===", sweep.spec.name);
     println!(
@@ -460,10 +458,8 @@ fn cmd_dispatch(args: &[String]) -> Result<(), CliError> {
     if workers.is_empty() {
         return Err(CliError::usage("--workers needs at least one host:port address"));
     }
-    // Shards spill to the workers' stores, never coordinator memory, so the
-    // sweep loads uncapped — same policy as `merge`.
-    let sweep = Sweep::from_json_in_dir_unbounded(&text, dir)
-        .map_err(|e| CliError::fail(format!("{path}: {e}")))?;
+    let sweep =
+        Sweep::from_json_in_dir(&text, dir).map_err(|e| CliError::fail(format!("{path}: {e}")))?;
 
     let mut cfg = DispatchConfig::new(workers);
     if let Some(s) = parse_flag::<u32>(args, "--shards-per-worker")? {

@@ -130,36 +130,24 @@ impl CellField {
         self.acc[i].push(rtl_ms);
     }
 
-    /// Folds `(cell, samples)` batches into the field in iteration order:
-    /// the same floating-point operation sequence as pushing every sample
-    /// with [`Self::push`] in that order, so the result is bitwise equal to
-    /// any runner that presents the same per-cell sample order.
-    pub fn accumulate_ordered(&mut self, batches: impl IntoIterator<Item = (CellId, Vec<f64>)>) {
-        for (cell, samples) in batches {
-            for v in samples {
-                self.push(cell, v);
-            }
-        }
-    }
-
     /// Merges another field (parallel reduction). Grids must match shape.
     ///
-    /// Note the contrast with [`Self::accumulate_ordered`]: `merge` combines
-    /// Welford accumulators pairwise (Chan's formula), which is numerically
-    /// excellent but *not* bitwise identical to pushing the concatenated
-    /// sample stream — use it where tolerance-based comparison suffices.
+    /// `merge` combines Welford accumulators pairwise (Chan's formula),
+    /// which is numerically excellent but *not* bitwise identical to
+    /// pushing the concatenated sample stream with [`Self::push`] — use it
+    /// where tolerance-based comparison suffices.
     ///
     /// **Disjoint-support contract.** There is one regime in which `merge`
     /// *is* bitwise exact: when, for every cell, at most one of the two
     /// operands holds samples. In that case the Welford merge degenerates to
     /// either a no-op (other side empty) or a verbatim copy of the non-empty
     /// accumulator (this side empty), so no floating-point arithmetic runs
-    /// at all and every bit is preserved. Sweep shards own disjoint *run*
-    /// ranges and therefore disjoint per-run accumulators, which is exactly
-    /// why `sixg-cli merge` over shard stores bit-reproduces the
-    /// single-machine report. Merging disjoint-support fields is consequently
-    /// also order-independent — any merge tree over any permutation of the
-    /// shards yields identical bits.
+    /// at all and every bit is preserved. Merging disjoint-support fields is
+    /// consequently also order-independent — any merge tree over any
+    /// permutation of the operands yields identical bits. (`sixg-cli merge`
+    /// does not rely on this: every sweep run is spilled by exactly one
+    /// shard, and [`crate::store::merge_stores`] reads each run's blob back
+    /// verbatim.)
     pub fn merge(&mut self, other: &CellField) {
         assert_eq!(self.grid.cols, other.grid.cols, "grid shape mismatch");
         assert_eq!(self.grid.rows, other.grid.rows, "grid shape mismatch");
@@ -329,31 +317,6 @@ mod tests {
         assert!((a.std_ms - b.std_ms).abs() < 1e-9);
     }
 
-    #[test]
-    fn accumulate_ordered_is_bitwise_equal_to_pushes() {
-        let a = CellId::parse("A1").unwrap();
-        let b = CellId::parse("B2").unwrap();
-        let batches = vec![
-            (a, (0..15).map(|i| 50.0 + (i as f64 * 0.3).sin()).collect::<Vec<_>>()),
-            (b, (0..12).map(|i| 80.0 + (i as f64 * 0.7).cos()).collect::<Vec<_>>()),
-            (a, (0..11).map(|i| 55.0 + i as f64 * 0.01).collect::<Vec<_>>()),
-        ];
-        let mut pushed = CellField::new(grid());
-        for (cell, samples) in &batches {
-            for &v in samples {
-                pushed.push(*cell, v);
-            }
-        }
-        let mut folded = CellField::new(grid());
-        folded.accumulate_ordered(batches);
-        for cell in [a, b] {
-            let (x, y) = (pushed.stats(cell), folded.stats(cell));
-            assert_eq!(x.count, y.count);
-            assert_eq!(x.mean_ms.to_bits(), y.mean_ms.to_bits());
-            assert_eq!(x.std_ms.to_bits(), y.std_ms.to_bits());
-        }
-    }
-
     /// The streaming statistics break ties exactly as the `reported()`
     /// based ones they replaced: `min_by` keeps the first equal cell,
     /// `max_by` the last, for means and σ alike.
@@ -444,7 +407,7 @@ mod tests {
 /// The disjoint-support merge contract (see [`CellField::merge`]), pinned by
 /// property tests: any partition of a sample stream into per-cell-disjoint
 /// shards merges back to the unpartitioned field bit for bit, in any merge
-/// order. This is the algebra `sixg-cli merge` relies on.
+/// order.
 #[cfg(test)]
 mod merge_contract {
     use super::*;

@@ -49,11 +49,11 @@
 //! [`DispatchError::AllWorkersDead`].
 
 use crate::aggregate::CellField;
-use crate::exec::{build_sweep, checkpoint_spec_error, ExecReport, ExecRequest, ShardSel};
+use crate::exec::{build_sweep, run_checkpointed_request, ExecReport, ExecRequest, ShardSel};
 use crate::spec::SpecError;
 use crate::store::{
-    decode_run_blob, run_blob_name, run_checkpointed_observed, shard_run_range, sweep_content_hash,
-    CheckpointConfig, CheckpointOutcome, StoreEvent, CURSOR_FILE, MANIFEST_FILE,
+    decode_run_blob, run_blob_name, shard_run_range, sweep_content_hash, StoreEvent, CURSOR_FILE,
+    MANIFEST_FILE,
 };
 use crate::sweep::{Sweep, SweepRun};
 use crate::wire::{is_transient_io, read_frame, write_frame, FrameKind, StoreBundle};
@@ -663,25 +663,7 @@ pub fn run_streamed_shard(
         }
     }
 
-    let mut cfg = CheckpointConfig::new(store_dir);
-    if let Some(s) = req.shard {
-        cfg.shard_index = s.index;
-        cfg.shard_count = s.count;
-    }
-    if let Some(k) = req.interval {
-        cfg.interval = k;
-    }
-    cfg.stop_after_items = req.stop_after_items;
-
-    match run_checkpointed_observed(&sweep, &cfg, observe).map_err(checkpoint_spec_error)? {
-        CheckpointOutcome::Complete(run) => Ok(ExecReport::Sweep(run)),
-        CheckpointOutcome::ShardComplete { shard_index, shard_count, done_items } => {
-            Ok(ExecReport::ShardComplete { shard_index, shard_count, done_items })
-        }
-        CheckpointOutcome::Interrupted { done_items, total_items } => {
-            Ok(ExecReport::Interrupted { done_items, total_items })
-        }
-    }
+    run_checkpointed_request(req, &sweep, store_dir, observe)
 }
 
 #[cfg(test)]

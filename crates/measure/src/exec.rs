@@ -50,9 +50,13 @@ use crate::scenario::{KeyScheme, Scenario};
 use crate::spec::{
     parse_backend, CampaignDef, Ctx, ErrorCode, ExecBackend, ScenarioSpec, SpecError,
 };
-use crate::store::{fnv1a64, run_checkpointed, CheckpointConfig, CheckpointError};
+use crate::store::{
+    fnv1a64, run_checkpointed_observed, CheckpointConfig, CheckpointError, CheckpointOutcome,
+    StoreEvent,
+};
 use crate::sweep::{Sweep, SweepRun, SweepSpec, VariantReport, DEFAULT_REQUIREMENT_MS};
 use serde::{Serialize, Value};
+use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Runs a compiled scenario's campaign with the chosen backend on the
@@ -790,16 +794,24 @@ impl ExecReport {
 // The compiled-scenario cache.
 // ---------------------------------------------------------------------------
 
-/// Content hash of a spec's *canonical* form — campaign parameters and
-/// backend zeroed out, because [`Scenario::from_spec`] does not consume
-/// them (the same canonicalisation sweep planning deduplicates on). Two
-/// specs that differ only in seed policy or backend share one hash, one
-/// cache entry, and one calibration.
-pub fn scenario_content_hash(spec: &ScenarioSpec) -> u64 {
+/// The canonical key of a spec's compiled scenario: the spec with its
+/// campaign cleared and its backend set to `analytic`, which leaves
+/// everything [`Scenario::from_spec`] reads and nothing else. The
+/// [`ScenarioCache`], [`scenario_content_hash`] and sweep planning's
+/// compile dedup all key on it.
+pub(crate) fn compile_key(spec: &ScenarioSpec) -> ScenarioSpec {
     let mut key = spec.clone();
     key.campaign = CampaignDef::default();
     key.backend = "analytic".into();
-    fnv1a64(key.to_json().as_bytes())
+    key
+}
+
+/// Content hash of a spec's canonical form — campaign cleared, backend
+/// `analytic` (the compile key), because [`Scenario::from_spec`] reads
+/// neither. Two specs that differ only in seed policy or backend share one
+/// hash, one cache entry, and one calibration.
+pub fn scenario_content_hash(spec: &ScenarioSpec) -> u64 {
+    fnv1a64(compile_key(spec).to_json().as_bytes())
 }
 
 /// Default number of compiled scenarios an [`Executor`] keeps hot.
@@ -836,9 +848,7 @@ impl ScenarioCache {
     /// compiles, caches (evicting the least-recently-used entry at
     /// capacity) and returns it.
     pub fn get_or_compile(&mut self, spec: &ScenarioSpec) -> Result<Arc<Scenario>, SpecError> {
-        let mut key = spec.clone();
-        key.campaign = CampaignDef::default();
-        key.backend = "analytic".into();
+        let key = compile_key(spec);
         let hash = fnv1a64(key.to_json().as_bytes());
         self.tick += 1;
         if let Some(e) = self.entries.iter_mut().find(|e| e.hash == hash && e.key == key) {
@@ -1050,26 +1060,7 @@ impl Executor {
             // Checkpointed execution spills to disk between pool rounds;
             // its resume cursor, not the emit stream, is the incremental
             // surface.
-            let mut cfg = CheckpointConfig::new(dir.as_str());
-            if let Some(s) = req.shard {
-                cfg.shard_index = s.index;
-                cfg.shard_count = s.count;
-            }
-            if let Some(k) = req.interval {
-                cfg.interval = k;
-            }
-            cfg.stop_after_items = req.stop_after_items;
-            return match run_checkpointed(&sweep, &cfg).map_err(checkpoint_spec_error)? {
-                crate::store::CheckpointOutcome::Complete(run) => Ok(ExecReport::Sweep(run)),
-                crate::store::CheckpointOutcome::ShardComplete {
-                    shard_index,
-                    shard_count,
-                    done_items,
-                } => Ok(ExecReport::ShardComplete { shard_index, shard_count, done_items }),
-                crate::store::CheckpointOutcome::Interrupted { done_items, total_items } => {
-                    Ok(ExecReport::Interrupted { done_items, total_items })
-                }
-            };
+            return run_checkpointed_request(req, &sweep, Path::new(dir), &mut |_| true);
         }
 
         let plan = sweep.plan_with_cache(Some(&mut self.cache()))?;
@@ -1077,29 +1068,64 @@ impl Executor {
     }
 }
 
-/// Builds the sweep from the request's inline documents; checkpointed
-/// requests lift the in-memory variant cap (accumulators spill to disk).
-/// Errors anchor inside the sweep document (or the base spec, named in
-/// the message) — see the module docs on error anchoring.
+/// Builds the sweep from the request's inline documents. A request
+/// without `checkpoint` — an in-memory sweep, or a validate request — is
+/// held to the in-memory variant cap here, before anything is planned;
+/// checkpointed requests spill to disk and have no cap. Errors anchor
+/// inside the sweep document (or the base spec, named in the message) —
+/// see the module docs on error anchoring.
 pub(crate) fn build_sweep(req: &ExecRequest) -> Result<Sweep, SpecError> {
     let sweep = req.sweep.clone().expect("validated: sweep present");
     let base = req.base.as_ref().expect("validated: base present");
     let base_json = serde_json::to_string(base).expect("value serialises");
-    if req.checkpoint.is_some() {
-        Sweep::new_unbounded(sweep, &base_json)
-    } else {
-        Sweep::new(sweep, &base_json)
+    let sweep = Sweep::new(sweep, &base_json)?;
+    if req.checkpoint.is_none() {
+        sweep.check_in_memory_cap()?;
+    }
+    Ok(sweep)
+}
+
+/// Runs a checkpointed sweep request against the store at `dir` — the one
+/// request → [`CheckpointConfig`] mapping, shared by in-process execution
+/// and the dispatch worker ([`crate::dispatch::run_streamed_shard`]), with
+/// `observe` watching every store mutation. Store-level failures become
+/// [`ErrorCode::Io`] errors anchored at the request's `$.checkpoint`
+/// member (the store error text already names the offending file).
+pub(crate) fn run_checkpointed_request(
+    req: &ExecRequest,
+    sweep: &Sweep,
+    dir: &Path,
+    observe: &mut dyn FnMut(StoreEvent<'_>) -> bool,
+) -> Result<ExecReport, SpecError> {
+    let mut cfg = CheckpointConfig::new(dir);
+    if let Some(s) = req.shard {
+        cfg.shard_index = s.index;
+        cfg.shard_count = s.count;
+    }
+    if let Some(k) = req.interval {
+        cfg.interval = k;
+    }
+    cfg.stop_after_items = req.stop_after_items;
+    match run_checkpointed_observed(sweep, &cfg, observe) {
+        Ok(outcome) => Ok(outcome.into()),
+        Err(CheckpointError::Spec(e)) => Err(e),
+        Err(CheckpointError::Store(e)) => {
+            Err(SpecError::coded(ErrorCode::Io, "$.checkpoint", e.to_string()))
+        }
     }
 }
 
-/// Maps a checkpoint failure into the facade's error surface: sweep-level
-/// failures pass through; store-level failures become [`ErrorCode::Io`]
-/// errors anchored at the request's `$.checkpoint` member (the store
-/// error text already names the offending file).
-pub(crate) fn checkpoint_spec_error(e: CheckpointError) -> SpecError {
-    match e {
-        CheckpointError::Spec(e) => e,
-        CheckpointError::Store(e) => SpecError::coded(ErrorCode::Io, "$.checkpoint", e.to_string()),
+impl From<CheckpointOutcome> for ExecReport {
+    fn from(outcome: CheckpointOutcome) -> Self {
+        match outcome {
+            CheckpointOutcome::Complete(run) => ExecReport::Sweep(run),
+            CheckpointOutcome::ShardComplete { shard_index, shard_count, done_items } => {
+                ExecReport::ShardComplete { shard_index, shard_count, done_items }
+            }
+            CheckpointOutcome::Interrupted { done_items, total_items } => {
+                ExecReport::Interrupted { done_items, total_items }
+            }
+        }
     }
 }
 
@@ -1471,6 +1497,17 @@ mod tests {
                 assert_eq!((kind, variants), ("sweep", Some(2)));
             }
             other => panic!("expected a valid report, got {other:?}"),
+        }
+        // An over-cap sweep is refused by a validate request, as by an
+        // in-memory sweep request: neither has a checkpoint store.
+        let mut over_cap = req.clone();
+        let seeds = crate::sweep::MAX_VARIANTS as u32 + 1;
+        over_cap.sweep.as_mut().expect("sweep").axes =
+            vec![crate::sweep::AxisDef::Seeds { start: 0, count: seeds }];
+        for action in [ExecAction::Validate, ExecAction::Sweep] {
+            let e = execute(&ExecRequest { action, ..over_cap.clone() }).expect_err("over cap");
+            assert_eq!(e.path, "$.axes", "{action:?}");
+            assert!(e.message.contains("--checkpoint"), "{e}");
         }
     }
 

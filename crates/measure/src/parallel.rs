@@ -9,10 +9,10 @@
 //! accumulators, **in work-list order**. Every cell therefore sees the
 //! sequential runner's exact floating-point accumulation sequence, so the
 //! result is bitwise identical for every pool size — asserted by the
-//! `parallel_equals_sequential_bitwise` thread-count matrix test.
-//! Sweeps, which emit per-run reports in run order, use
-//! `run_items_streaming` instead. Both drive the same `Runner`, the one
-//! place a run's backend is chosen.
+//! `parallel_equals_sequential_bitwise` thread-count matrix test. A
+//! sweep's runs go through the sweep's own round-based fold (see
+//! [`crate::sweep`]); both drive the same `Runner`, the one place a run's
+//! backend is chosen.
 
 use crate::aggregate::CellField;
 use crate::campaign::{CampaignConfig, MobileCampaign, Shard};
@@ -112,42 +112,6 @@ impl<'a> Runner<'a> {
             Self::Faulted(w, c) => {
                 run_shards_sequential(scenario, w, |x, buf| c.collect_shard_into(x, buf))
             }
-        }
-    }
-}
-
-/// Work items sampled per streaming round before folding — the memory
-/// bound of [`run_items_streaming`]: at most this many sample buffers are
-/// alive at once, however long the work list is. Large enough that the
-/// pool stays saturated between the (cheap) fold barriers.
-pub(crate) const STREAM_CHUNK: usize = 1024;
-
-/// The streaming skeleton of the sweep runners: sample each work item on
-/// the pool via `collect` (each item owns its random stream, so execution
-/// order is free), in rounds of at most [`STREAM_CHUNK`] items whose
-/// buffers are reused from round to round, then fold every batch back
-/// **in work-list order** so the floating-point accumulation sequence —
-/// and hence every bit of the result — matches a sequential pass over the
-/// same list. The sweep runners instantiate `T = (variant, Shard)`: the
-/// global fold order is what lets them emit per-run reports and commit
-/// checkpoint cursors in run order, inside the same fixed memory bound.
-pub(crate) fn run_items_streaming<T: Copy + Send + Sync>(
-    items: &[T],
-    collect: impl Fn(T, &mut Vec<f64>) + Sync,
-    mut fold: impl FnMut(T, &[f64]),
-) {
-    let mut batches: Vec<(Option<T>, Vec<f64>)> = Vec::new();
-    for chunk in items.chunks(STREAM_CHUNK) {
-        if batches.len() < chunk.len() {
-            batches.resize_with(chunk.len(), || (None, Vec::new()));
-        }
-        let round = &mut batches[..chunk.len()];
-        for (slot, &item) in round.iter_mut().zip(chunk) {
-            slot.0 = Some(item);
-        }
-        round.par_iter_mut().for_each(|(item, buf)| collect(item.expect("item set above"), buf));
-        for (item, buf) in round.iter() {
-            fold(item.expect("item set above"), buf);
         }
     }
 }

@@ -4,7 +4,10 @@
 //! [`Sweep::run`](crate::sweep::Sweep::run) holds every per-variant accumulator in memory and caps
 //! the matrix at [`crate::sweep::MAX_VARIANTS`]; a killed run loses
 //! everything. This module lifts both limits for `sixg-cli sweep
-//! --checkpoint DIR`:
+//! --checkpoint DIR`. It drives the same sweep fold as the in-memory run,
+//! one `interval` round at a time, with a sink that spills each completed
+//! run to disk; the cap is a limit of in-memory execution only, so any
+//! loaded [`Sweep`] runs here.
 //!
 //! * **Store layout.** One directory per (sweep, shard): `manifest.json`
 //!   (store version, the sweep's content hash, shard geometry),
@@ -27,15 +30,14 @@
 //!   from a run that never died, at every thread-pool size.
 //!
 //! * **Sharding and merge.** `--shard i/N` gives shard `i` the contiguous
-//!   run range `[total·i/N, total·(i+1)/N)`; disjoint run ranges mean
-//!   disjoint accumulator support, which is the regime where
-//!   [`CellField::merge`] is a bitwise copy (see the merge contract in
-//!   [`crate::aggregate`]). [`merge_stores`] therefore reassembles the
-//!   exact single-machine [`SweepReport`](crate::sweep::SweepReport) from shard stores produced on
-//!   different machines.
+//!   run range `[total·i/N, total·(i+1)/N)`, so every run is folded and
+//!   spilled by exactly one shard. [`merge_stores`] reads each run's blob
+//!   back verbatim from the store that owns it and hands the fields to the
+//!   one report-construction path, so it reassembles the exact
+//!   single-machine [`SweepReport`](crate::sweep::SweepReport) from shard
+//!   stores produced on different machines.
 
 use crate::aggregate::CellField;
-use crate::parallel::run_items_streaming;
 use crate::spec::SpecError;
 use crate::sweep::{Sweep, SweepRun};
 use serde::Value;
@@ -43,6 +45,7 @@ use sixg_geo::GridSpec;
 use sixg_netsim::stats::Welford;
 use std::fmt;
 use std::io::Write as _;
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 
 /// On-disk format version; bump on any layout change.
@@ -575,11 +578,6 @@ impl CheckpointStore {
         self.dir.join(CURSOR_FILE)
     }
 
-    /// Spills one completed run's accumulators.
-    pub fn write_run(&self, run: u32, field: &CellField) -> Result<(), StoreError> {
-        self.write_run_bytes(run, field).map(|_| ())
-    }
-
     /// Spills one completed run's accumulators and returns the exact
     /// framed bytes written to disk — the dispatch worker streams them
     /// verbatim, so the coordinator's copy is the on-disk record.
@@ -602,13 +600,8 @@ impl CheckpointStore {
         decode_run_blob(&path, &buf, run, self.spec_hash, grid)
     }
 
-    /// Writes the resume cursor (checkpoint commit point).
-    pub fn write_cursor(&self, cursor: &CursorRecord) -> Result<(), StoreError> {
-        self.write_cursor_bytes(cursor).map(|_| ())
-    }
-
-    /// Writes the resume cursor and returns the exact framed bytes written
-    /// to disk (see [`Self::write_run_bytes`]).
+    /// Writes the resume cursor (checkpoint commit point) and returns the
+    /// exact framed bytes written to disk (see [`Self::write_run_bytes`]).
     pub fn write_cursor_bytes(&self, cursor: &CursorRecord) -> Result<Vec<u8>, StoreError> {
         let mut payload = Vec::new();
         push_u64(&mut payload, cursor.next_item);
@@ -781,8 +774,9 @@ pub enum StoreEvent<'a> {
 
 /// Runs `sweep` with on-disk checkpointing, resuming from whatever the
 /// store already holds. See the module docs for the layout and the
-/// bitwise-resume argument. The variant cap does not apply here — load the
-/// sweep with [`Sweep::from_file_unbounded`] (or `new_unbounded`).
+/// bitwise-resume argument. The in-memory variant cap does not apply: a
+/// sweep of any size, loaded with [`Sweep::new`] or [`Sweep::from_file`],
+/// runs here.
 pub fn run_checkpointed(
     sweep: &Sweep,
     cfg: &CheckpointConfig,
@@ -913,7 +907,8 @@ pub fn run_checkpointed_observed(
     }
 
     // The fold loop: rounds of `interval` items, cursor committed after
-    // each round. Completed runs spill the moment their last item folds.
+    // each round. The sweep fold hands over each run the moment its last
+    // item folds, and the sink spills it.
     let stop = cfg.stop_after_items.map(|s| s as usize);
     while next < owned.len() {
         if stop.is_some_and(|s| next >= s) {
@@ -924,60 +919,21 @@ pub fn run_checkpointed_observed(
             end = end.min(s.max(next + 1));
         }
 
-        let mut io_err: Option<StoreError> = None;
-        let mut observer_stopped = false;
-        run_items_streaming(
-            &owned[next..end],
-            |(ri, i), buf| runners[ri as usize].collect(i as usize, buf),
-            |(ri, i), buf| {
-                if io_err.is_some() || observer_stopped {
-                    return;
+        // An observer that bails at a spill leaves the cursor on disk (and
+        // on the observer's side) at the round start, which is a valid
+        // resume point — runs spilled past it are harmless extras a resume
+        // rewrites with identical bytes.
+        let spilled = plan.fold(&runners, &owned, next..end, &mut cur, |run, field| {
+            match store.write_run_bytes(run, &field) {
+                Err(e) => ControlFlow::Break(Err(e.into())),
+                Ok(blob) if !observe(StoreEvent::RunSpilled { run, blob: &blob }) => {
+                    ControlFlow::Break(Ok(interrupted(next)))
                 }
-                if cur.as_ref().map(|(r, _)| *r) != Some(ri) {
-                    if let Some((done_run, field)) = cur.take() {
-                        match store.write_run_bytes(done_run, &field) {
-                            Ok(blob) => {
-                                if !observe(StoreEvent::RunSpilled { run: done_run, blob: &blob }) {
-                                    observer_stopped = true;
-                                    return;
-                                }
-                            }
-                            Err(e) => {
-                                io_err = Some(e);
-                                return;
-                            }
-                        }
-                    }
-                    cur = Some((ri, CellField::new(plan.grid_of(ri as usize).clone())));
-                }
-                let cell = shard_of((ri, i)).cell;
-                let field = &mut cur.as_mut().expect("current run field").1;
-                for &v in buf {
-                    field.push(cell, v);
-                }
-            },
-        );
-        if let Some(e) = io_err {
-            return Err(e.into());
-        }
-        // The observer bailed mid-round: the cursor on disk (and on the
-        // observer's side) still points at the round start, which is a
-        // valid resume point — runs spilled past it are harmless extras
-        // a resume rewrites with identical bytes.
-        if observer_stopped {
-            return Ok(interrupted(next));
-        }
-
-        // Spill the current run if the round ended exactly on its boundary.
-        let run_finished =
-            end == owned.len() || cur.as_ref().is_some_and(|(r, _)| owned[end].0 != *r);
-        if run_finished {
-            if let Some((done_run, field)) = cur.take() {
-                let blob = store.write_run_bytes(done_run, &field)?;
-                if !observe(StoreEvent::RunSpilled { run: done_run, blob: &blob }) {
-                    return Ok(interrupted(next));
-                }
+                Ok(_) => ControlFlow::Continue(()),
             }
+        });
+        if let ControlFlow::Break(outcome) = spilled {
+            return outcome;
         }
 
         next = end;
@@ -1164,13 +1120,13 @@ mod tests {
         let dir = scratch("roundtrip");
         let store = CheckpointStore::open(&dir, &meta(0xABCD)).expect("open");
         let f = sample_field();
-        store.write_run(1, &f).expect("write");
+        store.write_run_bytes(1, &f).expect("write");
         let back = store.read_run(1, &grid()).expect("read");
         assert_eq!(field_bits(&back), field_bits(&f));
         // Empty accumulators carry ±inf min/max — JSON could not represent
         // them, the binary blob must.
         let empty = CellField::new(grid());
-        store.write_run(2, &empty).expect("write empty");
+        store.write_run_bytes(2, &empty).expect("write empty");
         let back = store.read_run(2, &grid()).expect("read empty");
         assert_eq!(field_bits(&back), field_bits(&empty));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1190,7 +1146,7 @@ mod tests {
             next_row: 1,
             partial: Some((1, sample_field())),
         };
-        store.write_cursor(&c).expect("write");
+        store.write_cursor_bytes(&c).expect("write");
         let back = store.read_cursor(|_| Some(grid())).expect("read").expect("present");
         assert_eq!(back.next_item, 17);
         assert_eq!(back.total_items, 42);
@@ -1206,7 +1162,7 @@ mod tests {
     fn truncated_blob_is_rejected_with_path() {
         let dir = scratch("truncate");
         let store = CheckpointStore::open(&dir, &meta(9)).expect("open");
-        store.write_run(0, &sample_field()).expect("write");
+        store.write_run_bytes(0, &sample_field()).expect("write");
         let path = dir.join("run_00000.blob");
         let bytes = std::fs::read(&path).expect("read blob");
         for keep in [0usize, 10, 31, bytes.len() - 1] {
@@ -1227,7 +1183,7 @@ mod tests {
     fn wrong_version_and_magic_are_rejected() {
         let dir = scratch("version");
         let store = CheckpointStore::open(&dir, &meta(9)).expect("open");
-        store.write_run(0, &sample_field()).expect("write");
+        store.write_run_bytes(0, &sample_field()).expect("write");
         let path = dir.join("run_00000.blob");
         let good = std::fs::read(&path).expect("read blob");
 
@@ -1259,7 +1215,7 @@ mod tests {
     fn spec_hash_mismatch_is_rejected() {
         let dir = scratch("hash");
         let store = CheckpointStore::open(&dir, &meta(1)).expect("open");
-        store.write_run(0, &sample_field()).expect("write");
+        store.write_run_bytes(0, &sample_field()).expect("write");
         // Same directory opened for a different sweep: the manifest check
         // fires first.
         let err = CheckpointStore::open(&dir, &meta(2)).expect_err("different sweep");
@@ -1276,7 +1232,7 @@ mod tests {
     fn corrupted_payload_fails_checksum() {
         let dir = scratch("corrupt");
         let store = CheckpointStore::open(&dir, &meta(5)).expect("open");
-        store.write_run(0, &sample_field()).expect("write");
+        store.write_run_bytes(0, &sample_field()).expect("write");
         let path = dir.join("run_00000.blob");
         let mut bytes = std::fs::read(&path).expect("read blob");
         let mid = bytes.len() / 2;

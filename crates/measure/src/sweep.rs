@@ -28,16 +28,20 @@
 //! a pure function of the sweep spec, which is what makes sweep reports
 //! reproducible bit for bit.
 //!
-//! **Execution.** [`Sweep::run`] flattens the base campaign plus every
-//! variant into one global `(run, pass, cell)` work list and drives it
-//! through the same streaming skeleton the single-campaign runners use
-//! ([`crate::parallel`]), so the thread pool stays saturated across
-//! variant boundaries and — because batches fold back in work-list order —
-//! the whole matrix is bitwise deterministic at every pool size. Results
-//! stream into per-variant [`CellField`] accumulators (Welford state, not
-//! sample buffers): memory is bounded by `variants × cells` accumulators
-//! plus one `STREAM_CHUNK` (1024-item) window of in-flight sample batches,
-//! never by the total sample count.
+//! **Execution.** A sweep flattens the base campaign plus every variant
+//! into one global `(run, pass, cell)` work list, run-major, and drives it
+//! through one fold (`RunPlan::fold`): rounds of at most `STREAM_CHUNK`
+//! (1 024) items sample on the pool, so the pool stays saturated across
+//! variant boundaries, and fold back in work-list order, so the whole
+//! matrix is bitwise deterministic at every pool size. Each run's samples
+//! stream into one [`CellField`] (Welford state, not sample buffers),
+//! handed to a sink the moment the run completes. [`Sweep::run`]'s sink
+//! emits the run's report and keeps its field, so memory is bounded by
+//! `variants × cells` accumulators plus one round of in-flight sample
+//! batches, never by the total sample count. That is why in-memory
+//! execution is capped at [`MAX_VARIANTS`]; the checkpointed sweeps of
+//! [`crate::store`] drive the same fold with a sink that spills each run
+//! to disk, and run any size.
 //!
 //! Scenario compilation is deduplicated: variants that differ only in
 //! campaign parameters (seed, passes, cadence) or backend share one
@@ -46,23 +50,31 @@
 use crate::aggregate::CellField;
 use crate::campaign::CampaignConfig;
 use crate::event_backend::{crossval_tolerance_ms, CROSSVAL_GRAND_MEAN_TOL};
-use crate::exec::ScenarioCache;
-use crate::parallel::{run_items_streaming, Runner};
+use crate::exec::{compile_key, ScenarioCache};
+use crate::parallel::Runner;
 use crate::report::CellSummary;
 use crate::scenario::Scenario;
-use crate::spec::{
-    parse_backend, CampaignDef, Ctx, ErrorCode, ExecBackend, ScenarioSpec, SpecError,
-};
+use crate::spec::{parse_backend, Ctx, ErrorCode, ExecBackend, ScenarioSpec, SpecError};
+use rayon::prelude::*;
 use serde::{Serialize, Value};
+use std::ops::{ControlFlow, Range};
 use std::sync::Arc;
 
 /// Default latency requirement the sweep's exceedance figures are judged
 /// against, ms — the paper's AR-gaming bound (the "270 %" reference).
 pub const DEFAULT_REQUIREMENT_MS: f64 = 20.0;
 
-/// Hard cap on the size of one sweep matrix; a cross product beyond this
-/// is almost certainly a typo'd axis, and the validation error says so.
+/// Cap on the size of a sweep matrix run in memory, where every run's
+/// accumulators stay alive until the report is built. Checked before
+/// planning by [`Sweep::run`] and by in-memory and validate requests; the
+/// error names `--checkpoint`, whose on-disk store has no cap.
 pub const MAX_VARIANTS: usize = 4096;
+
+/// Work items sampled per round of the sweep fold before folding — its
+/// memory bound: at most this many sample buffers are alive at once,
+/// however long the work list is. Large enough that the pool stays
+/// saturated between the (cheap) fold barriers.
+const STREAM_CHUNK: usize = 1024;
 
 /// Backend selection of a [`AxisDef::Backend`] axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -304,19 +316,9 @@ impl SweepSpec {
     /// valid). Resolution of override paths against the *base* spec happens
     /// in [`Sweep::new`], which has the base value tree in hand.
     ///
-    /// Applies the in-memory [`MAX_VARIANTS`] cap; checkpointed execution
-    /// lifts it via [`Self::validate_with_cap`] (`None`).
+    /// The matrix size is not a validity rule: an over-cap sweep is valid,
+    /// and only in-memory execution refuses it ([`MAX_VARIANTS`]).
     pub fn validate(&self) -> Vec<SpecError> {
-        self.validate_with_cap(Some(MAX_VARIANTS))
-    }
-
-    /// [`Self::validate`] with an explicit variant cap. `None` removes the
-    /// cap entirely — the regime of checkpointed sweeps, where accumulators
-    /// spill to disk instead of living in one address space. Every *other*
-    /// invariant (axis shapes, override paths, duplicate targets) is checked
-    /// identically, so an over-cap sweep that passes here is a valid sweep
-    /// that merely needs `--checkpoint`, not a broken one.
-    pub fn validate_with_cap(&self, cap: Option<usize>) -> Vec<SpecError> {
         let mut errors = Vec::new();
         let mut err = |path: &str, message: String| errors.push(SpecError::new(path, message));
 
@@ -365,20 +367,6 @@ impl SweepSpec {
                 );
             }
             targets.push((i, target));
-        }
-
-        if let Some(cap) = cap {
-            if self.variant_count() > cap {
-                err(
-                    "$.axes",
-                    format!(
-                        "cross product of {} variants exceeds the {cap}-variant in-memory cap — \
-                         the sweep itself is valid; run it with `sixg-cli sweep --checkpoint DIR` \
-                         (which lifts the cap by spilling to disk) or split it",
-                        self.variant_count()
-                    ),
-                );
-            }
         }
         errors
     }
@@ -531,26 +519,10 @@ impl Sweep {
     ///
     /// Validates the sweep spec, the base spec, *and* every override path
     /// against the base — an axis whose path does not resolve is reported
-    /// here, anchored at `$.axes[i].path`. Applies the in-memory
-    /// [`MAX_VARIANTS`] cap; checkpointed callers use
-    /// [`Self::new_unbounded`].
+    /// here, anchored at `$.axes[i].path`. A sweep of any size loads; only
+    /// in-memory execution is capped ([`MAX_VARIANTS`]).
     pub fn new(spec: SweepSpec, base_json: &str) -> Result<Self, SpecError> {
-        Self::new_with_cap(spec, base_json, Some(MAX_VARIANTS))
-    }
-
-    /// [`Self::new`] without the variant cap — for checkpointed execution,
-    /// where per-variant accumulators spill to disk (`measure::store`)
-    /// instead of all living in memory at once.
-    pub fn new_unbounded(spec: SweepSpec, base_json: &str) -> Result<Self, SpecError> {
-        Self::new_with_cap(spec, base_json, None)
-    }
-
-    fn new_with_cap(
-        spec: SweepSpec,
-        base_json: &str,
-        cap: Option<usize>,
-    ) -> Result<Self, SpecError> {
-        if let Some(e) = spec.validate_with_cap(cap).into_iter().next() {
+        if let Some(e) = spec.validate().into_iter().next() {
             return Err(e);
         }
         let base_value = serde_json::from_str(base_json).map_err(|e| {
@@ -594,23 +566,6 @@ impl Sweep {
         text: &str,
         dir: impl AsRef<std::path::Path>,
     ) -> Result<Self, SpecError> {
-        Self::from_json_in_dir_with_cap(text, dir, Some(MAX_VARIANTS))
-    }
-
-    /// [`Self::from_json_in_dir`] without the variant cap (checkpointed
-    /// execution).
-    pub fn from_json_in_dir_unbounded(
-        text: &str,
-        dir: impl AsRef<std::path::Path>,
-    ) -> Result<Self, SpecError> {
-        Self::from_json_in_dir_with_cap(text, dir, None)
-    }
-
-    fn from_json_in_dir_with_cap(
-        text: &str,
-        dir: impl AsRef<std::path::Path>,
-        cap: Option<usize>,
-    ) -> Result<Self, SpecError> {
         let spec = SweepSpec::from_json(text)?;
         let base_path = dir.as_ref().join(&spec.base);
         let base_json = std::fs::read_to_string(&base_path).map_err(|e| {
@@ -620,7 +575,7 @@ impl Sweep {
                 format!("cannot read base spec {}: {e}", base_path.display()),
             )
         })?;
-        Self::new_with_cap(spec, &base_json, cap)
+        Self::new(spec, &base_json)
     }
 
     /// Loads a sweep file, resolving its `base` relative to the sweep
@@ -637,21 +592,23 @@ impl Sweep {
         Self::from_json_in_dir(&text, path.parent().unwrap_or(std::path::Path::new(".")))
     }
 
-    /// [`Self::from_file`] without the variant cap (checkpointed execution).
-    pub fn from_file_unbounded(path: impl AsRef<std::path::Path>) -> Result<Self, SpecError> {
-        let path = path.as_ref();
-        let text = std::fs::read_to_string(path).map_err(|e| {
-            SpecError::coded(
-                ErrorCode::Io,
-                "$",
-                format!("cannot read sweep file {}: {e}", path.display()),
-            )
-        })?;
-        Self::from_json_in_dir_with_cap(
-            &text,
-            path.parent().unwrap_or(std::path::Path::new(".")),
-            None,
-        )
+    /// The one check of the in-memory cap, run before planning by each
+    /// in-memory entry: [`Self::run`], and in-memory and validate requests
+    /// (`exec::build_sweep`). Anchored at `$.axes`, and names the
+    /// `--checkpoint` escape hatch.
+    pub(crate) fn check_in_memory_cap(&self) -> Result<(), SpecError> {
+        let n = self.spec.variant_count();
+        if n <= MAX_VARIANTS {
+            return Ok(());
+        }
+        Err(SpecError::new(
+            "$.axes",
+            format!(
+                "cross product of {n} variants exceeds the {MAX_VARIANTS}-variant in-memory cap — \
+                 the sweep itself is valid; run it with `sixg-cli sweep --checkpoint DIR` \
+                 (which lifts the cap by spilling to disk) or split it"
+            ),
+        ))
     }
 
     /// Compiles variant `v` of the cross product (odometer order, last axis
@@ -748,9 +705,7 @@ impl Sweep {
             scenarios: &mut Vec<Arc<Scenario>>,
             cache: &mut Option<&mut ScenarioCache>,
         ) -> Result<usize, SpecError> {
-            let mut key = spec.clone();
-            key.campaign = CampaignDef::default();
-            key.backend = "analytic".into();
+            let key = compile_key(spec);
             if let Some(i) = canon.iter().position(|k| *k == key) {
                 return Ok(i);
             }
@@ -795,7 +750,10 @@ impl Sweep {
 
     /// Runs the whole matrix — base campaign plus every variant — on the
     /// thread pool and folds the results into a streaming [`SweepReport`].
+    /// A matrix over [`MAX_VARIANTS`] is refused before planning; run it
+    /// checkpointed ([`crate::store::run_checkpointed`]) instead.
     pub fn run(&self) -> Result<SweepRun, SpecError> {
+        self.check_in_memory_cap()?;
         Ok(self.plan()?.run_in_memory(self, &mut |_, _| {}))
     }
 }
@@ -856,6 +814,53 @@ impl RunPlan {
         items
     }
 
+    /// The one sweep fold, shared by in-memory and checkpointed execution.
+    /// Samples `items[range]`, a range of the run-major work list, on the
+    /// pool in rounds of at most [`STREAM_CHUNK`] items (each item owns its
+    /// random stream, so sampling order is free), then folds each round
+    /// back in list order into the in-progress run's field `cur`. Every
+    /// cell therefore sees the accumulation sequence of one sequential pass
+    /// over the list, at every pool size and however the list is cut into
+    /// ranges. A run is handed to `sink` the moment it completes: when the
+    /// next item of the list belongs to another run, or the list ends.
+    /// `cur` carries a run that is still in progress across calls. A sink
+    /// that breaks stops the fold at once and its value is returned.
+    pub(crate) fn fold<B>(
+        &self,
+        runners: &[Runner<'_>],
+        items: &[(u32, u32)],
+        range: Range<usize>,
+        cur: &mut Option<(u32, CellField)>,
+        mut sink: impl FnMut(u32, CellField) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
+        let mut round: Vec<((u32, u32), Vec<f64>)> = Vec::new();
+        for start in range.clone().step_by(STREAM_CHUNK) {
+            let chunk = &items[start..range.end.min(start + STREAM_CHUNK)];
+            round.resize_with(chunk.len(), Default::default);
+            for (slot, &item) in round.iter_mut().zip(chunk) {
+                slot.0 = item;
+            }
+            round.par_iter_mut().for_each(|((ri, i), buf)| {
+                runners[*ri as usize].collect(*i as usize, buf);
+            });
+            for (at, (item, buf)) in (start..).zip(&round) {
+                let (ri, i) = *item;
+                let (run, field) = cur
+                    .get_or_insert_with(|| (ri, CellField::new(self.grid_of(ri as usize).clone())));
+                assert_eq!(*run, ri, "a completed run was not handed to the sink");
+                let cell = runners[ri as usize].shard(i as usize).cell;
+                for &v in buf {
+                    field.push(cell, v);
+                }
+                if items.get(at + 1).map(|&(next, _)| next) != Some(ri) {
+                    let (run, field) = cur.take().expect("the run just folded");
+                    sink(run, field)?;
+                }
+            }
+        }
+        ControlFlow::Continue(())
+    }
+
     /// Runs every run in memory and folds the results into the executed
     /// sweep. `emit` is called with `(run index, report)` for run 0 (the
     /// base) and every variant the moment its last sample folds — in run
@@ -869,37 +874,19 @@ impl RunPlan {
     ) -> SweepRun {
         let runners = self.runners();
         let items = self.items(&runners);
-        let mut fields: Vec<CellField> =
-            (0..self.runs.len()).map(|r| CellField::new(self.grid_of(r).clone())).collect();
         let req_ms = sweep.spec.requirement_ms;
+        // The base run completes first; its `(grand mean, exceedance)` is
+        // the reference for every variant's deltas.
         let mut base_ref: Option<(f64, f64)> = None;
-        let mut done = 0usize;
-        // The work list is run-major and folds in list order, so once the
-        // fold reaches run `ri`, every run before it is complete — emit
-        // them, capturing the base run's `(grand mean, exceedance)`
-        // reference for the variants' deltas.
-        let mut emit_upto = |upto: usize, fields: &[CellField]| {
-            while done < upto {
-                let report =
-                    VariantReport::from_field(&self.runs[done], &fields[done], req_ms, base_ref);
-                base_ref.get_or_insert((report.grand_mean_ms, report.exceedance_pct));
-                emit(done, &report);
-                done += 1;
-            }
-        };
-        run_items_streaming(
-            &items,
-            |(ri, i), buf| runners[ri as usize].collect(i as usize, buf),
-            |(ri, i), buf| {
-                emit_upto(ri as usize, &fields);
-                let cell = runners[ri as usize].shard(i as usize).cell;
-                let field = &mut fields[ri as usize];
-                for &v in buf {
-                    field.push(cell, v);
-                }
-            },
-        );
-        emit_upto(self.runs.len(), &fields);
+        let mut fields = Vec::with_capacity(self.runs.len());
+        let _ = self.fold(&runners, &items, 0..items.len(), &mut None, |run, field| {
+            let run = run as usize;
+            let report = VariantReport::from_field(&self.runs[run], &field, req_ms, base_ref);
+            base_ref.get_or_insert((report.grand_mean_ms, report.exceedance_pct));
+            emit(run, &report);
+            fields.push(field);
+            ControlFlow::<std::convert::Infallible>::Continue(())
+        });
         self.build_sweep_run(sweep, fields)
     }
 
@@ -1235,6 +1222,8 @@ mod tests {
             values: Vec::new(),
         }]);
         assert!(spec.validate().iter().any(|e| e.message.contains("no values")));
+        // The matrix size is a limit of in-memory execution, not a validity
+        // rule: the sweep loads, and the one cap check refuses it.
         let spec = sweep_spec(vec![
             AxisDef::Seeds { start: 0, count: 100 },
             AxisDef::Override {
@@ -1242,7 +1231,11 @@ mod tests {
                 values: (0..100u64).map(Value::U64).collect(),
             },
         ]);
-        assert!(spec.validate().iter().any(|e| e.message.contains("cap")));
+        assert!(spec.validate().is_empty());
+        let sweep = Sweep::new(spec, &base_json(1)).expect("an over-cap sweep loads");
+        let e = sweep.check_in_memory_cap().expect_err("over the in-memory cap");
+        assert_eq!(e.path, "$.axes");
+        assert!(e.message.contains("cap"), "{e}");
     }
 
     /// The degenerate sweep — no axes — is exactly one variant, and both

@@ -57,6 +57,11 @@ pub const HEADER_LEN: usize = 12;
 /// anything past this is a corrupt length field, not a real request.
 pub const MAX_PAYLOAD_LEN: u32 = 64 << 20;
 
+/// Initial payload buffer of [`read_frame`]: the buffer grows with the
+/// bytes that actually arrive, so a header declaring a large length costs
+/// no more memory than the payload bytes the peer really sends.
+const READ_CHUNK: usize = 64 << 10;
+
 /// Magic of a [`StoreBundle`] (`STORE` frame payload).
 pub const BUNDLE_MAGIC: [u8; 4] = *b"6GSB";
 
@@ -118,9 +123,11 @@ pub fn write_frame(w: &mut impl Write, kind: FrameKind, payload: &[u8]) -> io::R
 }
 
 /// Reads one frame. `Ok(None)` is a clean end-of-stream (the peer shut the
-/// connection down between frames); EOF inside a frame, a bad magic, an
-/// unknown kind, non-zero reserved bytes, or an oversized length are all
-/// `InvalidData` errors — the stream is unrecoverable after any of them.
+/// connection down between frames); EOF inside a frame is
+/// `UnexpectedEof`, and a bad magic, an unknown kind, non-zero reserved
+/// bytes, or an oversized length are `InvalidData` errors — the stream is
+/// unrecoverable after any of them. The payload is read as it arrives,
+/// never allocated up front at its declared length.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<(FrameKind, Vec<u8>)>> {
     let mut header = [0u8; HEADER_LEN];
     let mut filled = 0;
@@ -149,8 +156,14 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<(FrameKind, Vec<u8>)>>
     if len > MAX_PAYLOAD_LEN {
         return Err(bad("frame payload length exceeds the 64 MiB cap"));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    let mut payload = Vec::with_capacity((len as usize).min(READ_CHUNK));
+    r.take(u64::from(len)).read_to_end(&mut payload)?;
+    if payload.len() < len as usize {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "connection closed inside a frame payload",
+        ));
+    }
     Ok(Some((kind, payload)))
 }
 
@@ -369,6 +382,36 @@ mod tests {
         // EOF inside the header.
         let err = read_frame(&mut &buf[..7]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    /// A header declaring the 64 MiB cap, then 10 payload bytes, then EOF:
+    /// the read fails as a truncated frame, and the reader is never handed
+    /// a buffer larger than the initial 64 KiB chunk.
+    #[test]
+    fn payload_buffer_grows_with_received_bytes() {
+        struct Stingy {
+            bytes: Vec<u8>,
+            pos: usize,
+            largest_buf: usize,
+        }
+        impl Read for Stingy {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.largest_buf = self.largest_buf.max(buf.len());
+                let n = buf.len().min(self.bytes.len() - self.pos);
+                buf[..n].copy_from_slice(&self.bytes[self.pos..self.pos + n]);
+                self.pos += n;
+                Ok(n)
+            }
+        }
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, FrameKind::Request, b"x").unwrap();
+        bytes[8..12].copy_from_slice(&MAX_PAYLOAD_LEN.to_le_bytes());
+        bytes.truncate(HEADER_LEN);
+        bytes.extend_from_slice(&[7u8; 10]);
+        let mut r = Stingy { bytes, pos: 0, largest_buf: 0 };
+        let err = read_frame(&mut r).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(r.largest_buf <= 64 << 10, "reader was handed {} bytes", r.largest_buf);
     }
 
     #[test]

@@ -76,7 +76,11 @@ fn run_to_completion(sweep: &Sweep, dir: &Path, interval: usize, pool: usize) ->
 /// The kill/resume property, fuzzed: 16 deterministic (kill position,
 /// interval, pool size) triples — intervals {7, 64, 256}, pools {1, 2, 4},
 /// kill anywhere in the work list including mid-shard-range — and each
-/// resumed report must equal the uninterrupted one byte for byte.
+/// resumed report must equal the uninterrupted one byte for byte. Four
+/// fixed cases add interval 33 with kills at 33, 66, 99 and 132: every run
+/// is 33 items, so each round ends on an interior run boundary, where the
+/// next item belongs to another run and the finished run spills at the
+/// round's end.
 #[test]
 fn fuzzed_kill_resume_is_bitwise_identical() {
     let sweep = torture_sweep();
@@ -94,18 +98,19 @@ fn fuzzed_kill_resume_is_bitwise_identical() {
 
     let intervals = [7usize, 64, 256];
     let pools = [1usize, 2, 4];
-    for case in 0u64..16 {
+    // 165 items in the torture sweep's work list (5 runs × 33 traversed
+    // cells × 1 pass); fuzzed kills land in [1, 164].
+    let fuzzed = (0u64..16).map(|case| {
         let h = splitmix64(0xC0FFEE ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let interval = intervals[(h % 3) as usize];
-        let pool = pools[((h >> 8) % 3) as usize];
+        (intervals[(h % 3) as usize], pools[((h >> 8) % 3) as usize], 1 + (h >> 16) % 164)
+    });
+    let boundaries = (1u64..=4).map(|k| (33usize, pools[k as usize % 3], 33 * k));
+    for (case, (interval, pool, kill_at)) in fuzzed.chain(boundaries).enumerate() {
         let dir = scratch(&format!("fuzz-{case}"));
 
-        // First invocation: killed at a fuzzed cursor position.
+        // First invocation: killed at a cursor position.
         let mut cfg = CheckpointConfig::new(dir.clone());
         cfg.interval = interval;
-        // 165 items in the torture sweep's work list (5 runs × 33
-        // traversed cells × 1 pass); kill in [1, 164].
-        let kill_at = 1 + (h >> 16) % 164;
         cfg.stop_after_items = Some(kill_at);
         let outcome =
             with_thread_count(pool, || run_checkpointed(&sweep, &cfg)).expect("killed run");
@@ -300,26 +305,36 @@ fn resume_rejects_a_store_of_a_different_sweep() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The in-memory cap stays (with an error that now names the escape
-/// hatch), and the unbounded constructors genuinely lift it.
+/// The cap is a limit of in-memory execution only: an over-cap sweep
+/// loads, `Sweep::run` refuses it with an error that names the escape
+/// hatch, and checkpointed execution accepts it.
 #[test]
-fn cap_lift_applies_only_to_unbounded_loads() {
+fn cap_limits_only_in_memory_execution() {
     let spec =
         sweep_spec("mega", vec![AxisDef::Seeds { start: 0, count: (MAX_VARIANTS + 1) as u32 }]);
     assert_eq!(spec.variant_count(), MAX_VARIANTS + 1);
 
-    let err = Sweep::new(spec.clone(), &base_json(1)).expect_err("over the in-memory cap");
+    let sweep = Sweep::new(spec, &base_json(1)).expect("an over-cap sweep loads");
+    assert_eq!(sweep.spec.variant_count(), MAX_VARIANTS + 1);
+
+    let err = sweep.run().expect_err("over the in-memory cap");
     let msg = err.to_string();
     assert!(msg.contains("cap"), "{msg}");
     assert!(msg.contains("--checkpoint"), "the error must name the escape hatch: {msg}");
 
-    let sweep = Sweep::new_unbounded(spec, &base_json(1)).expect("unbounded load lifts the cap");
-    assert_eq!(sweep.spec.variant_count(), MAX_VARIANTS + 1);
+    let dir = scratch("over-cap");
+    let mut cfg = CheckpointConfig::new(dir.clone());
+    cfg.stop_after_items = Some(1);
+    match run_checkpointed(&sweep, &cfg).expect("checkpointed execution has no cap") {
+        CheckpointOutcome::Interrupted { done_items, .. } => assert_eq!(done_items, 1),
+        other => panic!("expected Interrupted, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 
-    // An invalid sweep stays invalid even unbounded — the cap lift must
-    // not swallow real validation errors.
+    // Loading without a cap must not swallow real validation errors: an
+    // invalid sweep stays invalid.
     let bad = sweep_spec("bad", vec![AxisDef::Seeds { start: 0, count: 0 }]);
-    assert!(Sweep::new_unbounded(bad, &base_json(1)).is_err());
+    assert!(Sweep::new(bad, &base_json(1)).is_err());
 }
 
 /// Satellite of the merge-algebra property: checkpointed, 2-shard-merged
