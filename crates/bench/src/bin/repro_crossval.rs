@@ -25,15 +25,18 @@
 //! ```
 //!
 //! `--json PATH` writes the machine-readable record (the
-//! `BENCH_crossval.json` artifact CI uploads: per-backend wall time plus
+//! `BENCH_crossval.json` artifact CI uploads: per-backend wall time, the
+//! median of [`TIMING_RUNS`] alternating runs, with the pool size, plus
 //! the worst per-cell deviation, seeding the perf trajectory).
 
 use sixg_bench::{compare, header, shared_scenario};
+use sixg_measure::aggregate::CellField;
 use sixg_measure::campaign::CampaignConfig;
 use sixg_measure::event_backend::{
     crossval_tolerance_ms, CROSSVAL_GRAND_MEAN_TOL, CROSSVAL_SLACK_MS,
 };
 use sixg_measure::exec::run_field;
+use sixg_measure::scenario::Scenario;
 use sixg_measure::ExecBackend;
 use std::time::Instant;
 
@@ -42,6 +45,21 @@ use std::time::Instant;
 const SLACK_MS: f64 = CROSSVAL_SLACK_MS;
 /// Relative tolerance on the grand-mean agreement.
 const GRAND_MEAN_TOL: f64 = CROSSVAL_GRAND_MEAN_TOL;
+/// Timed runs per backend. The backends alternate and each records its
+/// median, so one run in a slow phase of the host cannot set the ratio.
+const TIMING_RUNS: usize = 3;
+
+/// Runs one backend and returns its field and wall time, seconds.
+fn timed_run(s: &Scenario, config: CampaignConfig, backend: ExecBackend) -> (CellField, f64) {
+    let t = Instant::now();
+    let field = run_field(s, config, backend);
+    (field, t.elapsed().as_secs_f64())
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
 
 fn parse_flag(args: &[String], flag: &str, default: u64) -> u64 {
     args.iter()
@@ -65,14 +83,21 @@ fn main() {
     header("E19 — backend cross-validation (analytic vs event)");
     compare("campaign passes", "n/a", passes);
 
-    let t0 = Instant::now();
-    let analytic = run_field(s, config, ExecBackend::Analytic);
-    let analytic_s = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    let event = run_field(s, config, ExecBackend::Event);
-    let event_s = t1.elapsed().as_secs_f64();
+    let (mut analytic_runs, mut event_runs) = (Vec::new(), Vec::new());
+    let mut fields = None;
+    for _ in 0..TIMING_RUNS {
+        let (analytic, analytic_s) = timed_run(s, config, ExecBackend::Analytic);
+        let (event, event_s) = timed_run(s, config, ExecBackend::Event);
+        analytic_runs.push(analytic_s);
+        event_runs.push(event_s);
+        fields = Some((analytic, event));
+    }
+    let (analytic, event) = fields.expect("TIMING_RUNS is positive");
+    let (analytic_s, event_s) = (median(analytic_runs), median(event_runs));
+    let threads = rayon::current_num_threads();
 
-    println!("\nanalytic backend: {analytic_s:>8.3} s   ({} samples)", analytic.total_samples());
+    println!("\nmedian of {TIMING_RUNS} runs each, pool of {threads}:");
+    println!("analytic backend: {analytic_s:>8.3} s   ({} samples)", analytic.total_samples());
     println!("event backend:    {event_s:>8.3} s   ({} samples)", event.total_samples());
 
     let mut violations = 0usize;
@@ -145,6 +170,7 @@ fn main() {
             "passes": passes,
             "seed": seed,
             "total_samples": analytic.total_samples(),
+            "threads": threads,
             "analytic_seconds": analytic_s,
             "event_seconds": event_s,
             "event_over_analytic": event_s / analytic_s,

@@ -6,8 +6,8 @@
 //! executes the *same campaign* — same [`Shard`] work list, same
 //! `(scenario seed, campaign seed, pass, cell, sample)` stream-keying
 //! discipline, same per-cell sample counts — but produces every sample by
-//! pushing a [`PROBE_BYTES`] probe through a per-shard discrete-event
-//! world built on [`sixg_netsim::engine::Engine`]:
+//! flying a [`PROBE_BYTES`] probe hop by hop through a packet-level world
+//! with its own typed event calendar:
 //!
 //! * every link carries a [`FifoServer`] (from [`sixg_netsim::queueing`]),
 //!   so serialisation delay and probe-vs-probe queueing are *emergent*
@@ -24,19 +24,25 @@
 //!   analytic `rtt = one_way + one_way` convention, so the two backends
 //!   agree in expectation (cross-validated by `repro_crossval`).
 //!
-//! The world carries an optional BGP control plane. A shard that the
-//! spec's fault timeline touches ([`crate::faults`] hands it a
-//! `FaultWindow`) starts from the converged control plane of its
-//! pre-window fault state; the probe loop applies each link change due
-//! before a launch on the same calendar the probes fly on, and routes the
-//! probe over the source AS's RIB at launch time. Every other shard —
-//! all of them in a fault-free spec — has no control plane and routes
-//! over the scenario's compiled static table.
+//! The calendar holds plain `(time, insertion sequence, probe slot)`
+//! entries over a slab of probes whose journeys are drawn at launch, and
+//! fires them in `(time, insertion sequence)` order; a probe arriving at a
+//! hop claims that link's server and pushes its next arrival. Nothing is
+//! boxed: one worker-local world — servers, legs, probes and calendar — is
+//! reset per shard and keeps its capacity, so the steady-state loop makes
+//! no allocator call.
+//!
+//! A shard that the spec's fault timeline touches ([`crate::faults`] hands
+//! it a `FaultWindow`) routes each probe over the source AS's RIB at
+//! launch time. The window's BGP control plane runs on a calendar of its
+//! own, which the probe loop runs to each launch before the probe's; every
+//! other shard — all of them in a fault-free spec — routes over the
+//! scenario's compiled static table, looked up once per shard.
 //!
 //! Determinism: each probe's stochastic quantities are drawn from its own
 //! per-sample stream (phase label `"campaign-event"`) at launch, and each
-//! shard owns a private engine and world. Shards can therefore run on any
-//! thread in any order; the shared plain-run skeleton of
+//! shard starts from a freshly reset world. Shards can therefore run on
+//! any thread in any order; the shared plain-run skeleton of
 //! [`crate::parallel`] accumulates each cell's samples in work-list order,
 //! making parallel runs bitwise equal to sequential ones at every pool
 //! size.
@@ -44,18 +50,16 @@
 use crate::campaign::{CampaignConfig, MobileCampaign, Shard};
 use crate::faults::FaultWindow;
 use crate::scenario::Scenario;
-use bytes::arena::{Arena, Slice};
 use sixg_netsim::dist::{Component, DistSpec, Sample};
-use sixg_netsim::engine::Engine;
 use sixg_netsim::latency::DelaySampler;
 use sixg_netsim::queueing::FifoServer;
 use sixg_netsim::radio::AccessModel;
 use sixg_netsim::rng::SimRng;
-use sixg_netsim::routing::dynamic::{ControlPlane, HasControlPlane};
-use sixg_netsim::routing::PathComputer;
 use sixg_netsim::time::{SimDuration, SimTime};
 use sixg_netsim::topology::{LinkId, NodeId};
 use std::cell::RefCell;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Wire size of a measurement probe, bytes — the same figure the analytic
 /// sampler feeds its transmission-delay term.
@@ -123,61 +127,85 @@ fn draw_legs(
     }
 }
 
-/// A probe in flight: its pre-drawn journey (a handle into the shard's
-/// shared leg arena) plus bookkeeping to turn the echo arrival into an RTL
-/// sample.
+/// A probe in flight: its pre-drawn journey (the legs `next..end` of the
+/// world's leg buffer still to fly) plus bookkeeping to turn the echo
+/// arrival into an RTL sample, which lands in `rtl_ms`.
 struct Probe {
-    id: usize,
     launched: SimTime,
     next: usize,
-    legs: Slice,
+    end: usize,
     air_ms: f64,
+    rtl_ms: Option<f64>,
 }
 
-/// The per-shard event world: one FIFO server per link, one result slot
-/// per probe (`None` until the echo lands, and for ever if the probe was
-/// blackholed), one arena holding every probe's legs, and the control
-/// plane of a shard with a fault window. `'static`, so control-plane
-/// message events and probe legs share one calendar.
+/// The packet world one shard runs in: one FIFO server per link, every
+/// launched probe (blackholed probes are never launched) with its legs,
+/// and the calendar of next-hop arrivals as `(time, insertion sequence,
+/// probe slot)`, popped in `(time, insertion sequence)` order.
 ///
-/// The arena is one worker-local buffer recycled across all shards a
-/// worker executes, so the steady-state hot loop performs no allocator
-/// calls for probe journeys.
-pub(crate) struct ProbeWorld {
+/// One world per worker thread ([`WORLD`]) is reset at each shard's start,
+/// so its buffers keep their capacity across shards.
+#[derive(Default)]
+struct ProbeWorld {
     links: Vec<FifoServer>,
-    results: Vec<Option<f64>>,
-    legs: Arena<Leg>,
-    cp: Option<ControlPlane>,
-}
-
-impl HasControlPlane for ProbeWorld {
-    fn control_plane(&self) -> &ControlPlane {
-        self.cp.as_ref().expect("control-plane events run only in a fault window")
-    }
-    fn control_plane_mut(&mut self) -> &mut ControlPlane {
-        self.cp.as_mut().expect("control-plane events run only in a fault window")
-    }
+    legs: Vec<Leg>,
+    probes: Vec<Probe>,
+    calendar: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
+    seq: u64,
 }
 
 thread_local! {
-    /// Worker-local leg arena, moved into each shard's [`ProbeWorld`] and
-    /// recovered afterwards so its capacity survives across shards.
-    static LEG_ARENA: RefCell<Arena<Leg>> = RefCell::new(Arena::new());
+    /// The worker-local packet world. Borrowed for one shard at a time;
+    /// nothing that runs while it is borrowed calls into the thread pool,
+    /// so a worker never borrows it twice.
+    static WORLD: RefCell<ProbeWorld> = RefCell::new(ProbeWorld::default());
 }
 
-/// Advances a probe one leg: claim the link's FIFO server now, schedule
-/// the next-hop arrival; on the last leg, record the RTL sample.
-fn advance(eng: &mut Engine<ProbeWorld>, world: &mut ProbeWorld, mut probe: Probe) {
-    match world.legs.get(probe.legs).get(probe.next).copied() {
-        None => {
-            let wire_ms = eng.now().since(probe.launched).as_millis_f64();
-            world.results[probe.id] = Some(wire_ms + probe.air_ms);
+impl ProbeWorld {
+    /// Empties the world for a shard over `links` links: idle servers, no
+    /// probes, an empty calendar. A shard that panicked mid-flight leaves
+    /// nothing this does not clear.
+    fn reset(&mut self, links: usize) {
+        self.links.clear();
+        self.links.resize(links, FifoServer::new());
+        self.legs.clear();
+        self.probes.clear();
+        self.calendar.clear();
+        self.seq = 0;
+    }
+
+    /// Launches a probe at `now` over the legs pushed since `first`.
+    fn launch(&mut self, now: SimTime, first: usize, air_ms: f64) {
+        let end = self.legs.len();
+        self.probes.push(Probe { launched: now, next: first, end, air_ms, rtl_ms: None });
+        self.advance(self.probes.len() - 1, now);
+    }
+
+    /// Advances probe `slot` one leg at `now`: claim the link's FIFO server,
+    /// push the next-hop arrival; on the last leg, record the RTL sample.
+    fn advance(&mut self, slot: usize, now: SimTime) {
+        let probe = &mut self.probes[slot];
+        if probe.next == probe.end {
+            let wire_ms = now.since(probe.launched).as_millis_f64();
+            probe.rtl_ms = Some(wire_ms + probe.air_ms);
+            return;
         }
-        Some(leg) => {
-            probe.next += 1;
-            let depart = world.links[leg.link.0 as usize].admit(eng.now(), leg.service);
-            let arrival = depart + leg.after;
-            eng.schedule_at(arrival, move |e, w| advance(e, w, probe));
+        let leg = self.legs[probe.next];
+        probe.next += 1;
+        let depart = self.links[leg.link.0 as usize].admit(now, leg.service);
+        self.calendar.push(Reverse((depart + leg.after, self.seq, slot)));
+        self.seq += 1;
+    }
+
+    /// Fires every arrival due at or before `until`, in `(time, insertion
+    /// sequence)` order.
+    fn run_until(&mut self, until: SimTime) {
+        while let Some(&Reverse((at, _, slot))) = self.calendar.peek() {
+            if at > until {
+                break;
+            }
+            self.calendar.pop();
+            self.advance(slot, at);
         }
     }
 }
@@ -185,7 +213,7 @@ fn advance(eng: &mut Engine<ProbeWorld>, world: &mut ProbeWorld, mut probe: Prob
 /// The event-driven campaign runner over a spec-compiled [`Scenario`].
 ///
 /// Construction compiles the per-link extra-delay distributions once; each
-/// [`Self::collect_shard_into`] call then builds a private engine + world
+/// [`Self::collect_shard_into`] call then resets the worker's packet world
 /// for its shard.
 pub struct EventCampaign<'a> {
     campaign: MobileCampaign<'a>,
@@ -219,15 +247,13 @@ impl<'a> EventCampaign<'a> {
         self.collect_probes(shard, None, out);
     }
 
-    /// The probe loop: builds the shard's packet-level world — probe
-    /// packets on the sampling cadence, FIFO servers on every link, and the
-    /// converged control plane of `window`'s pre-window fault state if
-    /// there is a window — and runs its event calendar to completion.
-    /// Before each launch it applies the window's link changes due by
-    /// then and runs the calendar to the launch; the probe then routes
-    /// over the static table, or over the source AS's RIB in a window.
-    /// Blackholed probes produce no sample, so `out` can be shorter than
-    /// the shard's cadence count.
+    /// The probe loop: resets the worker's packet world for the shard —
+    /// probe packets on the sampling cadence, idle FIFO servers on every
+    /// link — and runs its calendar to completion. Before each launch it
+    /// runs `window`'s control plane to the launch, if there is a window,
+    /// and then the probe calendar; the probe routes over the static table,
+    /// or over the source AS's RIB in a window. Blackholed probes produce
+    /// no sample, so `out` can be shorter than the shard's cadence count.
     pub(crate) fn collect_probes(
         &self,
         shard: Shard,
@@ -241,72 +267,48 @@ impl<'a> EventCampaign<'a> {
         let n = self.campaign.samples_for_dwell(shard.dwell_s);
         let key = self.campaign.shard_key(PHASE_LABEL, shard.pass, shard.cell);
         let sampler = self.campaign.sampler();
-
-        let mut eng: Engine<ProbeWorld> = Engine::new();
-        let mut world = ProbeWorld {
-            links: vec![FifoServer::new(); s.topo.link_count()],
-            results: vec![None; n],
-            legs: LEG_ARENA.with(|a| std::mem::take(&mut *a.borrow_mut())),
-            // A transient from an earlier shard's window has had whole
-            // seconds of calendar to settle — reconvergence takes
-            // milliseconds — so the window starts at its fixed point.
-            cp: window
-                .as_ref()
-                .map(|w| ControlPlane::converged_from_topology(&w.topo, &s.as_graph)),
+        // Outside a window every probe of the shard routes over the static
+        // table, so each target's route is looked up once.
+        let statics: Vec<&[(NodeId, LinkId)]> = match window {
+            Some(_) => Vec::new(),
+            None => (0..targets.len()).map(|ti| &s.routes[&(shard.cell, ti)].hops[..]).collect(),
         };
-        world.legs.reset();
 
-        let mut launch = SimTime::ZERO;
-        for i in 0..n {
-            if let Some(w) = &mut window {
-                while let Some((at, change)) = w.due.next_if(|&(at, _)| at <= launch) {
-                    eng.run_until(&mut world, at);
-                    w.apply_change(&mut eng, &mut world, change);
+        WORLD.with_borrow_mut(|world| {
+            world.reset(s.topo.link_count());
+            let mut launch = SimTime::ZERO;
+            for i in 0..n {
+                if let Some(w) = &mut window {
+                    w.run_to(launch);
                 }
-            }
-            eng.run_until(&mut world, launch);
+                world.run_until(launch);
 
-            // Every stochastic quantity of probe `i` comes from its own
-            // (seed, pass, cell, sample) stream, in one order — ti,
-            // per-leg extras/queue/processing, then air — so event
-            // interleaving can shift *timing* (FIFO waits) but never which
-            // random numbers a probe consumes, whatever route it takes.
-            let mut rng = SimRng::for_stream(key.with(i as u64));
-            let ti = rng.below(targets.len() as u64) as usize;
-            let routed;
-            let hops = match &window {
-                None => Some(&s.routes[&(shard.cell, ti)].hops[..]),
-                // Whatever the source AS's RIB holds *now*, stitched over
-                // live links; a live link of the shard-local topology
-                // carries the scenario's pristine parameters, so the
-                // campaign's table prices it exactly.
-                Some(w) => {
-                    let (ue, target) = (s.ue[&shard.cell], targets[ti]);
-                    let cp = world.cp.as_ref().expect("a fault window has a control plane");
-                    let as_path = cp.best_route(s.topo.node(ue).asn, w.topo.node(target).asn);
-                    routed = as_path.and_then(|p| {
-                        PathComputer::new(&w.topo, &s.as_graph).route_along(ue, target, &p)
-                    });
-                    routed.as_ref().map(|path| &path.hops[..])
+                // Every stochastic quantity of probe `i` comes from its own
+                // (seed, pass, cell, sample) stream, in one order — ti,
+                // per-leg extras/queue/processing, then air — so event
+                // interleaving can shift *timing* (FIFO waits) but never
+                // which random numbers a probe consumes, whatever route it
+                // takes.
+                let mut rng = SimRng::for_stream(key.with(i as u64));
+                let ti = rng.below(targets.len() as u64) as usize;
+                let hops = match &mut window {
+                    None => Some(statics[ti]),
+                    Some(w) => w.hops(ti),
+                };
+                if let Some(hops) = hops {
+                    let first = world.legs.len();
+                    draw_legs(sampler, &self.extras, hops, &mut rng, |leg| world.legs.push(leg));
+                    let air_ms = access.sample_rtt_ms(&mut rng);
+                    world.launch(launch, first, air_ms);
                 }
-            };
-            if let Some(hops) = hops {
-                let mark = world.legs.mark();
-                draw_legs(sampler, &self.extras, hops, &mut rng, |leg| world.legs.push(leg));
-                let air_ms = access.sample_rtt_ms(&mut rng);
-                let legs = world.legs.since(mark);
-                let probe = Probe { id: i, launched: launch, next: 0, legs, air_ms };
-                advance(&mut eng, &mut world, probe);
+                launch += interval;
             }
-            launch += interval;
-        }
-        eng.run(&mut world);
-        debug_assert_eq!(eng.pending(), 0);
+            // Drain the calendar: every launched probe lands.
+            world.run_until(SimTime(u64::MAX));
 
-        out.clear();
-        out.extend(world.results.iter().flatten());
-        // Hand the arena (and its grown capacity) back to the worker.
-        LEG_ARENA.with(|a| *a.borrow_mut() = std::mem::take(&mut world.legs));
+            out.clear();
+            out.extend(world.probes.iter().filter_map(|p| p.rtl_ms));
+        });
     }
 }
 

@@ -20,13 +20,24 @@
 //!   carried go down/up and the speakers of
 //!   [`sixg_netsim::routing::dynamic`] exchange withdraw/update messages
 //!   (at [`CONTROL_DELAY`](sixg_netsim::routing::dynamic::CONTROL_DELAY)
-//!   per hop) *on the same event calendar the probes fly on* — a probe
-//!   launched during the transient asks the source AS's RIB at launch time
-//!   and measures whatever the half-converged control plane gives it;
+//!   per hop) on the window's own control-plane calendar, which the probe
+//!   loop runs to each launch — a probe launched during the transient asks
+//!   the source AS's RIB at launch time and measures whatever the
+//!   half-converged control plane gives it;
 //! * a probe whose RIB entry cannot be stitched over live links (a
 //!   blackhole: the withdraw has not reached the source yet, or no backup
 //!   route exists) is dropped — no sample, a smaller per-cell count,
 //!   exactly like a lost ping.
+//!
+//! Two calendars replay the single calendar they replace exactly. Probe
+//! legs touch only FIFO servers and probe state; control messages touch
+//! only the control plane. Their one coupling is the RIB read at a launch,
+//! and both calendars run to each launch before it, so the read sees the
+//! same RIB. Each calendar keeps `(time, insertion sequence)` order among
+//! its own events, so FIFO admissions happen in the same order. Within a
+//! window, each target's resolved route is kept until the control plane
+//! delivers a message or a link changes — the only two events that move
+//! what route resolution reads.
 //!
 //! Determinism: every stochastic quantity of probe `i` still comes from
 //! its own stream (`key.with(i)`), so the sample a probe produces depends
@@ -40,15 +51,17 @@
 //! pool size.
 
 use crate::campaign::{CampaignConfig, Shard};
-use crate::event_backend::{EventCampaign, ProbeWorld};
+use crate::event_backend::EventCampaign;
 use crate::parallel::CellItem;
 use crate::scenario::Scenario;
 use sixg_geo::CellId;
 use sixg_netsim::engine::Engine;
-use sixg_netsim::routing::dynamic::{session_down, session_up, sessions_from_topology};
-use sixg_netsim::routing::AsGraph;
+use sixg_netsim::routing::dynamic::{
+    session_down, session_up, sessions_from_topology, ControlPlane,
+};
+use sixg_netsim::routing::{AsGraph, PathComputer, RoutedPath};
 use sixg_netsim::time::{SimDuration, SimTime};
-use sixg_netsim::topology::{Asn, LinkId, LinkParams, Topology};
+use sixg_netsim::topology::{Asn, LinkId, LinkParams, NodeId, Topology};
 use std::collections::BTreeMap;
 
 /// One campaign shard plus its start offset on the per-pass traversal
@@ -78,29 +91,73 @@ pub(crate) struct LinkChange {
 }
 
 /// The slice of the timeline one shard replays: the shard-local topology
-/// with the pre-window fault state installed, and the link changes from
-/// the window start up to the last launch, on the shard-local clock
-/// (`t0` ↦ [`SimTime::ZERO`]).
+/// with the pre-window fault state installed, its converged control plane
+/// on a calendar of its own, and the link changes from the window start up
+/// to the last launch, on the shard-local clock (`t0` ↦ [`SimTime::ZERO`]).
 pub(crate) struct FaultWindow<'f> {
     graph: &'f AsGraph,
     /// Pristine parameters of every faulted link.
     params: &'f BTreeMap<LinkId, LinkParams>,
     /// The scenario's topology with every link that is down tombstoned.
-    pub(crate) topo: Topology,
+    topo: Topology,
     /// The changes not yet applied, in calendar order.
-    pub(crate) due: std::iter::Peekable<std::vec::IntoIter<(SimTime, LinkChange)>>,
+    due: std::iter::Peekable<std::vec::IntoIter<(SimTime, LinkChange)>>,
+    /// The BGP control plane, converged on the pre-window fault state: a
+    /// transient from an earlier shard's window has had whole seconds of
+    /// calendar to settle — reconvergence takes milliseconds — so the
+    /// window starts at its fixed point.
+    cp: ControlPlane,
+    /// The control plane's calendar of in-flight messages.
+    control: Engine<ControlPlane>,
+    /// The shard's UE and the campaign's measurement targets.
+    ue: NodeId,
+    targets: &'f [NodeId],
+    /// Each target's route as resolved since the RIB last moved: `None`
+    /// until resolved, then the route or a blackhole.
+    routes: Vec<Option<Option<RoutedPath>>>,
+    /// [`ControlPlane::messages_delivered`] when `routes` was last cleared.
+    delivered: u64,
 }
 
 impl FaultWindow<'_> {
-    /// Applies one link state change at the current calendar time:
+    /// Runs the control plane to `launch`: each link change due by then is
+    /// applied at its own time, and the calendar runs to the launch. The
+    /// resolved routes are forgotten when a message was delivered since
+    /// they were cleared.
+    pub(crate) fn run_to(&mut self, launch: SimTime) {
+        while let Some((at, change)) = self.due.next_if(|&(at, _)| at <= launch) {
+            self.control.run_until(&mut self.cp, at);
+            self.apply_change(change);
+        }
+        self.control.run_until(&mut self.cp, launch);
+        if self.cp.messages_delivered() != self.delivered {
+            self.forget_routes();
+        }
+    }
+
+    /// The hops to target `ti` over whatever the UE's AS's RIB holds now,
+    /// stitched over live links, or `None` for a blackhole. A live link of
+    /// the shard-local topology carries the scenario's pristine
+    /// parameters, so the campaign's table prices it exactly.
+    pub(crate) fn hops(&mut self, ti: usize) -> Option<&[(NodeId, LinkId)]> {
+        let Self { graph, topo, cp, ue, targets, routes, .. } = self;
+        let route = routes[ti].get_or_insert_with(|| {
+            let (ue, target) = (*ue, targets[ti]);
+            let as_path = cp.best_route(topo.node(ue).asn, topo.node(target).asn)?;
+            PathComputer::new(topo, graph).route_along(ue, target, &as_path)
+        });
+        route.as_ref().map(|path| &path.hops[..])
+    }
+
+    fn forget_routes(&mut self) {
+        self.routes.fill(None);
+        self.delivered = self.cp.messages_delivered();
+    }
+
+    /// Applies one link state change at the control plane's current time:
     /// tombstone/restore the link in the shard-local topology, then take
     /// down / bring up every BGP session whose last physical link it was.
-    pub(crate) fn apply_change(
-        &mut self,
-        eng: &mut Engine<ProbeWorld>,
-        world: &mut ProbeWorld,
-        change: LinkChange,
-    ) {
+    fn apply_change(&mut self, change: LinkChange) {
         let before = sessions_from_topology(&self.topo, self.graph);
         if change.up {
             self.topo.restore_link(change.link, self.params[&change.link]);
@@ -109,11 +166,12 @@ impl FaultWindow<'_> {
         }
         let after = sessions_from_topology(&self.topo, self.graph);
         for &(a, b) in before.difference(&after) {
-            session_down(eng, world, Asn(a), Asn(b));
+            session_down(&mut self.control, &mut self.cp, Asn(a), Asn(b));
         }
         for &(a, b) in after.difference(&before) {
-            session_up(eng, world, Asn(a), Asn(b));
+            session_up(&mut self.control, &mut self.cp, Asn(a), Asn(b));
         }
+        self.forget_routes();
     }
 }
 
@@ -259,11 +317,19 @@ impl<'a> FaultCampaign<'a> {
         for link in down {
             topo.remove_link(link);
         }
+        let cp = ControlPlane::converged_from_topology(&topo, &s.as_graph);
+        let targets = campaign.targets();
         Some(FaultWindow {
             graph: &s.as_graph,
             params: &self.params,
-            topo,
             due: due.into_iter().peekable(),
+            delivered: cp.messages_delivered(),
+            cp,
+            control: Engine::new(),
+            ue: s.ue[&fs.shard.cell],
+            targets,
+            routes: vec![None; targets.len()],
+            topo,
         })
     }
 
@@ -346,6 +412,27 @@ mod tests {
         assert_eq!(faulted.len(), clean.len());
         for (i, (f, c)) in faulted.iter().zip(&clean).enumerate() {
             assert_eq!(f.to_bits(), c.to_bits(), "post-recovery probe {i}");
+        }
+    }
+
+    /// Probes every 2 ms through the flap's 10 ms-per-hop reconvergence,
+    /// pinned bit for bit: each launch reads the half-converged RIB of its
+    /// own instant, so a route kept across a message delivery or a link
+    /// change would move these counts and hashes. At the fault 5 probes
+    /// are blackholed while the withdraw propagates; at recovery none is.
+    #[test]
+    fn fine_cadence_transients_are_pinned() {
+        let s = Scenario::from_spec(klagenfurt_flap_spec()).expect("compiles");
+        let config = CampaignConfig { seed: 2, passes: 1, sample_interval_s: 0.002 };
+        let fc = FaultCampaign::new(&s, config);
+        let mut out = Vec::new();
+        for (t0_s, count, hash) in
+            [(899.95, 95, 0xef76_6f88_9494_dfea_u64), (2499.95, 100, 0x0a0d_b9e0_c170_cd2e)]
+        {
+            let shard = Shard { pass: 0, cell: s.reference_cell, dwell_s: 0.2 };
+            fc.collect_shard_into(FaultShard { shard, t0_s }, &mut out);
+            let bytes: Vec<u8> = out.iter().flat_map(|v| v.to_bits().to_le_bytes()).collect();
+            assert_eq!((out.len(), crate::store::fnv1a64(&bytes)), (count, hash), "t0 {t0_s}");
         }
     }
 

@@ -7,10 +7,12 @@
 //! events) and `&mut W` (to mutate state). This split keeps the borrow
 //! checker happy without interior mutability.
 //!
-//! The workload crates drive everything per-packet through this engine;
-//! measurement campaigns use the analytic sampler instead (see
-//! [`crate::latency`]) because they need millions of independent samples,
-//! not packet interleavings.
+//! The live BGP control plane ([`crate::routing::dynamic`]) and the
+//! per-packet protocol models ([`crate::protocols::transport`], the
+//! workload crates) run on this engine. Measurement campaigns do not: the
+//! analytic backend draws closed-form samples ([`crate::latency`]), and
+//! the packet-level campaign backend flies its probes on a typed calendar
+//! of its own, since a probe leg needs no boxed event.
 
 use crate::time::{SimDuration, SimTime};
 use std::cmp::{Ordering, Reverse};

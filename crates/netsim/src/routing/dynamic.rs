@@ -87,12 +87,9 @@ struct Speaker {
 }
 
 /// The distributed control plane: one speaker per AS, live sessions, and
-/// the relationship graph the export policy derives from.
-///
-/// Implements [`HasControlPlane`] on itself so the driver functions
-/// ([`originate_all`], [`session_down`], …) work both standalone and when
-/// the control plane is embedded in a larger world (the fault-campaign
-/// runner interleaves probes and control messages on one calendar).
+/// the relationship graph the export policy derives from. The driver
+/// functions ([`originate_all`], [`session_down`], …) run it on an
+/// `Engine<ControlPlane>` calendar of its own.
 #[derive(Debug, Clone)]
 pub struct ControlPlane {
     graph: AsGraph,
@@ -103,23 +100,6 @@ pub struct ControlPlane {
     /// discarded on delivery.
     epochs: BTreeMap<(u32, u32), u64>,
     delivered: u64,
-}
-
-/// Worlds that embed a [`ControlPlane`].
-pub trait HasControlPlane {
-    /// Shared access to the embedded control plane.
-    fn control_plane(&self) -> &ControlPlane;
-    /// Mutable access to the embedded control plane.
-    fn control_plane_mut(&mut self) -> &mut ControlPlane;
-}
-
-impl HasControlPlane for ControlPlane {
-    fn control_plane(&self) -> &ControlPlane {
-        self
-    }
-    fn control_plane_mut(&mut self) -> &mut ControlPlane {
-        self
-    }
 }
 
 fn ordered(a: u32, b: u32) -> (u32, u32) {
@@ -263,10 +243,10 @@ pub fn sessions_from_topology(topo: &Topology, graph: &AsGraph) -> BTreeSet<(u32
 
 /// Makes every speaker originate its own AS as a destination. Run the
 /// engine afterwards to propagate.
-pub fn originate_all<W: HasControlPlane + 'static>(eng: &mut Engine<W>, w: &mut W) {
-    let asns: Vec<u32> = w.control_plane().speakers.keys().copied().collect();
+pub fn originate_all(eng: &mut Engine<ControlPlane>, cp: &mut ControlPlane) {
+    let asns: Vec<u32> = cp.speakers.keys().copied().collect();
     for x in asns {
-        recompute_dest(eng, w, x, x);
+        recompute_dest(eng, cp, x, x);
     }
 }
 
@@ -274,8 +254,7 @@ pub fn originate_all<W: HasControlPlane + 'static>(eng: &mut Engine<W>, w: &mut 
 /// the neighbour's Adj-RIB-In entries, reselect, and propagate withdrawals
 /// or replacement updates. In-flight messages on the session are discarded
 /// at delivery time.
-pub fn session_down<W: HasControlPlane + 'static>(eng: &mut Engine<W>, w: &mut W, a: Asn, b: Asn) {
-    let cp = w.control_plane_mut();
+pub fn session_down(eng: &mut Engine<ControlPlane>, cp: &mut ControlPlane, a: Asn, b: Asn) {
     let key = ordered(a.0, b.0);
     if !cp.sessions.remove(&key) {
         return;
@@ -292,15 +271,14 @@ pub fn session_down<W: HasControlPlane + 'static>(eng: &mut Engine<W>, w: &mut W
         }
     }
     for (me, d) in dirty {
-        recompute_dest(eng, w, me, d);
+        recompute_dest(eng, cp, me, d);
     }
 }
 
 /// Brings the session between `a` and `b` up (no-op unless the pair has a
 /// relationship): both sides re-advertise their full exportable table to
 /// the other, as real BGP does on session establishment.
-pub fn session_up<W: HasControlPlane + 'static>(eng: &mut Engine<W>, w: &mut W, a: Asn, b: Asn) {
-    let cp = w.control_plane_mut();
+pub fn session_up(eng: &mut Engine<ControlPlane>, cp: &mut ControlPlane, a: Asn, b: Asn) {
     if cp.graph.relationship(a, b).is_none() {
         return;
     }
@@ -327,25 +305,18 @@ pub fn session_up<W: HasControlPlane + 'static>(eng: &mut Engine<W>, w: &mut W, 
     }
 }
 
-fn send<W: HasControlPlane + 'static>(
-    eng: &mut Engine<W>,
-    epoch: u64,
-    from: u32,
-    to: u32,
-    msg: Msg,
-) {
-    eng.schedule(CONTROL_DELAY, move |eng, w| deliver(eng, w, epoch, from, to, msg));
+fn send(eng: &mut Engine<ControlPlane>, epoch: u64, from: u32, to: u32, msg: Msg) {
+    eng.schedule(CONTROL_DELAY, move |eng, cp| deliver(eng, cp, epoch, from, to, msg));
 }
 
-fn deliver<W: HasControlPlane + 'static>(
-    eng: &mut Engine<W>,
-    w: &mut W,
+fn deliver(
+    eng: &mut Engine<ControlPlane>,
+    cp: &mut ControlPlane,
     epoch: u64,
     from: u32,
     to: u32,
     msg: Msg,
 ) {
-    let cp = w.control_plane_mut();
     let key = ordered(from, to);
     if !cp.sessions.contains(&key) || cp.epoch(key) != epoch {
         return; // session flapped while the message was in flight
@@ -371,14 +342,13 @@ fn deliver<W: HasControlPlane + 'static>(
         Msg::Withdraw { dest } => sp.adj_in.remove(&(from, dest)).is_some(),
     };
     if changed {
-        recompute_dest(eng, w, to, dest);
+        recompute_dest(eng, cp, to, dest);
     }
 }
 
 /// Recomputes `x`'s two registers for `dest` and advertises any change to
 /// the neighbour classes the export policy allows.
-fn recompute_dest<W: HasControlPlane + 'static>(eng: &mut Engine<W>, w: &mut W, x: u32, dest: u32) {
-    let cp = w.control_plane_mut();
+fn recompute_dest(eng: &mut Engine<ControlPlane>, cp: &mut ControlPlane, x: u32, dest: u32) {
     let nbrs: Vec<(u32, Relationship)> = cp
         .graph
         .neighbours(Asn(x))
