@@ -23,7 +23,7 @@
 //!   the offline `sixg-cli sweep --json` artifact.
 
 use sixg_bench::serve::Server;
-use sixg_bench::serve_client::RetryingClient;
+use sixg_bench::serve_client::ServeClient;
 use sixg_bench::{compare, header};
 use sixg_measure::exec::{execute, ExecReport, ExecRequest};
 use sixg_measure::sweep::SweepSpec;
@@ -68,9 +68,8 @@ fn load_request(path: &str) -> ExecRequest {
     ExecRequest::sweep(sweep, base)
 }
 
-/// One client thread's yield: verified payloads, per-request latencies,
-/// and how often the retrying client had to reconnect.
-type ClientYield = (Vec<Vec<u8>>, Vec<f64>, u64);
+/// One client thread's yield: verified payloads and per-request latencies.
+type ClientYield = (Vec<Vec<u8>>, Vec<f64>);
 
 fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
     let idx = ((sorted_ms.len() - 1) as f64 * p / 100.0).round() as usize;
@@ -142,12 +141,10 @@ fn main() {
             let addr = addr.clone();
             let request_json = request_json.clone();
             std::thread::spawn(move || -> Result<ClientYield, String> {
-                // Retrying client: a connection dropped mid-response (a
-                // worker restart) reconnects and replays instead of
-                // aborting the gate — only protocol violations (malformed
-                // frames) fail fast. Replays are safe: the report bytes
-                // for a request are deterministic.
-                let mut client = RetryingClient::new(&addr);
+                // One connection per client, no retries: a dropped
+                // connection or a malformed frame fails the gate.
+                let mut client = ServeClient::connect(&addr)
+                    .map_err(|e| format!("client {c}: cannot connect to {addr}: {e}"))?;
                 let mut payloads = Vec::new();
                 let mut latencies_ms = Vec::new();
                 for r in 0..requests {
@@ -170,19 +167,17 @@ fn main() {
                     }
                     payloads.push(payload);
                 }
-                Ok((payloads, latencies_ms, client.reconnects()))
+                Ok((payloads, latencies_ms))
             })
         })
         .collect();
 
     let mut mismatches = 0usize;
-    let mut reconnects = 0u64;
     let mut latencies_ms: Vec<f64> = Vec::new();
     for worker in workers {
         match worker.join().expect("client thread") {
-            Ok((payloads, lats, recons)) => {
+            Ok((payloads, lats)) => {
                 latencies_ms.extend(lats);
-                reconnects += recons;
                 for payload in payloads {
                     if payload != offline.as_bytes() {
                         mismatches += 1;
@@ -212,9 +207,6 @@ fn main() {
     );
     compare("payload bytes", offline.len(), offline.len());
     compare("byte-identical payloads", clients * requests, clients * requests - mismatches);
-    if reconnects > 0 {
-        println!("note: {reconnects} reconnect(s) — transient drops retried, payloads verified");
-    }
 
     if let Some(out) = &payload_out {
         std::fs::write(out, &offline).unwrap_or_else(|e| panic!("cannot write {out}: {e}"));

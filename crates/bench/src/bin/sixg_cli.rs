@@ -111,7 +111,8 @@ DISPATCH OPTIONS:
 EXIT CODES:
     0  success
     1  validation failure (invalid spec/sweep, unknown class, write error)
-    2  usage error (unknown subcommand, missing operand, unreadable file)
+    2  usage error (unknown subcommand or flag, flag without a value,
+       missing operand, unreadable file)
 ";
 
 /// The CLI's two failure classes, mapped to distinct exit codes so scripts
@@ -144,26 +145,66 @@ fn class_by_name(name: &str) -> Result<ApplicationClass, CliError> {
     })
 }
 
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
+/// A subcommand's arguments, checked against the flags its USAGE section
+/// lists. Every flag must be listed and carry a value that does not start
+/// with `--`, and only `--store` may repeat. Anything else is a usage
+/// error, so a mistyped or value-less flag never runs on defaults.
+struct Args<'a> {
+    operands: Vec<&'a str>,
+    flags: Vec<(&'a str, &'a str)>,
 }
 
-fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, CliError> {
-    match flag_value(args, flag) {
-        None => Ok(None),
-        Some(v) => v
-            .parse()
-            .map(Some)
-            .map_err(|_| CliError::usage(format!("invalid value {v:?} for {flag}"))),
+impl<'a> Args<'a> {
+    fn parse(args: &'a [String], allowed: &[&str]) -> Result<Self, CliError> {
+        let mut parsed = Args { operands: Vec::new(), flags: Vec::new() };
+        let mut it = args.iter().map(String::as_str);
+        while let Some(arg) = it.next() {
+            if !arg.starts_with("--") {
+                parsed.operands.push(arg);
+                continue;
+            }
+            if !allowed.contains(&arg) {
+                return Err(CliError::usage(format!("unknown flag {arg:?}")));
+            }
+            let value = it
+                .next()
+                .filter(|v| !v.starts_with("--"))
+                .ok_or_else(|| CliError::usage(format!("{arg} needs a value")))?;
+            if arg != "--store" && parsed.value(arg).is_some() {
+                return Err(CliError::usage(format!("{arg} given more than once")));
+            }
+            parsed.flags.push((arg, value));
+        }
+        Ok(parsed)
     }
-}
 
-/// First positional operand of a subcommand (flags don't count).
-fn operand<'a>(args: &'a [String], what: &str) -> Result<&'a str, CliError> {
-    args.first()
-        .filter(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .ok_or_else(|| CliError::usage(format!("missing operand: {what}")))
+    /// The subcommand's one operand.
+    fn operand(&self, what: &str) -> Result<&'a str, CliError> {
+        match self.operands[..] {
+            [one] => Ok(one),
+            [] => Err(CliError::usage(format!("missing operand: {what}"))),
+            [_, extra, ..] => Err(CliError::usage(format!("unexpected operand {extra:?}"))),
+        }
+    }
+
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.flags.iter().find(|(f, _)| *f == flag).map(|&(_, v)| v)
+    }
+
+    /// Every value of `flag`, in order (for the repeatable `--store`).
+    fn values(&self, flag: &str) -> Vec<&'a str> {
+        self.flags.iter().filter(|(f, _)| *f == flag).map(|&(_, v)| v).collect()
+    }
+
+    fn parse_value<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, CliError> {
+        match self.value(flag) {
+            None => Ok(None),
+            Some(v) => v
+                .parse()
+                .map(Some)
+                .map_err(|_| CliError::usage(format!("invalid value {v:?} for {flag}"))),
+        }
+    }
 }
 
 /// Reads a file, classifying "not there / not readable" as a usage error
@@ -179,7 +220,11 @@ fn load_spec(path: &str) -> Result<ScenarioSpec, CliError> {
 }
 
 fn cmd_run(args: &[String]) -> Result<(), CliError> {
-    let path = operand(args, "run needs a spec file")?;
+    let args = Args::parse(
+        args,
+        &["--passes", "--campaign-seed", "--seed", "--backend", "--threads", "--json"],
+    )?;
+    let path = args.operand("run needs a spec file")?;
     let mut spec = load_spec(path)?;
 
     let errors = spec.validate();
@@ -190,23 +235,23 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         return Err(CliError::fail(format!("{path}: {} validation error(s)", errors.len())));
     }
 
-    if let Some(seed) = parse_flag::<u64>(args, "--seed")? {
+    if let Some(seed) = args.parse_value::<u64>("--seed")? {
         spec.seed = seed;
     }
-    if let Some(passes) = parse_flag::<u32>(args, "--passes")? {
+    if let Some(passes) = args.parse_value::<u32>("--passes")? {
         spec.campaign.passes = passes;
     }
-    if let Some(seed) = parse_flag::<u64>(args, "--campaign-seed")? {
+    if let Some(seed) = args.parse_value::<u64>("--campaign-seed")? {
         spec.campaign.seed = seed;
     }
     // A malformed --backend value is a usage error (exit 2, like any bad
     // flag); the spec's own backend tag was already checked by validate()
     // above, so this parse cannot fail for spec-borne values.
-    if let Some(flag) = flag_value(args, "--backend") {
+    if let Some(flag) = args.value("--backend") {
         parse_backend(flag).map_err(CliError::Usage)?;
         spec.backend = flag.to_string();
     }
-    let threads = parse_flag::<usize>(args, "--threads")?;
+    let threads = args.parse_value::<usize>("--threads")?;
 
     // The spec's reference class must resolve before the campaign runs.
     let reference = class_by_name(&spec.workloads.reference_class)?;
@@ -282,7 +327,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         );
     }
 
-    if let Some(path_out) = flag_value(args, "--json") {
+    if let Some(path_out) = args.value("--json") {
         // The facade's canonical rendering: identical bytes whether the
         // request ran here, via `execute()` in-process, or over the wire.
         std::fs::write(path_out, summary.to_json())
@@ -290,16 +335,6 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         println!("\nwrote {path_out}");
     }
     Ok(())
-}
-
-/// Every `--flag`'s value, in order (for repeatable flags like `--store`).
-fn flag_values<'a>(args: &'a [String], flag: &str) -> Vec<&'a str> {
-    args.iter()
-        .enumerate()
-        .filter(|(_, a)| *a == flag)
-        .filter_map(|(i, _)| args.get(i + 1))
-        .map(String::as_str)
-        .collect()
 }
 
 /// Parses `--shard I/N` (shard index / shard count).
@@ -325,17 +360,21 @@ fn checkpoint_err(path: &str, e: CheckpointError) -> CliError {
 }
 
 fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
-    let path = operand(args, "sweep needs a sweep file")?;
+    let args = Args::parse(
+        args,
+        &["--threads", "--json", "--checkpoint", "--shard", "--interval", "--kill-after"],
+    )?;
+    let path = args.operand("sweep needs a sweep file")?;
     // One read: an unreadable sweep file is a usage error (exit 2), while
     // everything past it — sweep parse, base resolution relative to the
     // sweep file's directory, validation — is a content failure (exit 1).
     let text = read_file(path)?;
     let dir = std::path::Path::new(path).parent().unwrap_or(std::path::Path::new("."));
-    let threads = parse_flag::<usize>(args, "--threads")?;
-    let checkpoint = flag_value(args, "--checkpoint");
-    let shard = flag_value(args, "--shard").map(parse_shard).transpose()?;
-    let interval = parse_flag::<usize>(args, "--interval")?;
-    let kill_after = parse_flag::<u64>(args, "--kill-after")?;
+    let threads = args.parse_value::<usize>("--threads")?;
+    let checkpoint = args.value("--checkpoint");
+    let shard = args.value("--shard").map(parse_shard).transpose()?;
+    let interval = args.parse_value::<usize>("--interval")?;
+    let kill_after = args.parse_value::<u64>("--kill-after")?;
     if checkpoint.is_none() {
         for (flag, present) in [
             ("--shard", shard.is_some()),
@@ -396,7 +435,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
     }
     .map_err(|e| CliError::fail(format!("{path}: {e}")))?;
     match report {
-        ExecReport::Sweep(run) => report_sweep_run(path, &run, args),
+        ExecReport::Sweep(run) => report_sweep_run(path, &run, args.value("--json")),
         ExecReport::ShardComplete { shard_index, shard_count, done_items } => {
             let store_dir = checkpoint.expect("sharding requires --checkpoint");
             println!(
@@ -423,10 +462,11 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_merge(args: &[String]) -> Result<(), CliError> {
-    let path = operand(args, "merge needs a sweep file")?;
+    let args = Args::parse(args, &["--store", "--json"])?;
+    let path = args.operand("merge needs a sweep file")?;
     let text = read_file(path)?;
     let dir = std::path::Path::new(path).parent().unwrap_or(std::path::Path::new("."));
-    let stores = flag_values(args, "--store");
+    let stores = args.values("--store");
     if stores.is_empty() {
         return Err(CliError::usage("merge needs at least one --store DIR"));
     }
@@ -441,14 +481,16 @@ fn cmd_merge(args: &[String]) -> Result<(), CliError> {
         stores.len()
     );
     let run = merge_stores(&sweep, &stores).map_err(|e| checkpoint_err(path, e))?;
-    report_sweep_run(path, &run, args)
+    report_sweep_run(path, &run, args.value("--json"))
 }
 
 fn cmd_dispatch(args: &[String]) -> Result<(), CliError> {
-    let path = operand(args, "dispatch needs a sweep file")?;
+    let args = Args::parse(args, &["--workers", "--shards-per-worker", "--interval", "--json"])?;
+    let path = args.operand("dispatch needs a sweep file")?;
     let text = read_file(path)?;
     let dir = std::path::Path::new(path).parent().unwrap_or(std::path::Path::new("."));
-    let workers: Vec<String> = flag_value(args, "--workers")
+    let workers: Vec<String> = args
+        .value("--workers")
         .ok_or_else(|| CliError::usage("dispatch needs --workers A:P,B:P,..."))?
         .split(',')
         .map(str::trim)
@@ -462,7 +504,7 @@ fn cmd_dispatch(args: &[String]) -> Result<(), CliError> {
         Sweep::from_json_in_dir(&text, dir).map_err(|e| CliError::fail(format!("{path}: {e}")))?;
 
     let mut cfg = DispatchConfig::new(workers);
-    if let Some(s) = parse_flag::<u32>(args, "--shards-per-worker")? {
+    if let Some(s) = args.parse_value::<u32>("--shards-per-worker")? {
         if s == 0 {
             return Err(CliError::usage(
                 "invalid value \"0\" for --shards-per-worker (must be at least 1)",
@@ -470,7 +512,7 @@ fn cmd_dispatch(args: &[String]) -> Result<(), CliError> {
         }
         cfg.shards_per_worker = s;
     }
-    if let Some(k) = parse_flag::<usize>(args, "--interval")? {
+    if let Some(k) = args.parse_value::<usize>("--interval")? {
         if k == 0 {
             return Err(CliError::usage("invalid value \"0\" for --interval (must be at least 1)"));
         }
@@ -507,14 +549,14 @@ fn cmd_dispatch(args: &[String]) -> Result<(), CliError> {
     for dead in &stats.dead_workers {
         eprintln!("sixg-cli: worker {dead} died; its shards were reassigned");
     }
-    report_sweep_run(path, &dispatched.run, args)
+    report_sweep_run(path, &dispatched.run, args.value("--json"))
 }
 
 /// Prints the per-variant table, cross-validation verdict and optional
 /// `--json` report for an executed sweep — shared by `sweep` (in-memory
-/// and checkpointed) and `merge`, so all three surface identical output
-/// for identical accumulator state.
-fn report_sweep_run(path: &str, run: &SweepRun, args: &[String]) -> Result<(), CliError> {
+/// and checkpointed), `merge` and `dispatch`, so all of them surface
+/// identical output for identical accumulator state.
+fn report_sweep_run(path: &str, run: &SweepRun, json: Option<&str>) -> Result<(), CliError> {
     let report = &run.report;
 
     println!(
@@ -546,7 +588,7 @@ fn report_sweep_run(path: &str, run: &SweepRun, args: &[String]) -> Result<(), C
         }
     }
 
-    if let Some(out) = flag_value(args, "--json") {
+    if let Some(out) = json {
         std::fs::write(out, report.to_json())
             .map_err(|e| CliError::fail(format!("cannot write {out}: {e}")))?;
         println!("wrote {out}");
@@ -565,7 +607,8 @@ fn report_sweep_run(path: &str, run: &SweepRun, args: &[String]) -> Result<(), C
     Ok(())
 }
 
-fn cmd_validate(paths: &[String]) -> Result<(), CliError> {
+fn cmd_validate(args: &[String]) -> Result<(), CliError> {
+    let paths = Args::parse(args, &[])?.operands;
     if paths.is_empty() {
         return Err(CliError::usage("validate needs at least one spec file"));
     }
@@ -575,7 +618,7 @@ fn cmd_validate(paths: &[String]) -> Result<(), CliError> {
     // ones (exit 1).
     let mut bad = 0usize;
     let mut unreadable = 0usize;
-    for path in paths {
+    for path in &paths {
         match load_spec(path) {
             Err(CliError::Usage(e)) => {
                 unreadable += 1;
@@ -618,7 +661,11 @@ fn cmd_validate(paths: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_list(args: &[String]) -> Result<(), CliError> {
-    let dir = args.first().map(String::as_str).unwrap_or("specs");
+    let dir = match Args::parse(args, &[])?.operands[..] {
+        [] => "specs",
+        [dir] => dir,
+        [_, extra, ..] => return Err(CliError::usage(format!("unexpected operand {extra:?}"))),
+    };
     let mut entries: Vec<_> = std::fs::read_dir(dir)
         .map_err(|e| CliError::usage(format!("cannot read directory {dir}: {e}")))?
         .filter_map(Result::ok)

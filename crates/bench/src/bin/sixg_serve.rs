@@ -51,6 +51,10 @@ fn main() {
     while i < args.len() {
         match args[i].as_str() {
             "--addr" | "--cache" | "--threads" | "--scratch" | "--fail-after-store-frames" => {
+                if args.get(i + 1).is_none_or(|v| v.starts_with("--")) {
+                    eprintln!("sixg-serve: {} needs a value", args[i]);
+                    usage();
+                }
                 i += 2
             }
             other => {

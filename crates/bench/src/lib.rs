@@ -2,15 +2,14 @@
 //!
 //! One binary per paper artefact (`repro_fig1` … `repro_all`) regenerates
 //! the corresponding table or figure from the simulator and prints a
-//! paper-vs-measured comparison; the criterion benches (`benches/`) cover
-//! the substrate's performance (event throughput, routing, campaign
-//! scaling, rule stores, placement, transport).
+//! paper-vs-measured comparison. The crate also holds the `sixg-cli`
+//! runner and the `sixg-serve` daemon ([`serve`], [`serve_client`]).
+//! Performance is measured by the separate `perfbench/` package.
 //!
-//! Run everything with:
+//! Run every paper check with:
 //!
 //! ```text
 //! cargo run -p sixg-bench --release --bin repro_all
-//! cargo bench -p sixg-bench
 //! ```
 
 use sixg_measure::klagenfurt::KlagenfurtScenario;

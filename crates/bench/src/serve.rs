@@ -49,11 +49,10 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
 // The frame codec lives in `sixg_measure::wire` (the dispatch coordinator
-// speaks it too); re-exported here so daemon, client, benches and tests
-// keep one import surface.
+// speaks it too); re-exported here so the daemon, its client, perfbench and
+// the tests keep one import surface.
 pub use sixg_measure::wire::{
-    error_payload, is_transient_io, read_frame, variant_payload, write_frame, FrameKind,
-    StoreBundle, HEADER_LEN, MAGIC, MAX_PAYLOAD_LEN,
+    error_payload, read_frame, variant_payload, write_frame, FrameKind, StoreBundle, HEADER_LEN,
 };
 
 /// Process-unique scratch-directory counter: several in-process servers
@@ -153,11 +152,6 @@ impl Server {
     /// `STORE` frame (`k >= 1`) and refuse all connections afterwards.
     pub fn set_fault_plan(&self, kill_after_store_frames: u64) {
         self.fault.store_arm(kill_after_store_frames);
-    }
-
-    /// The fault plan (for tests asserting the drill fired).
-    pub fn fault_plan(&self) -> &Arc<FaultPlan> {
-        &self.fault
     }
 
     /// The accept loop: one thread per connection, forever. Accept errors

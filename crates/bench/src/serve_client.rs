@@ -1,22 +1,18 @@
 //! Blocking client for the `sixg-serve` wire protocol.
 //!
 //! The harness side of the daemon: connect, send one
-//! [`sixg_measure::ExecRequest`] JSON
-//! document per [`ServeClient::request`], collect the streamed `VARIANT`
-//! frames and the terminal `REPORT`/`ERROR` frame into a [`WireResponse`].
-//! Used by `repro_serve`, the spawn-the-binary integration tests, and the
-//! README walkthrough. [`ServeClient`] is deliberately dumb — timeouts and
-//! `io::Error` on anything unexpected, no retries; [`RetryingClient`]
-//! wraps it with the reconnect-and-replay policy the dispatch coordinator
-//! uses, so harnesses can tell a worker death (transient, retriable —
-//! execution is deterministic, replays are idempotent) from a malformed
-//! frame (fatal, never retried).
+//! [`sixg_measure::ExecRequest`] JSON document per [`ServeClient::request`],
+//! and collect the streamed `VARIANT` frames and the terminal
+//! `REPORT`/`ERROR` frame into a [`WireResponse`]. Used by `repro_serve`,
+//! the spawn-the-binary integration tests, perfbench's `serve_mix` workload
+//! and the README walkthrough. [`ServeClient`] is deliberately dumb:
+//! timeouts and an `io::Error` on anything unexpected, no retries. A
+//! dropped connection fails the exchange; nothing replays it.
 
-use crate::serve::{is_transient_io, read_frame, write_frame, FrameKind};
+use crate::serve::{read_frame, write_frame, FrameKind};
 use serde_json::Value;
 use std::io;
 use std::net::TcpStream;
-use std::thread;
 use std::time::Duration;
 
 /// Default socket timeout: campaigns are seconds, mega-sweeps minutes.
@@ -109,116 +105,6 @@ impl ServeClient {
                 }
             }
         }
-    }
-}
-
-/// Reconnect-and-replay policy for [`RetryingClient`]: capped exponential
-/// backoff, mirroring the dispatch coordinator's per-worker schedule.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Total attempts per request (first try included) before giving up.
-    pub max_attempts: u32,
-    /// Sleep before the first retry; doubles per consecutive failure.
-    pub initial_backoff: Duration,
-    /// Backoff ceiling.
-    pub max_backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_attempts: 5,
-            initial_backoff: Duration::from_millis(50),
-            max_backoff: Duration::from_secs(2),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Backoff before retry number `failures` (1-based): `initial · 2^(f-1)`
-    /// capped at `max_backoff`.
-    pub fn backoff(&self, failures: u32) -> Duration {
-        let shift = failures.saturating_sub(1).min(16);
-        let grown = self.initial_backoff.saturating_mul(1u32 << shift);
-        grown.min(self.max_backoff)
-    }
-}
-
-/// A [`ServeClient`] that survives worker restarts: each request lazily
-/// (re)connects and, on a *transient* failure — connection refused, reset,
-/// or dropped mid-response — reconnects and replays the request after a
-/// backoff. Replaying is safe because execution is deterministic and
-/// side-effect-free from the client's view: the same request bytes always
-/// produce the same report bytes. Protocol violations (`InvalidData`: bad
-/// magic, unexpected frame kind, malformed payload) fail immediately — a
-/// worker that speaks garbage will keep speaking garbage.
-pub struct RetryingClient {
-    addr: String,
-    timeout: Duration,
-    policy: RetryPolicy,
-    conn: Option<ServeClient>,
-    connected_once: bool,
-    reconnects: u64,
-}
-
-impl RetryingClient {
-    /// Creates a client for `addr` with the default timeout and policy.
-    /// No connection is made until the first request.
-    pub fn new(addr: &str) -> Self {
-        Self::with_policy(addr, DEFAULT_TIMEOUT, RetryPolicy::default())
-    }
-
-    /// Creates a client with an explicit socket timeout and retry policy.
-    pub fn with_policy(addr: &str, timeout: Duration, policy: RetryPolicy) -> Self {
-        Self {
-            addr: addr.to_string(),
-            timeout,
-            policy,
-            conn: None,
-            connected_once: false,
-            reconnects: 0,
-        }
-    }
-
-    /// Number of times a request had to reconnect (dead socket or
-    /// mid-response drop). Zero over a healthy exchange.
-    pub fn reconnects(&self) -> u64 {
-        self.reconnects
-    }
-
-    /// Sends one request document, reconnecting and replaying on transient
-    /// failures up to the policy's attempt budget. Returns the last error
-    /// once the budget is exhausted, and fails fast (no retry) on
-    /// `InvalidData` protocol violations.
-    pub fn request(&mut self, request_json: &str) -> io::Result<WireResponse> {
-        let mut failures = 0u32;
-        loop {
-            let attempt = self.try_once(request_json);
-            match attempt {
-                Ok(response) => return Ok(response),
-                Err(err) => {
-                    // A poisoned connection never carries the next attempt.
-                    self.conn = None;
-                    failures += 1;
-                    if !is_transient_io(&err) || failures >= self.policy.max_attempts {
-                        return Err(err);
-                    }
-                    thread::sleep(self.policy.backoff(failures));
-                }
-            }
-        }
-    }
-
-    fn try_once(&mut self, request_json: &str) -> io::Result<WireResponse> {
-        if self.conn.is_none() {
-            let fresh = ServeClient::connect_with_timeout(&self.addr, self.timeout)?;
-            if self.connected_once {
-                self.reconnects += 1;
-            }
-            self.conn = Some(fresh);
-            self.connected_once = true;
-        }
-        self.conn.as_mut().expect("connection just established").request(request_json)
     }
 }
 

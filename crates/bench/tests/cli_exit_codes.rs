@@ -1,10 +1,11 @@
 //! The `sixg-cli` exit-code contract, tested against the real binary.
 //!
 //! `0` success; `1` reachable-but-invalid input (spec/sweep validation
-//! failures); `2` usage errors (unknown subcommand, missing operand,
-//! unreadable file, bad flag value) with the usage text on stderr. The
-//! distinction lets CI and scripts tell a broken invocation from a broken
-//! spec.
+//! failures); `2` usage errors (unknown subcommand or flag, missing operand,
+//! flag without a value, unreadable file, bad flag value) with the usage
+//! text on stderr. The distinction lets CI and scripts tell a broken
+//! invocation from a broken spec. `sixg-serve` follows the same rule for a
+//! flag without a value.
 
 use sixg_measure::klagenfurt::klagenfurt_spec;
 use sixg_measure::spec::ScenarioSpec;
@@ -108,6 +109,60 @@ fn bad_flag_value_exits_two() {
     let out = run(&["run", spec.to_str().unwrap(), "--backend", "evnt"]);
     assert_eq!(code(&out), 2);
     assert!(stderr(&out).contains("evnt"), "{}", stderr(&out));
+}
+
+/// A flag `run` does not list, a flag without its value, and a flag whose
+/// value is the next flag are usage errors: none of them may run the spec
+/// on defaults or write a report to a file named after a flag.
+#[test]
+fn malformed_run_flags_exit_two_and_write_nothing() {
+    let spec = specs_dir().join("skopje.json");
+    let spec = spec.to_str().unwrap();
+    let cwd = std::env::temp_dir().join(format!("sixg-cli-flags-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&cwd);
+    std::fs::create_dir_all(&cwd).expect("create scratch cwd");
+    for args in [
+        vec!["run", spec, "--pases", "1"],
+        vec!["run", spec, "--passes"],
+        vec!["run", spec, "--passes", "1", "--json", "--threads", "2"],
+    ] {
+        let shown = args.join(" ");
+        let out = Command::new(CLI).args(&args).current_dir(&cwd).output().expect("spawn");
+        assert_eq!(code(&out), 2, "`{shown}` must be a usage error: {}", stderr(&out));
+        assert!(stderr(&out).contains("USAGE"), "`{shown}`: {}", stderr(&out));
+    }
+    let written: Vec<_> = std::fs::read_dir(&cwd).expect("list scratch cwd").flatten().collect();
+    assert!(written.is_empty(), "a usage error wrote {:?}", written[0].path());
+    let _ = std::fs::remove_dir_all(&cwd);
+}
+
+/// `sixg-serve` applies the same missing-value rule: a value-less `--addr`
+/// exits 2 instead of binding the default address and serving forever.
+#[test]
+fn serve_flag_without_a_value_exits_two() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_sixg-serve"))
+        .arg("--addr")
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("sixg-serve spawns");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll sixg-serve") {
+            break status;
+        }
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("`sixg-serve --addr` was still running after 10 s");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    assert_eq!(status.code(), Some(2));
+    let mut err = String::new();
+    std::io::Read::read_to_string(&mut child.stderr.take().expect("piped"), &mut err)
+        .expect("read stderr");
+    assert!(err.contains("--addr needs a value"), "{err}");
 }
 
 /// An unreadable entry in a validate batch must not mask the files after
@@ -508,6 +563,17 @@ fn checkpoint_flag_misuse_exits_two() {
             "`{shown}` must not create a store (sweep file: {sweep_path})"
         );
     }
+}
+
+/// A `--checkpoint` with no value is a usage error, not an in-memory sweep.
+#[test]
+fn sweep_checkpoint_without_a_value_exits_two() {
+    let d = SweepDir::new("no-value");
+    let out = run(&["sweep", &d.sweep(), "--checkpoint"]);
+    assert_eq!(code(&out), 2, "{}", stderr(&out));
+    let err = stderr(&out);
+    assert!(err.contains("--checkpoint needs a value"), "{err}");
+    assert!(err.contains("USAGE"), "{err}");
 }
 
 /// The in-memory cap error is a *validation* failure (exit 1) that names

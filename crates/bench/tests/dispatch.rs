@@ -13,13 +13,16 @@
 //!
 //! [`FaultPlan`]: sixg_bench::serve::FaultPlan
 
-use sixg_bench::serve::Server;
+use sixg_bench::serve::{read_frame, Server};
 use sixg_measure::dispatch::{dispatch_sweep, DispatchConfig, DispatchError};
 use sixg_measure::exec::{execute, ExecReport, ExecRequest};
 use sixg_measure::klagenfurt::klagenfurt_spec;
 use sixg_measure::spec::ScenarioSpec;
 use sixg_measure::sweep::{Sweep, SweepSpec};
-use std::time::Duration;
+use std::io::{Read, Write};
+use std::net::TcpListener;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// One-pass Klagenfurt: the fast fixture every sweep below builds on.
 fn flat_spec() -> ScenarioSpec {
@@ -67,14 +70,11 @@ fn spawn_fleet(n: usize, threads: Option<usize>, kill: Option<(usize, u64)>) -> 
         .collect()
 }
 
-/// A config with a short interval (many STORE frames per shard, so every
-/// kill point lands mid-shard) and fast failure detection.
+/// A config with a short interval: many STORE frames per shard, so every
+/// kill point lands mid-shard.
 fn config(workers: Vec<String>) -> DispatchConfig {
     let mut cfg = DispatchConfig::new(workers);
     cfg.interval = 4;
-    cfg.backoff_initial = Duration::from_millis(5);
-    cfg.backoff_max = Duration::from_millis(50);
-    cfg.timeout = Duration::from_secs(60);
     cfg
 }
 
@@ -121,8 +121,9 @@ fn killed_worker_is_reassigned_and_the_report_stays_bitwise_identical() {
         );
         // Whether the victim is formally *declared* dead is timing-bound:
         // on a tiny workload the live workers can steal its requeued
-        // shards before its slot burns through max_attempts. Only the
-        // victim may ever be declared, and the shards must move either way.
+        // shards before its thread burns through five failed attempts.
+        // Only the victim may ever be declared, and the shards must move
+        // either way.
         assert!(
             stats.dead_workers.iter().all(|d| *d == victim),
             "kill point {kill_after}: a healthy worker was declared dead ({stats:?})"
@@ -177,8 +178,7 @@ fn kill_drill_is_bitwise_identical_at_pool_sizes_1_2_4() {
 #[test]
 fn a_fully_dead_fleet_fails_loudly() {
     let sweep = tiny_sweep();
-    let mut cfg = config(spawn_fleet(1, Some(1), Some((0, 1))));
-    cfg.max_attempts = 2;
+    let cfg = config(spawn_fleet(1, Some(1), Some((0, 1))));
     match dispatch_sweep(&sweep, &cfg) {
         Err(DispatchError::AllWorkersDead(_)) => {}
         Err(other) => panic!("expected AllWorkersDead, got: {other}"),
@@ -196,12 +196,48 @@ fn an_unreachable_fleet_fails_loudly() {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
         listener.local_addr().expect("bound").to_string()
     };
-    let mut cfg = config(vec![addr]);
-    cfg.max_attempts = 2;
-    cfg.connect_timeout = Duration::from_millis(200);
+    let cfg = config(vec![addr]);
     match dispatch_sweep(&sweep, &cfg) {
         Err(DispatchError::AllWorkersDead(_)) => {}
         Err(other) => panic!("expected AllWorkersDead, got: {other}"),
         Ok(run) => panic!("an unreachable fleet produced a report: {:?}", run.stats),
     }
+}
+
+/// A worker that speaks protocol garbage is declared dead at once, never
+/// retried. The fake worker reads the REQUEST frame, answers with bytes
+/// that are not a frame, and holds the socket open until the coordinator
+/// closes it. A retry would reconnect after the first 50 ms backoff, so a
+/// single connection pins the fail-fast rule.
+#[test]
+fn a_garbage_speaking_worker_is_declared_dead_without_a_retry() {
+    let sweep = tiny_sweep();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake worker");
+    let addr = listener.local_addr().expect("bound").to_string();
+    let connections = Arc::new(AtomicUsize::new(0));
+    let accepted = Arc::clone(&connections);
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { continue };
+            accepted.fetch_add(1, Ordering::SeqCst);
+            std::thread::spawn(move || {
+                let _ = read_frame(&mut stream);
+                let _ = stream.write_all(b"HTTP/1.1 400 Bad Request\r\n\r\n");
+                let mut sink = [0u8; 256];
+                while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
+            });
+        }
+    });
+    match dispatch_sweep(&sweep, &config(vec![addr])) {
+        Err(DispatchError::AllWorkersDead(msg)) => {
+            assert!(msg.contains("bad frame magic"), "the death must name the bad frame: {msg}");
+        }
+        Err(other) => panic!("expected AllWorkersDead, got: {other}"),
+        Ok(run) => panic!("a garbage-speaking worker produced a report: {:?}", run.stats),
+    }
+    assert_eq!(
+        connections.load(Ordering::SeqCst),
+        1,
+        "a worker speaking garbage must not be retried"
+    );
 }

@@ -8,9 +8,10 @@
 //! ## How a sweep distributes
 //!
 //! The run range splits into *more* shards than workers
-//! ([`DispatchConfig::shards_per_worker`], the work-stealing granularity):
-//! a slow worker simply takes fewer shards off the queue, and a dead
-//! worker strands less work. Each shard is one checkpointed
+//! ([`DispatchConfig::shards_per_worker`], the work-stealing granularity).
+//! Each worker gets one coordinator thread that claims shards off a shared
+//! queue one at a time, so a slow worker simply takes fewer shards, and a
+//! dead worker strands less work. Each shard is one checkpointed
 //! [`ExecRequest`] (`stream_store: true`) driven over the length-framed
 //! wire protocol of [`crate::wire`]: the worker runs the shard through
 //! [`crate::store::run_checkpointed_observed`] against its own scratch
@@ -36,16 +37,16 @@
 //!
 //! ## Failure policy
 //!
-//! Connection-shaped failures ([`crate::wire::is_transient_io`]) requeue
-//! the shard and retry the worker after capped exponential backoff
-//! ([`DispatchConfig::backoff_initial`] doubling up to
-//! [`DispatchConfig::backoff_max`]); [`DispatchConfig::max_attempts`]
-//! consecutive failures declare the worker dead and its slots exit.
-//! Protocol garbage (`InvalidData`) declares the worker dead immediately —
-//! a peer that frames wrongly will frame wrongly again. A worker answering
-//! with an `ERROR` frame aborts the whole dispatch: request-level errors
-//! are deterministic, so every reassignment would fail identically. When
-//! the last worker dies with shards outstanding, the dispatch fails with
+//! Every connect has a 5 s deadline and every frame read or write a 600 s
+//! one. Connection-shaped failures ([`crate::wire::is_transient_io`])
+//! requeue the shard and retry the worker after capped exponential backoff
+//! (50 ms, doubling up to 2 s); five consecutive failures declare the
+//! worker dead and its thread exits. Protocol garbage (`InvalidData`)
+//! declares the worker dead immediately — a peer that frames wrongly will
+//! frame wrongly again. A worker answering with an `ERROR` frame aborts
+//! the whole dispatch: request-level errors are deterministic, so every
+//! reassignment would fail identically. When the last worker dies with
+//! shards outstanding, the dispatch fails with
 //! [`DispatchError::AllWorkersDead`].
 
 use crate::aggregate::CellField;
@@ -63,13 +64,24 @@ use std::fmt;
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 // ---------------------------------------------------------------------------
 // Configuration, stats, errors.
 // ---------------------------------------------------------------------------
+
+/// Socket read/write deadline on every frame.
+const FRAME_TIMEOUT: Duration = Duration::from_secs(600);
+/// TCP connect deadline.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
+/// First reconnect backoff; doubles per consecutive failure.
+const BACKOFF_INITIAL: Duration = Duration::from_millis(50);
+/// Backoff cap.
+const BACKOFF_MAX: Duration = Duration::from_secs(2);
+/// Consecutive transient failures before a worker is declared dead.
+const MAX_ATTEMPTS: u32 = 5;
 
 /// How to distribute a sweep over a worker fleet.
 #[derive(Debug, Clone)]
@@ -79,39 +91,16 @@ pub struct DispatchConfig {
     /// Shards per worker — the work-stealing granularity. The shard count
     /// is `workers × shards_per_worker`, clamped to the run count.
     pub shards_per_worker: u32,
-    /// Concurrent shards per worker (its in-flight cap): a slow worker
-    /// backpressures the queue instead of accumulating assignments.
-    pub inflight_per_worker: usize,
     /// Work items folded between cursor commits on the worker — the
     /// streaming cadence, and the upper bound on re-folded work after a
     /// mid-shard death.
     pub interval: usize,
-    /// Per-request deadline: socket read/write timeout on every frame.
-    pub timeout: Duration,
-    /// TCP connect deadline.
-    pub connect_timeout: Duration,
-    /// First reconnect backoff; doubles per consecutive failure.
-    pub backoff_initial: Duration,
-    /// Backoff cap.
-    pub backoff_max: Duration,
-    /// Consecutive failures before a worker is declared dead.
-    pub max_attempts: u32,
 }
 
 impl DispatchConfig {
     /// Defaults tuned for a small LAN fleet.
     pub fn new(workers: Vec<String>) -> Self {
-        Self {
-            workers,
-            shards_per_worker: 3,
-            inflight_per_worker: 1,
-            interval: 256,
-            timeout: Duration::from_secs(600),
-            connect_timeout: Duration::from_secs(5),
-            backoff_initial: Duration::from_millis(50),
-            backoff_max: Duration::from_secs(2),
-            max_attempts: 5,
-        }
+        Self { workers, shards_per_worker: 3, interval: 256 }
     }
 }
 
@@ -214,38 +203,24 @@ impl Shared {
         }
         self.cv.notify_all();
     }
-}
 
-/// Per-worker health, shared by its slots: consecutive transient failures
-/// and the dead flag (only the first marker decrements the live count).
-struct WorkerHealth {
-    addr: String,
-    failures: AtomicU64,
-    dead: AtomicBool,
-}
-
-impl WorkerHealth {
-    fn mark_dead(&self, shared: &Shared, why: &str) {
-        if self.dead.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        let mut g = shared.coord.lock().expect("coord lock");
+    /// Declares the worker at `addr` dead. Its thread calls this once and
+    /// exits; the last death with shards outstanding fails the dispatch.
+    fn mark_dead(&self, addr: &str, why: &str) {
+        let mut g = self.coord.lock().expect("coord lock");
         g.live_workers -= 1;
-        g.stats.dead_workers.push(self.addr.clone());
+        g.stats.dead_workers.push(addr.to_string());
         if g.live_workers == 0 && g.pending > 0 && g.fatal.is_none() {
             g.fatal = Some((
                 true,
-                format!(
-                    "last worker {} died ({why}) with {} shards outstanding",
-                    self.addr, g.pending
-                ),
+                format!("last worker {addr} died ({why}) with {} shards outstanding", g.pending),
             ));
         }
-        shared.cv.notify_all();
+        self.cv.notify_all();
     }
 }
 
-/// How one shard attempt ended, seen from a slot thread.
+/// How one shard attempt ended, seen from a worker thread.
 enum ShardFailure {
     /// Connection-shaped: requeue, back off, retry this worker.
     Transient(String),
@@ -270,12 +245,8 @@ pub fn dispatch_sweep(sweep: &Sweep, cfg: &DispatchConfig) -> Result<DispatchRun
     if cfg.workers.is_empty() {
         return Err(SpecError::new("$.workers", "dispatch needs at least one worker").into());
     }
-    if cfg.shards_per_worker < 1 || cfg.inflight_per_worker < 1 || cfg.max_attempts < 1 {
-        return Err(SpecError::new(
-            "$.workers",
-            "shards_per_worker, inflight_per_worker and max_attempts must all be at least 1",
-        )
-        .into());
+    if cfg.shards_per_worker < 1 {
+        return Err(SpecError::new("$.workers", "shards_per_worker must be at least 1").into());
     }
 
     let plan = sweep.plan()?;
@@ -284,7 +255,7 @@ pub fn dispatch_sweep(sweep: &Sweep, cfg: &DispatchConfig) -> Result<DispatchRun
     let shard_count = ((cfg.workers.len() as u64) * u64::from(cfg.shards_per_worker))
         .clamp(1, total_runs as u64) as u32;
 
-    // Per-shard request JSON, both flavors, precomputed so slot threads
+    // Per-shard request JSON, both flavors, precomputed so worker threads
     // never touch the sweep. The store name is unique per (process,
     // dispatch, shard): reassignment reuses it — the new worker clears
     // the directory anyway, and a stable name keeps worker logs legible.
@@ -334,17 +305,8 @@ pub fn dispatch_sweep(sweep: &Sweep, cfg: &DispatchConfig) -> Result<DispatchRun
 
     std::thread::scope(|scope| {
         for addr in &cfg.workers {
-            let health = Arc::new(WorkerHealth {
-                addr: addr.clone(),
-                failures: AtomicU64::new(0),
-                dead: AtomicBool::new(false),
-            });
-            for _ in 0..cfg.inflight_per_worker {
-                let health = Arc::clone(&health);
-                let shared = &shared;
-                let requests = &requests;
-                scope.spawn(move || worker_slot(shared, requests, cfg, &health));
-            }
+            let (shared, requests) = (&shared, &requests);
+            scope.spawn(move || worker_thread(shared, requests, addr));
         }
     });
 
@@ -380,21 +342,19 @@ pub fn dispatch_sweep(sweep: &Sweep, cfg: &DispatchConfig) -> Result<DispatchRun
     Ok(DispatchRun { run: Box::new(plan.build_sweep_run(sweep, fields)), stats: coord.stats })
 }
 
-/// One worker slot: claim shards off the queue, drive each over the
-/// connection, survive transient failures, die after too many.
-fn worker_slot(
-    shared: &Shared,
-    requests: &[(String, String)],
-    cfg: &DispatchConfig,
-    health: &WorkerHealth,
-) {
+/// One worker's thread: claim shards off the queue one at a time, drive
+/// each over the connection, survive transient failures, die after
+/// [`MAX_ATTEMPTS`] in a row.
+fn worker_thread(shared: &Shared, requests: &[(String, String)], addr: &str) {
     let mut conn: Option<TcpStream> = None;
+    // Consecutive transient failures; a completed shard resets the count.
+    let mut failures = 0u32;
     loop {
         // Claim a shard (or learn there is nothing left to do).
         let (index, request_json, seed) = {
             let mut g = shared.coord.lock().expect("coord lock");
             loop {
-                if g.fatal.is_some() || g.pending == 0 || health.dead.load(Ordering::SeqCst) {
+                if g.fatal.is_some() || g.pending == 0 {
                     return;
                 }
                 if let Some(index) = g.queue.pop_front() {
@@ -434,9 +394,9 @@ fn worker_slot(
             }
         };
 
-        match drive_shard(shared, cfg, health, &mut conn, index, &request_json, &seed) {
+        match drive_shard(shared, addr, failures > 0, &mut conn, index, &request_json, &seed) {
             Ok(()) => {
-                health.failures.store(0, Ordering::SeqCst);
+                failures = 0;
                 let mut g = shared.coord.lock().expect("coord lock");
                 let job = &mut g.jobs[index as usize];
                 if !job.done {
@@ -458,16 +418,16 @@ fn worker_slot(
                         return;
                     }
                     ShardFailure::WorkerBroken(msg) => {
-                        health.mark_dead(shared, &msg);
+                        shared.mark_dead(addr, &msg);
                         return;
                     }
                     ShardFailure::Transient(msg) => {
-                        let failures = health.failures.fetch_add(1, Ordering::SeqCst) + 1;
-                        if failures >= u64::from(cfg.max_attempts) {
-                            health.mark_dead(shared, &msg);
+                        failures += 1;
+                        if failures >= MAX_ATTEMPTS {
+                            shared.mark_dead(addr, &msg);
                             return;
                         }
-                        std::thread::sleep(backoff(cfg, failures));
+                        std::thread::sleep(backoff(failures));
                     }
                 }
             }
@@ -475,45 +435,47 @@ fn worker_slot(
     }
 }
 
-/// Capped exponential backoff: `initial · 2^(failures-1)`, at most `max`.
-fn backoff(cfg: &DispatchConfig, failures: u64) -> Duration {
-    let factor = 1u32 << (failures - 1).min(16) as u32;
-    cfg.backoff_initial.saturating_mul(factor).min(cfg.backoff_max)
+/// Capped exponential backoff: `BACKOFF_INITIAL · 2^(failures-1)`, at most
+/// `BACKOFF_MAX`.
+fn backoff(failures: u32) -> Duration {
+    let factor = 1u32 << (failures - 1).min(16);
+    BACKOFF_INITIAL.saturating_mul(factor).min(BACKOFF_MAX)
 }
 
-/// Connects to `addr` within the configured deadlines.
-fn connect(addr: &str, cfg: &DispatchConfig) -> io::Result<TcpStream> {
+/// Connects to `addr` within [`CONNECT_TIMEOUT`], with [`FRAME_TIMEOUT`]
+/// on every read and write.
+fn connect(addr: &str) -> io::Result<TcpStream> {
     let sock = addr.to_socket_addrs()?.next().ok_or_else(|| {
         io::Error::new(io::ErrorKind::InvalidInput, format!("{addr}: no address"))
     })?;
-    let stream = TcpStream::connect_timeout(&sock, cfg.connect_timeout)?;
+    let stream = TcpStream::connect_timeout(&sock, CONNECT_TIMEOUT)?;
     stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(cfg.timeout))?;
-    stream.set_write_timeout(Some(cfg.timeout))?;
+    stream.set_read_timeout(Some(FRAME_TIMEOUT))?;
+    stream.set_write_timeout(Some(FRAME_TIMEOUT))?;
     Ok(stream)
 }
 
-/// Drives one shard assignment over the slot's connection: request out,
+/// Drives one shard assignment over the worker's connection: request out,
 /// store state in, terminal report. Store state is committed to the
 /// shard's job under the coordinator lock per frame, so whatever prefix
-/// arrives before a death is available for reassignment.
+/// arrives before a death is available for reassignment. A fresh
+/// connection made after a failed attempt (`after_failure`) counts as a
+/// reconnect.
 fn drive_shard(
     shared: &Shared,
-    cfg: &DispatchConfig,
-    health: &WorkerHealth,
+    addr: &str,
+    after_failure: bool,
     conn: &mut Option<TcpStream>,
     index: u32,
     request_json: &str,
     seed: &StoreBundle,
 ) -> Result<(), ShardFailure> {
-    let transient = |what: &str, e: &io::Error| {
-        ShardFailure::Transient(format!("worker {}: {what}: {e}", health.addr))
-    };
     let stream = match conn {
         Some(s) => s,
         None => {
-            let fresh = connect(&health.addr, cfg).map_err(|e| transient("connect", &e))?;
-            if health.failures.load(Ordering::SeqCst) > 0 {
+            let fresh = connect(addr)
+                .map_err(|e| ShardFailure::Transient(format!("worker {addr}: connect: {e}")))?;
+            if after_failure {
                 let mut g = shared.coord.lock().expect("coord lock");
                 g.stats.reconnects += 1;
             }
@@ -523,9 +485,9 @@ fn drive_shard(
 
     let io_failure = |what: &str, e: io::Error| -> ShardFailure {
         if is_transient_io(&e) {
-            ShardFailure::Transient(format!("worker {}: {what}: {e}", health.addr))
+            ShardFailure::Transient(format!("worker {addr}: {what}: {e}"))
         } else {
-            ShardFailure::WorkerBroken(format!("worker {}: {what}: {e}", health.addr))
+            ShardFailure::WorkerBroken(format!("worker {addr}: {what}: {e}"))
         }
     };
 
@@ -540,17 +502,13 @@ fn drive_shard(
         let frame = read_frame(stream).map_err(|e| io_failure("read frame", e))?;
         let Some((kind, payload)) = frame else {
             return Err(ShardFailure::Transient(format!(
-                "worker {}: connection closed mid-shard",
-                health.addr
+                "worker {addr}: connection closed mid-shard"
             )));
         };
         match kind {
             FrameKind::Store => {
                 let bundle = StoreBundle::decode(&payload).map_err(|e| {
-                    ShardFailure::WorkerBroken(format!(
-                        "worker {}: bad store frame: {e}",
-                        health.addr
-                    ))
+                    ShardFailure::WorkerBroken(format!("worker {addr}: bad store frame: {e}"))
                 })?;
                 let mut g = shared.coord.lock().expect("coord lock");
                 let job = &mut g.jobs[index as usize];
@@ -563,8 +521,7 @@ fn drive_shard(
                         job.runs.insert(run, bytes.clone());
                     } else {
                         return Err(ShardFailure::WorkerBroken(format!(
-                            "worker {}: store frame names unknown entry {name:?}",
-                            health.addr
+                            "worker {addr}: store frame names unknown entry {name:?}"
                         )));
                     }
                 }
@@ -576,16 +533,12 @@ fn drive_shard(
             FrameKind::Report => {
                 let text = std::str::from_utf8(&payload).unwrap_or("");
                 let v: Value = serde_json::from_str(text).map_err(|e| {
-                    ShardFailure::WorkerBroken(format!(
-                        "worker {}: unparseable report: {e}",
-                        health.addr
-                    ))
+                    ShardFailure::WorkerBroken(format!("worker {addr}: unparseable report: {e}"))
                 })?;
                 if v.get("interrupted").and_then(Value::as_bool) == Some(true) {
                     return Err(ShardFailure::Fatal(format!(
-                        "worker {} reported shard {index} interrupted — dispatched requests \
-                         never set stop_after_items, so the worker is misconfigured",
-                        health.addr
+                        "worker {addr} reported shard {index} interrupted — dispatched \
+                         requests never set stop_after_items, so the worker is misconfigured"
                     )));
                 }
                 return Ok(());
@@ -593,14 +546,12 @@ fn drive_shard(
             FrameKind::Error => {
                 let text = String::from_utf8_lossy(&payload).into_owned();
                 return Err(ShardFailure::Fatal(format!(
-                    "worker {} rejected shard {index}: {text}",
-                    health.addr
+                    "worker {addr} rejected shard {index}: {text}"
                 )));
             }
             FrameKind::Request => {
                 return Err(ShardFailure::WorkerBroken(format!(
-                    "worker {} sent a REQUEST frame to the coordinator",
-                    health.addr
+                    "worker {addr} sent a REQUEST frame to the coordinator"
                 )));
             }
         }
@@ -682,12 +633,11 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let cfg = DispatchConfig::new(vec!["127.0.0.1:1".into()]);
-        assert_eq!(backoff(&cfg, 1), Duration::from_millis(50));
-        assert_eq!(backoff(&cfg, 2), Duration::from_millis(100));
-        assert_eq!(backoff(&cfg, 3), Duration::from_millis(200));
-        assert_eq!(backoff(&cfg, 10), Duration::from_secs(2));
-        assert_eq!(backoff(&cfg, 63), Duration::from_secs(2));
+        assert_eq!(backoff(1), Duration::from_millis(50));
+        assert_eq!(backoff(2), Duration::from_millis(100));
+        assert_eq!(backoff(3), Duration::from_millis(200));
+        assert_eq!(backoff(10), Duration::from_secs(2));
+        assert_eq!(backoff(63), Duration::from_secs(2));
     }
 
     #[test]

@@ -14,14 +14,14 @@
 //!   machine-readable [`ErrorCode`].
 //! * [`execute`] — `ExecRequest → ExecReport`: a run, an in-memory sweep
 //!   or a checkpointed sweep, decided by validated request fields.
-//! * [`run_field`] — the compiled-scenario entry point; tests, benches and
-//!   repro bins call this. It and every run of a sweep choose their
+//! * [`run_field`] — the compiled-scenario entry point; tests, perfbench
+//!   and repro bins call this. It and every run of a sweep choose their
 //!   backend in one place (`parallel::Runner`): the analytic sampler, the
 //!   packet world, or the packet world over a fault timeline.
 //! * [`run_field_sequential`] — the determinism oracle: the same runner
 //!   and work list as [`run_field`], run in order on the calling thread.
-//!   Tests that compare pool sizes against it, `repro_scaling` and the
-//!   sequential bench baselines call this.
+//!   Tests that compare pool sizes against it and `repro_scaling` call
+//!   this.
 //! * [`Executor`] + [`ScenarioCache`] — a long-lived execution context
 //!   holding compiled [`Scenario`]s hot, keyed by canonical spec content
 //!   hash ([`scenario_content_hash`]); the `sixg-serve` daemon wraps one

@@ -4,10 +4,6 @@
 //! traverses a 1 km grid over Klagenfurt, measuring round-trip latency to
 //! a university anchor and eight fixed peer nodes, aggregated per cell.
 //!
-//! * [`klagenfurt`] — the full measured infrastructure as a scenario:
-//!   topology (operator, transit chain via Vienna/Prague/Bucharest, local
-//!   ISP, campus), AS business relationships, pinned Table-I naming, the
-//!   grid, the density raster, and the per-cell radio calibration;
 //! * [`campaign`] — the mobile measurement campaign (Figures 2–3) and the
 //!   Table-I traceroute;
 //! * [`aggregate`] — per-cell statistics with the paper's "< 10 samples ⇒
@@ -52,7 +48,7 @@
 //!   daemon and the dispatch coordinator: frame kinds (REQUEST / VARIANT /
 //!   REPORT / ERROR / STORE), the named-blob [`wire::StoreBundle`]
 //!   container that carries checkpoint-store state over STORE frames, and
-//!   the transient-vs-fatal I/O error taxonomy retries are built on;
+//!   the transient-vs-fatal I/O error taxonomy dispatch retries on;
 //! * [`dispatch`] — the fault-tolerant distributed sweep coordinator: the
 //!   run range splits into more shards than workers, each shard runs as a
 //!   checkpointed request on a `sixg-serve` worker that streams its store
@@ -64,9 +60,11 @@
 //!   campaign end to end, validated with path-anchored errors;
 //! * [`scenario`] — the generic [`scenario::Scenario`] every spec compiles
 //!   into, and the dynamic [`scenario::TargetField`];
-//! * [`klagenfurt`] — the measured site as a thin wrapper over
-//!   `specs/klagenfurt.json` and its transit-flap variant
-//!   `specs/klagenfurt_flap.json` (bitwise pinned by the golden suite);
+//! * [`klagenfurt`] — the measured site of Section IV (operator, transit
+//!   chain via Vienna/Prague/Bucharest, local ISP, campus anchor) as a
+//!   thin wrapper over `specs/klagenfurt.json` and its transit-flap
+//!   variant `specs/klagenfurt_flap.json` (bitwise pinned by the golden
+//!   suite);
 //! * [`skopje`] — a second, *projected* scenario at the partner site
 //!   (the paper's future-work promise to expand the geographic scope),
 //!   wrapper over `specs/skopje.json`;

@@ -27,7 +27,7 @@ use sixg_geo::population::SPARSE_THRESHOLD;
 use sixg_geo::{CellId, DensityRaster, GeoPoint, GridSpec};
 use sixg_netsim::latency::DelaySampler;
 use sixg_netsim::names::{NameRegistry, OrgProfile};
-use sixg_netsim::radio::{AccessModel, CellEnv, FiveGAccess};
+use sixg_netsim::radio::{AccessModel, FiveGAccess};
 use sixg_netsim::rng::{SimRng, StreamKey};
 use sixg_netsim::routing::{AsGraph, PathComputer, RoutedPath};
 use sixg_netsim::stats::Welford;
@@ -272,20 +272,6 @@ impl Scenario {
             return Err(errors.remove(0));
         }
         Self::compile(spec)
-    }
-
-    /// Parses and compiles a spec from JSON text.
-    pub fn from_json(text: &str) -> Result<Self, SpecError> {
-        Self::from_spec(&ScenarioSpec::from_json(text)?)
-    }
-
-    /// Loads, parses and compiles a spec file from disk.
-    pub fn from_file(path: impl AsRef<std::path::Path>) -> Result<Self, SpecError> {
-        let path = path.as_ref();
-        let text = std::fs::read_to_string(path).map_err(|e| {
-            SpecError::new("$", format!("cannot read spec file {}: {e}", path.display()))
-        })?;
-        Self::from_json(&text)
     }
 
     /// The compilation pipeline. The spec is already validated.
@@ -627,11 +613,6 @@ impl Scenario {
     /// Calibrated access model for a traversed cell.
     pub fn access_for(&self, cell: CellId) -> &FiveGAccess {
         self.access.get(&cell).unwrap_or_else(|| panic!("cell {cell} not traversed / calibrated"))
-    }
-
-    /// A neutral 5G access model for nodes outside calibrated cells.
-    pub fn default_access(&self) -> FiveGAccess {
-        FiveGAccess::new(CellEnv::new(0.4, 0.3))
     }
 
     /// The reference endpoints: mobile UE in the spec's reference cell and

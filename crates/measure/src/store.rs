@@ -424,6 +424,12 @@ impl StoreMeta {
                 .and_then(Value::as_u64)
                 .ok_or_else(|| StoreError::new(path, format!("manifest lacks `{name}`")))
         };
+        let u32_of = |name: &str| -> Result<u32, StoreError> {
+            let n = u64_of(name)?;
+            u32::try_from(n).map_err(|_| {
+                StoreError::new(path, format!("manifest `{name}` {n} does not fit 32 bits"))
+            })
+        };
         let version = u64_of("store_version")?;
         if version != STORE_VERSION as u64 {
             return Err(StoreError::new(
@@ -442,8 +448,8 @@ impl StoreMeta {
             sweep: v.get("sweep").and_then(Value::as_str).unwrap_or_default().to_string(),
             total_runs: u64_of("total_runs")?,
             total_items: u64_of("total_items")?,
-            shard_index: u64_of("shard_index")? as u32,
-            shard_count: u64_of("shard_count")? as u32,
+            shard_index: u32_of("shard_index")?,
+            shard_count: u32_of("shard_count")?,
             runs_from: u64_of("runs_from")?,
             runs_to: u64_of("runs_to")?,
         })
@@ -1241,6 +1247,31 @@ mod tests {
         let err = store.read_run(0, &grid()).expect_err("flipped bit");
         assert!(err.message.contains("checksum"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn manifest_shard_fields_must_fit_32_bits() {
+        // Each wide value truncates to the unsharded store's own field
+        // under `as u32`, so a truncating read would adopt the manifest.
+        for (field, unsharded, wide) in
+            [("shard_count", 1, 4_294_967_297u64), ("shard_index", 0, 4_294_967_296)]
+        {
+            let dir = scratch(&format!("wide-{field}"));
+            CheckpointStore::open(&dir, &meta(4)).expect("open");
+            let manifest = dir.join(MANIFEST_FILE);
+            let text = std::fs::read_to_string(&manifest).expect("read manifest");
+            let (from, to) = (format!("\"{field}\": {unsharded}"), format!("\"{field}\": {wide}"));
+            assert!(text.contains(&from), "{text}");
+            std::fs::write(&manifest, text.replace(&from, &to)).expect("doctor manifest");
+
+            for err in [
+                CheckpointStore::open(&dir, &meta(4)).expect_err("open must reject"),
+                CheckpointStore::load(&dir).expect_err("load must reject"),
+            ] {
+                assert!(err.message.contains(field) && err.message.contains("32 bits"), "{err}");
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -36,11 +36,11 @@
 //! Reading a frame distinguishes *worker death* from *protocol garbage*:
 //! a clean EOF between frames is `Ok(None)`, EOF inside a frame is
 //! `UnexpectedEof`, and a bad magic / kind / reserved byte / length is
-//! `InvalidData`. [`is_transient_io`] encodes the retry policy both the
-//! dispatch coordinator and the bench client use: connection-shaped
-//! failures are retriable against a reconnect (execution is deterministic
-//! and idempotent, so a replay can never change results); `InvalidData`
-//! is a broken peer and is never retried.
+//! `InvalidData`. [`is_transient_io`] encodes the dispatch coordinator's
+//! retry policy: connection-shaped failures are retriable against a
+//! reconnect (execution is deterministic and idempotent, so a replay can
+//! never change results); `InvalidData` is a broken peer and is never
+//! retried.
 
 use crate::spec::SpecError;
 use crate::sweep::VariantReport;
