@@ -23,12 +23,13 @@ fn main() {
 
     header("Population density (synthetic Statistik Austria substitute)");
     println!("cells below 1000 inhabitants/km² are skipped by the campaign:");
+    let density = s.density();
     for r in 0..s.grid.rows {
         print!("  ");
         for c in 0..s.grid.cols {
             let cell = CellId::new(c, r);
-            let d = s.density.density(cell);
-            let mark = if s.density.is_sparse(cell) { '.' } else { '#' };
+            let d = density.density(cell);
+            let mark = if density.is_sparse(cell) { '.' } else { '#' };
             print!("{mark}{d:>5.0} ");
         }
         println!();

@@ -97,34 +97,51 @@ impl ManhattanMobility {
 
     /// Generates a traversal over `grid` restricted to `included` cells
     /// (cells not in `included` are skipped, emulating blocked or
-    /// out-of-scope areas — the paper traverses 33 of 42 cells).
+    /// out-of-scope areas — the paper traverses 33 of 42 cells): every
+    /// grid row in turn, through [`Self::visit_row`].
     pub fn traverse(&self, grid: &GridSpec, included: &[CellId]) -> Traversal {
         // Index inclusion by grid position up front: the naive
         // `included.contains(&cell)` scan is O(cells × included), which at
         // continental scale (10⁶ cells, 10⁶ included) is 10¹² comparisons.
         // The bitmap makes the sweep O(cells + included) with identical
         // output.
+        let cols = grid.cols as usize;
         let mut in_set = vec![false; grid.len()];
         for cell in included {
             if grid.contains(*cell) {
-                in_set[cell.row as usize * grid.cols as usize + cell.col as usize] = true;
+                in_set[cell.row as usize * cols + cell.col as usize] = true;
             }
         }
         let mut visits = Vec::with_capacity(included.len());
-        for r in 0..grid.rows {
-            let cols: Vec<u32> =
-                if r % 2 == 0 { (0..grid.cols).collect() } else { (0..grid.cols).rev().collect() };
-            for c in cols {
-                let cell = CellId::new(c, r);
-                if !in_set[r as usize * grid.cols as usize + c as usize] {
-                    continue;
-                }
-                let h = mix64(self.seed ^ mix64((c as u64) << 32 | r as u64));
-                let jitter = 1.0 + self.dwell_jitter * (2.0 * unit_f64(h) - 1.0);
-                visits.push(Visit { cell, dwell_s: self.mean_dwell_s * jitter.max(0.05) });
-            }
+        for (r, row) in (0..grid.rows).zip(in_set.chunks(cols)) {
+            self.visit_row(r, (0..grid.cols).filter(|&c| row[c as usize]), |v| visits.push(v));
         }
         Traversal { visits }
+    }
+
+    /// The visits of grid row `row`, in traversal order, passed to `emit`.
+    /// `cols` yields the row's included columns west to east. Even rows are
+    /// driven west to east and odd rows back east to west, so consecutive
+    /// rows join into one lawn-mower sweep. A row's visits depend only on
+    /// the seed, the row and its included columns, so a caller holding
+    /// those can produce any run of rows without the rest of the traversal.
+    pub fn visit_row<I>(&self, row: u32, cols: I, mut emit: impl FnMut(Visit))
+    where
+        I: DoubleEndedIterator<Item = u32>,
+    {
+        let mut visit = |c: u32| {
+            let h = mix64(self.seed ^ mix64((c as u64) << 32 | row as u64));
+            let jitter = 1.0 + self.dwell_jitter * (2.0 * unit_f64(h) - 1.0);
+            emit(Visit {
+                cell: CellId::new(c, row),
+                dwell_s: self.mean_dwell_s * jitter.max(0.05),
+            });
+        };
+        if row.is_multiple_of(2) {
+            cols.for_each(&mut visit);
+        } else {
+            cols.rev().for_each(&mut visit);
+        }
     }
 }
 
@@ -187,6 +204,25 @@ mod tests {
         let t = ManhattanMobility::urban(7).traverse(&g, &included);
         assert_eq!(t.visits.len(), 40);
         assert!(!t.distinct_cells().iter().any(|c| c.label() == "A1"));
+    }
+
+    #[test]
+    fn rows_visited_alone_join_into_the_traversal() {
+        let g = grid();
+        let mut included = all_cells(&g);
+        included.retain(|c| (c.col + 2 * c.row) % 5 != 0);
+        let m = ManhattanMobility::urban(9);
+        let mut rows = Vec::new();
+        for r in (0..g.rows).rev() {
+            let cols: Vec<u32> = included.iter().filter(|c| c.row == r).map(|c| c.col).collect();
+            let mut row = Vec::new();
+            m.visit_row(r, cols.into_iter(), |v| row.push(v));
+            rows.push(row);
+        }
+        let joined: Vec<Visit> = rows.into_iter().rev().flatten().collect();
+        assert_eq!(joined, m.traverse(&g, &included).visits);
+        // Row 1 starts at its easternmost included column.
+        assert_eq!(joined[4].cell, CellId::new(5, 1), "odd rows run east to west");
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! deviation of round-trip latency, with cells holding fewer than ten
 //! measurements rendered as `0.0`.
 
+use crate::parallel::{cell_chunks, extend_in_place, map_chunks, split_mut};
 use serde::{Deserialize, Serialize};
 use sixg_geo::{CellId, GridSpec};
 use sixg_netsim::stats::Welford;
@@ -48,23 +49,34 @@ pub struct FieldSummary {
 
 /// Folds `s` into a running (min, max) pair under `key`, breaking ties
 /// as `Iterator::min_by` (first equal) and `Iterator::max_by` (last
-/// equal) do.
+/// equal) do: an equal later minimum loses, an equal later maximum wins.
+/// Folding a chunk's own (min, max), in chunk order, therefore gives the
+/// pair of folding its cells one by one.
 fn fold_extrema(
     slot: &mut Option<(CellStats, CellStats)>,
-    s: &CellStats,
+    s: CellStats,
     key: fn(&CellStats) -> f64,
 ) {
     match slot {
-        None => *slot = Some((s.clone(), s.clone())),
+        None => *slot = Some((s.clone(), s)),
         Some((min, max)) => {
-            if key(s).total_cmp(&key(min)).is_lt() {
-                *min = s.clone();
-            }
-            if key(s).total_cmp(&key(max)).is_ge() {
+            if key(&s).total_cmp(&key(max)).is_ge() {
                 *max = s.clone();
+            }
+            if key(&s).total_cmp(&key(min)).is_lt() {
+                *min = s;
             }
         }
     }
+}
+
+/// One chunk's share of [`CellField::summary`].
+#[derive(Default)]
+struct ChunkSummary {
+    total_samples: u64,
+    reported: usize,
+    mean_extrema: Option<(CellStats, CellStats)>,
+    std_extrema: Option<(CellStats, CellStats)>,
 }
 
 /// A full per-cell field over a grid.
@@ -97,10 +109,18 @@ fn cell_index(grid: &GridSpec, cell: CellId) -> usize {
 }
 
 impl CellField {
-    /// Empty field over `grid`.
+    /// Empty field over `grid`. A wide grid's accumulators are first
+    /// written by the pool, in index-ordered chunks.
     pub fn new(grid: GridSpec) -> Self {
-        let n = grid.len();
-        Self { grid, acc: vec![Welford::new(); n] }
+        let chunks = cell_chunks(grid.len());
+        let lens: Vec<usize> = chunks.iter().map(|c| c.len()).collect();
+        let mut acc = Vec::new();
+        extend_in_place(&mut acc, &lens, |p, sink| {
+            for _ in 0..lens[p] {
+                sink.push(Welford::new());
+            }
+        });
+        Self { grid, acc }
     }
 
     /// The grid this field is defined over.
@@ -182,24 +202,54 @@ impl CellField {
     /// [`Self::total_samples`], [`Self::grand_mean_ms`],
     /// [`Self::mean_extrema`] and [`Self::std_extrema`] from one row-major
     /// pass over the accumulators, without materialising [`Self::reported`].
+    ///
+    /// A wide grid's pass runs on the pool in index-ordered chunks. Each
+    /// chunk counts its samples, takes its own extrema and lists its
+    /// reported means, in row-major order, in its slice of one buffer.
+    /// The chunks then fold in index order: the grand-mean sum adds every
+    /// listed mean in row-major order, and the extrema keep
+    /// [`Self::mean_extrema`]'s tie rule, so every member has the bits of
+    /// a single serial pass at any pool size.
     pub fn summary(&self) -> FieldSummary {
         let cols = self.grid.cols as usize;
+        let chunks = cell_chunks(self.acc.len());
+        let mut means = vec![0.0; self.acc.len()];
+        let pieces: Vec<_> = chunks.iter().cloned().zip(split_mut(&mut means, &chunks)).collect();
+        let parts = map_chunks(pieces, |(chunk, means)| {
+            let mut part = ChunkSummary::default();
+            for (i, w) in chunk.clone().zip(&self.acc[chunk]) {
+                part.total_samples += w.count();
+                if w.count() < MIN_SAMPLES {
+                    continue;
+                }
+                let s = Self::stats_of(CellId::new((i % cols) as u32, (i / cols) as u32), w);
+                means[part.reported] = s.mean_ms;
+                part.reported += 1;
+                fold_extrema(&mut part.mean_extrema, s.clone(), |s| s.mean_ms);
+                fold_extrema(&mut part.std_extrema, s, |s| s.std_ms);
+            }
+            part
+        });
         let mut total_samples = 0;
         // `Iterator::sum`'s neutral element, so the grand mean keeps its bits.
         let mut mean_sum = -0.0;
         let mut reported = 0usize;
         let mut mean_extrema = None;
         let mut std_extrema = None;
-        for (i, w) in self.acc.iter().enumerate() {
-            total_samples += w.count();
-            if w.count() < MIN_SAMPLES {
-                continue;
+        for (part, chunk) in parts.into_iter().zip(&chunks) {
+            total_samples += part.total_samples;
+            for &m in &means[chunk.start..chunk.start + part.reported] {
+                mean_sum += m;
             }
-            let s = Self::stats_of(CellId::new((i % cols) as u32, (i / cols) as u32), w);
-            mean_sum += s.mean_ms;
-            reported += 1;
-            fold_extrema(&mut mean_extrema, &s, |s| s.mean_ms);
-            fold_extrema(&mut std_extrema, &s, |s| s.std_ms);
+            reported += part.reported;
+            if let Some((min, max)) = part.mean_extrema {
+                fold_extrema(&mut mean_extrema, min, |s| s.mean_ms);
+                fold_extrema(&mut mean_extrema, max, |s| s.mean_ms);
+            }
+            if let Some((min, max)) = part.std_extrema {
+                fold_extrema(&mut std_extrema, min, |s| s.std_ms);
+                fold_extrema(&mut std_extrema, max, |s| s.std_ms);
+            }
         }
         let grand_mean_ms = if reported == 0 { 0.0 } else { mean_sum / reported as f64 };
         FieldSummary { total_samples, grand_mean_ms, mean_extrema, std_extrema }
@@ -239,6 +289,21 @@ impl CellField {
     pub fn from_accumulators(grid: GridSpec, acc: Vec<Welford>) -> Self {
         assert_eq!(acc.len(), grid.len(), "accumulator count must match grid size");
         Self { grid, acc }
+    }
+}
+
+#[cfg(test)]
+impl CellField {
+    /// Every accumulator's exact state, row-major: what the bitwise tests
+    /// compare.
+    pub(crate) fn accumulator_bits(&self) -> Vec<(u64, u64, u64, u64, u64)> {
+        self.acc
+            .iter()
+            .map(|w| {
+                let (n, mean, m2, min, max) = w.raw_parts();
+                (n, mean.to_bits(), m2.to_bits(), min.to_bits(), max.to_bits())
+            })
+            .collect()
     }
 }
 
@@ -362,6 +427,56 @@ mod tests {
         assert_eq!(summary.std_extrema, Some((smin, smax)));
         assert_eq!(summary.grand_mean_ms.to_bits(), old_grand.to_bits());
         assert_eq!(summary.total_samples, f.total_samples());
+    }
+
+    /// A grid of two summary chunks, with the lowest reported mean tied
+    /// across them and the highest tied across them too: the chunked
+    /// summary must keep the single-pass fold's tie rule (the first equal
+    /// minimum and the last equal maximum win) and its grand-mean bits.
+    #[test]
+    fn chunked_summary_breaks_ties_across_chunks_like_one_pass() {
+        let grid = GridSpec::new(GeoPoint::new(46.65, 14.25), 300, 300, 1.0);
+        let mut acc = vec![Welford::new(); grid.len()];
+        let mut fill = |i: usize, mean: f64, spread: f64, n: usize| {
+            (0..n).for_each(|k| acc[i].push(mean + spread * (k % 3) as f64));
+        };
+        // The chunk seam is at index 2¹⁶ = 65 536. Cells 100 and 70 000 tie
+        // at the lowest mean and σ, cells 200 and 80 000 at the highest.
+        for i in [100, 70_000] {
+            fill(i, 40.0, 0.5, 12);
+        }
+        for i in [200, 80_000] {
+            fill(i, 90.0, 2.0, 12);
+        }
+        for (i, mean) in [(7, 60.0), (65_535, 47.25), (65_536, 53.5), (89_999, 71.0)] {
+            fill(i, mean, 1.0, 12);
+        }
+        // Means that round, on both sides of the seam, so a grand-mean sum
+        // regrouped by chunk would move the last bits.
+        for i in (1_000..1_050).chain(66_000..66_050) {
+            fill(i, 50.0 + (i % 17) as f64 * 0.3, 1.0, 12);
+        }
+        fill(75_000, 10.0, 0.1, 9); // masked: a lower mean and σ that must not count
+        let f = CellField::from_accumulators(grid, acc);
+
+        let rep = f.reported();
+        assert_eq!(rep.len(), 108);
+        let by_mean = |a: &&CellStats, b: &&CellStats| a.mean_ms.total_cmp(&b.mean_ms);
+        let by_std = |a: &&CellStats, b: &&CellStats| a.std_ms.total_cmp(&b.std_ms);
+        let one_pass_mean =
+            (rep.iter().min_by(by_mean).cloned(), rep.iter().max_by(by_mean).cloned());
+        let one_pass_std = (rep.iter().min_by(by_std).cloned(), rep.iter().max_by(by_std).cloned());
+        let one_pass_grand = rep.iter().map(|s| s.mean_ms).sum::<f64>() / rep.len() as f64;
+
+        let summary = f.summary();
+        let (min, max) = summary.mean_extrema.clone().expect("reported cells");
+        assert_eq!((min.cell, max.cell), (CellId::new(100, 0), CellId::new(200, 266)));
+        assert_eq!((Some(min), Some(max)), one_pass_mean);
+        let (smin, smax) = summary.std_extrema.clone().expect("reported cells");
+        assert_eq!((smin.cell, smax.cell), (CellId::new(100, 0), CellId::new(200, 266)));
+        assert_eq!((Some(smin), Some(smax)), one_pass_std);
+        assert_eq!(summary.grand_mean_ms.to_bits(), one_pass_grand.to_bits());
+        assert_eq!(summary.total_samples, 108 * 12 + 9);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! traffic flow exactly as in the paper. Samples are RIPE-Atlas-style pure
 //! network RTTs: wire path + radio access, no application processing.
 
+use crate::parallel::{extend_in_place, row_chunks};
 use crate::scenario::{KeyScheme, Scenario};
 use bytes::Arena;
 use serde::{Deserialize, Serialize};
@@ -210,33 +211,63 @@ impl<'a> MobileCampaign<'a> {
         &self.sampler
     }
 
-    /// The per-pass traversal (deterministic in scenario + campaign seed).
-    pub fn traversal(&self, pass: u32) -> sixg_geo::mobility::Traversal {
-        let mob = ManhattanMobility::urban(
+    /// The mobility model of one pass (deterministic in scenario +
+    /// campaign seed).
+    fn mobility(&self, pass: u32) -> ManhattanMobility {
+        ManhattanMobility::urban(
             self.scenario.seed ^ self.config.seed.rotate_left(16) ^ pass as u64,
-        );
-        mob.traverse(&self.scenario.grid, &self.scenario.included)
+        )
     }
 
-    /// The full campaign work list, in sequential execution order.
+    /// The per-pass traversal (deterministic in scenario + campaign seed).
+    pub fn traversal(&self, pass: u32) -> sixg_geo::mobility::Traversal {
+        self.mobility(pass).traverse(&self.scenario.grid, &self.scenario.included)
+    }
+
+    /// The full campaign work list, in sequential execution order: the
+    /// visits of [`Self::traversal`] for every pass in turn.
     ///
     /// Both runners consume exactly this list: the sequential runner in
     /// order, the parallel runner sampling shards on any thread but
     /// accumulating each cell's samples *in this order* — which is what
-    /// makes the two bitwise interchangeable. The list grows by exactly one
-    /// pass at a time and holds no intermediate copy: at continental scale
-    /// a pass is 10⁶ shards, and the allocator would keep a transient of
-    /// that size resident.
+    /// makes the two bitwise interchangeable.
+    ///
+    /// The list is allocated once, on the calling thread, and each pass is
+    /// written into it in place by row chunks ([`ManhattanMobility::visit_row`]
+    /// over each row's cells of [`Scenario::included`], which is row-major),
+    /// on the pool when the grid spans more than one chunk. It holds no
+    /// intermediate copy: at continental scale a pass is 10⁶ shards.
+    /// Panics when `included` is not row-major, unique and inside the grid.
     pub fn shards(&self) -> Vec<Shard> {
+        let s = self.scenario;
+        let included = &s.included;
+        let chunks = row_chunks(s.grid.rows, s.grid.cols as usize);
+        // `included` is row-major, so each row chunk's cells are one run.
+        let mut bounds: Vec<usize> =
+            chunks.iter().map(|rows| included.partition_point(|c| c.row < rows.start)).collect();
+        bounds.push(included.len());
+        let lens: Vec<usize> = bounds.windows(2).map(|w| w[1] - w[0]).collect();
+        let index = |c: &CellId| c.row as usize * s.grid.cols as usize + c.col as usize;
         let mut out = Vec::new();
+        let passes = self.config.passes as usize;
+        out.reserve_exact(included.len().checked_mul(passes).expect("work list length fits usize"));
         for pass in 0..self.config.passes {
-            let visits = self.traversal(pass).visits;
-            out.reserve_exact(visits.len());
-            out.extend(visits.into_iter().map(|v| Shard {
-                pass,
-                cell: v.cell,
-                dwell_s: v.dwell_s,
-            }));
+            let mobility = self.mobility(pass);
+            extend_in_place(&mut out, &lens, |p, sink| {
+                let mut cells = &included[bounds[p]..bounds[p + 1]];
+                assert!(
+                    cells.windows(2).all(|w| index(&w[0]) < index(&w[1]))
+                        && cells.iter().all(|c| c.col < s.grid.cols && chunks[p].contains(&c.row)),
+                    "included cells must be row-major, unique and inside the grid"
+                );
+                for row in chunks[p].clone() {
+                    let (this_row, rest) = cells.split_at(cells.partition_point(|c| c.row == row));
+                    cells = rest;
+                    mobility.visit_row(row, this_row.iter().map(|c| c.col), |v| {
+                        sink.push(Shard { pass, cell: v.cell, dwell_s: v.dwell_s })
+                    });
+                }
+            });
         }
         out
     }
@@ -414,6 +445,41 @@ mod tests {
         let s = scenario();
         let c = MobileCampaign::new(&s, CampaignConfig::default());
         let _ = c.samples_for_dwell(f64::NAN);
+    }
+
+    /// The plan is written by row chunks on the pool, yet it must be the
+    /// traversal of every pass, concatenated. The grid spans three row
+    /// chunks, and skipped cells give them different cell counts: 100
+    /// skipped in the first, a full row and a run of the next in the
+    /// second, none in the third.
+    #[test]
+    fn row_chunked_plan_is_the_traversal_at_every_pool_size() {
+        use crate::parallel::with_thread_count;
+        let mut spec = crate::skopje::skopje_spec().clone();
+        spec.grid.cols = 300;
+        spec.grid.rows = 500;
+        let skipped = (0..100)
+            .map(|c| CellId::new(c, 100))
+            .chain((0..300).map(|c| CellId::new(c, 300)))
+            .chain((10..20).map(|c| CellId::new(c, 301)));
+        spec.skipped_cells.extend(skipped.map(|c| c.label()));
+        let s = Scenario::from_spec(&spec).expect("resized spec compiles");
+        assert_eq!(s.key_scheme, KeyScheme::Wide);
+        let c = MobileCampaign::new(&s, CampaignConfig { passes: 3, ..Default::default() });
+        let expected: Vec<Shard> = (0..3)
+            .flat_map(|pass| {
+                c.traversal(pass).visits.into_iter().map(move |v| Shard {
+                    pass,
+                    cell: v.cell,
+                    dwell_s: v.dwell_s,
+                })
+            })
+            .collect();
+        assert_eq!(expected.len(), 3 * (150_000 - 6 - 410));
+        for threads in [1usize, 2, 8] {
+            let shards = with_thread_count(threads, || c.shards());
+            assert!(shards == expected, "{threads} threads: the plan differs from the traversal");
+        }
     }
 
     #[test]

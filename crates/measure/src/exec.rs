@@ -1194,6 +1194,54 @@ mod tests {
         }
     }
 
+    /// A wide grid past three chunks of every per-cell pass outside the
+    /// sampling kernel: 180 000 cells (three cell chunks), 300 rows of 600
+    /// (three row chunks), two passes of 180 000 items (six item chunks,
+    /// so a cell's two items sit in different chunks) and eight tile rows
+    /// of 38 × 600 cells (three tile-row chunks). A coarse cadence keeps
+    /// the debug build quick and leaves some cells masked. The report must
+    /// be the same bytes at every pool size, and the field the sequential
+    /// oracle's, accumulator for accumulator.
+    #[test]
+    fn multi_chunk_wide_grid_is_pool_invariant_and_matches_the_oracle() {
+        let mut spec = wide_spec();
+        spec.grid.cols = 600;
+        spec.grid.rows = 300;
+        spec.campaign.passes = 2;
+        spec.campaign.sample_interval_s = 24.0;
+        let req = ExecRequest::run(spec.clone());
+        let runs: Vec<(usize, String, CellField)> = [1usize, 2, 3, 8]
+            .into_iter()
+            .map(|threads| match with_thread_count(threads, || execute(&req)).expect("runs") {
+                ExecReport::Run(out) => (threads, out.report.to_json(), out.field),
+                other => panic!("expected a run report, got {other:?}"),
+            })
+            .collect();
+        let scenario = Scenario::from_spec(&spec).expect("compiles");
+        let config = CampaignConfig {
+            seed: spec.campaign.seed,
+            sample_interval_s: spec.campaign.sample_interval_s,
+            passes: spec.campaign.passes,
+        };
+        let oracle =
+            run_field_sequential(&scenario, config, ExecBackend::Analytic).accumulator_bits();
+        for (threads, json, field) in &runs {
+            assert!(json == &runs[0].1, "{threads} threads: the report bytes moved");
+            assert!(
+                field.accumulator_bits() == oracle,
+                "{threads} threads: not the oracle's field"
+            );
+        }
+        match execute(&req).expect("runs") {
+            ExecReport::Run(out) => {
+                let h = out.report.super_cells.as_ref().expect("wide grids summarise");
+                assert_eq!((h.tile_cells, h.tile_cols, h.tile_rows), (38, 16, 8));
+                assert!(h.reported_cells > 0 && h.masked_cells > 0, "{h:?}");
+            }
+            other => panic!("expected a run report, got {other:?}"),
+        }
+    }
+
     #[test]
     fn legacy_reports_omit_the_super_cell_member() {
         match execute(&ExecRequest::run(flat_spec())).expect("runs") {

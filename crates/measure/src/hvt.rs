@@ -27,7 +27,8 @@
 //! deterministic and identical across pool sizes, exactly like the field
 //! it summarises.
 
-use crate::aggregate::{CellField, CellStats};
+use crate::aggregate::{CellField, CellStats, MIN_SAMPLES};
+use crate::parallel::{cell_chunks, map_chunks, row_chunks};
 use serde::Serialize;
 use sixg_geo::{CellId, GridSpec};
 
@@ -200,7 +201,24 @@ struct TileAcc {
     buckets: Vec<Option<SuperAcc>>,
 }
 
+impl TileAcc {
+    fn new(bucket_count: usize) -> Self {
+        Self {
+            reported: 0,
+            masked: 0,
+            mean_sum: 0.0,
+            buckets: (0..bucket_count).map(|_| None).collect(),
+        }
+    }
+}
+
 /// Builds the two-level super-cell hierarchy of `field`.
+///
+/// Both passes run in index-ordered chunks, on the pool when the grid
+/// spans more than one: the band range per chunk of cells, merged in chunk
+/// order, and the tiles per chunk of whole tile rows. A tile's cells all
+/// fall in one chunk and fold in row-major order there, so the report has
+/// the same bits at any pool size.
 pub fn build(field: &CellField, cfg: &HvtConfig) -> HvtReport {
     assert!(cfg.tile_cells >= 1, "tile side must be at least one cell");
     assert!(cfg.mean_bands >= 1, "need at least one mean band");
@@ -211,19 +229,24 @@ pub fn build(field: &CellField, cfg: &HvtConfig) -> HvtReport {
     // Pass 1: the field-wide reported mean range that anchors the bands.
     // Banding against the global range (not per tile) keeps band indices
     // comparable across tiles — band 3 means "hot" everywhere.
+    let acc = field.accumulators();
+    let ranges = map_chunks(cell_chunks(acc.len()), |chunk| {
+        let (mut lo, mut hi, mut reported) = (f64::INFINITY, f64::NEG_INFINITY, 0u64);
+        for w in acc[chunk].iter().filter(|w| w.count() >= MIN_SAMPLES) {
+            reported += 1;
+            lo = lo.min(w.mean());
+            hi = hi.max(w.mean());
+        }
+        (lo, hi, reported)
+    });
     let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
     let mut reported_cells = 0u64;
-    let mut masked_cells = 0u64;
-    for cell in grid.cells() {
-        let s = field.stats(cell);
-        if s.is_masked() {
-            masked_cells += 1;
-        } else {
-            reported_cells += 1;
-            lo = lo.min(s.mean_ms);
-            hi = hi.max(s.mean_ms);
-        }
+    for (chunk_lo, chunk_hi, reported) in ranges {
+        lo = lo.min(chunk_lo);
+        hi = hi.max(chunk_hi);
+        reported_cells += reported;
     }
+    let masked_cells = acc.len() as u64 - reported_cells;
     if reported_cells == 0 {
         lo = 0.0;
         hi = 0.0;
@@ -241,34 +264,37 @@ pub fn build(field: &CellField, cfg: &HvtConfig) -> HvtReport {
     // Row-major cell order makes the first member of each bucket — the
     // anchor — deterministic.
     let bucket_count = cfg.mean_bands as usize * 2;
-    let mut tiles: Vec<TileAcc> = (0..tile_cols as usize * tile_rows as usize)
-        .map(|_| TileAcc {
-            reported: 0,
-            masked: 0,
-            mean_sum: 0.0,
-            buckets: (0..bucket_count).map(|_| None).collect(),
-        })
-        .collect();
-    for cell in grid.cells() {
-        let t = (cell.row / cfg.tile_cells) as usize * tile_cols as usize
-            + (cell.col / cfg.tile_cells) as usize;
-        let s = field.stats(cell);
-        if s.is_masked() {
-            tiles[t].masked += 1;
-            continue;
+    let tile_row_cells = cfg.tile_cells as usize * grid.cols as usize;
+    let tile_chunks = map_chunks(row_chunks(tile_rows, tile_row_cells), |chunk| {
+        let first_row = chunk.start * cfg.tile_cells;
+        let last_row = (chunk.end * cfg.tile_cells).min(grid.rows);
+        let mut tiles: Vec<TileAcc> =
+            (0..chunk.len() * tile_cols as usize).map(|_| TileAcc::new(bucket_count)).collect();
+        for row in first_row..last_row {
+            let tile_row = ((row - first_row) / cfg.tile_cells) as usize * tile_cols as usize;
+            for col in 0..grid.cols {
+                let t = tile_row + (col / cfg.tile_cells) as usize;
+                let s = field.stats(CellId::new(col, row));
+                if s.is_masked() {
+                    tiles[t].masked += 1;
+                    continue;
+                }
+                tiles[t].reported += 1;
+                tiles[t].mean_sum += s.mean_ms;
+                let exceeds = s.mean_ms > cfg.requirement_ms;
+                let b = band_of(s.mean_ms) as usize * 2 + usize::from(exceeds);
+                match &mut tiles[t].buckets[b] {
+                    Some(acc) => acc.fold(&s),
+                    slot => *slot = Some(SuperAcc::open(&s)),
+                }
+            }
         }
-        tiles[t].reported += 1;
-        tiles[t].mean_sum += s.mean_ms;
-        let exceeds = s.mean_ms > cfg.requirement_ms;
-        let b = band_of(s.mean_ms) as usize * 2 + usize::from(exceeds);
-        match &mut tiles[t].buckets[b] {
-            Some(acc) => acc.fold(&s),
-            slot => *slot = Some(SuperAcc::open(&s)),
-        }
-    }
+        tiles
+    });
 
-    let tiles = tiles
+    let tiles = tile_chunks
         .into_iter()
+        .flatten()
         .enumerate()
         .map(|(i, t)| {
             let tile_col = (i % tile_cols as usize) as u32;
@@ -427,6 +453,47 @@ mod tests {
         assert_eq!(h.reported_cells, 0);
         assert_eq!((h.band_lo_ms, h.band_hi_ms), (0.0, 0.0));
         assert!(h.tiles.iter().all(|t| t.super_cells.is_empty() && t.mean_ms == 0.0));
+    }
+
+    /// A field of two tile-row chunks (13 tile rows of 20 × 300 cells,
+    /// 11 to a chunk): each tile must hold the counts and the mean of a
+    /// direct row-major fold over its own cells, and the band range must
+    /// be the field's, whichever chunk a tile fell in.
+    #[test]
+    fn tiles_across_chunk_seams_fold_their_own_cells_in_row_major_order() {
+        let grid = GridSpec::new(GeoPoint::new(46.0, 14.0), 300, 250, 1.0);
+        let mut f = CellField::new(grid.clone());
+        for cell in grid.cells() {
+            let n = if (cell.col + cell.row) % 7 == 0 { 5 } else { 10 };
+            // The lowest means lie in the first chunk, the highest in the last.
+            let mean = 40.0 + f64::from(cell.row) * 0.1 + f64::from((cell.col * 31) % 50) * 0.37;
+            for k in 0..n {
+                f.push(cell, mean + f64::from(k) * 0.01);
+            }
+        }
+        let cfg = HvtConfig { tile_cells: 20, mean_bands: 4, requirement_ms: 50.0 };
+        let h = build(&f, &cfg);
+        assert_eq!((h.tile_cols, h.tile_rows), (15, 13));
+        let (min, max) = f.mean_extrema().expect("reported cells");
+        assert_eq!((h.band_lo_ms, h.band_hi_ms), (min.mean_ms, max.mean_ms));
+        for t in &h.tiles {
+            let (mut reported, mut masked, mut mean_sum) = (0u64, 0u64, 0.0);
+            for row in t.tile_row * 20..(t.tile_row * 20 + 20).min(250) {
+                for col in t.tile_col * 20..t.tile_col * 20 + 20 {
+                    let s = f.stats(CellId::new(col, row));
+                    if s.is_masked() {
+                        masked += 1;
+                    } else {
+                        reported += 1;
+                        mean_sum += s.mean_ms;
+                    }
+                }
+            }
+            assert_eq!((t.reported_cells, t.masked_cells), (reported, masked), "{}", t.origin);
+            assert_eq!(t.mean_ms.to_bits(), (mean_sum / reported as f64).to_bits(), "{}", t.origin);
+            let members: u64 = t.super_cells.iter().map(|s| s.cells).sum();
+            assert_eq!(members, reported, "{}", t.origin);
+        }
     }
 
     #[test]

@@ -151,12 +151,13 @@ mod tests {
     #[test]
     fn skipped_cells_are_sparse_and_on_border() {
         let s = scenario();
+        let density = s.density();
         for cell in s.grid.cells() {
             if !s.targets.traversed(cell) {
-                assert!(s.density.is_sparse(cell), "skipped cell {cell} should be sparse");
+                assert!(density.is_sparse(cell), "skipped cell {cell} should be sparse");
                 assert!(s.grid.is_border(cell), "skipped cell {cell} should be on the border");
             } else {
-                assert!(!s.density.is_sparse(cell), "traversed cell {cell} should be dense");
+                assert!(!density.is_sparse(cell), "traversed cell {cell} should be dense");
             }
         }
     }
@@ -243,9 +244,9 @@ mod tests {
     #[test]
     fn density_override_is_deterministic() {
         let a = scenario();
-        let b = scenario();
+        let (da, db) = (a.density(), scenario().density());
         for cell in a.grid.cells() {
-            assert_eq!(a.density.density(cell), b.density.density(cell));
+            assert_eq!(da.density(cell), db.density(cell));
         }
     }
 

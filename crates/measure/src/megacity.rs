@@ -69,8 +69,9 @@ mod tests {
         assert_eq!(s.included.len(), 100);
         assert_eq!(s.ue.len(), 100);
         assert_eq!(s.access.len(), 100);
+        let density = s.density();
         for cell in s.grid.cells() {
-            assert!(!s.density.is_sparse(cell), "megacity cell {cell} must be dense");
+            assert!(!density.is_sparse(cell), "megacity cell {cell} must be dense");
         }
     }
 

@@ -13,6 +13,16 @@
 //! sweep's runs go through the sweep's own round-based fold (see
 //! [`crate::sweep`]); both drive the same `Runner`, the one place a run's
 //! backend is chosen.
+//!
+//! The per-cell passes around the sampling kernel — compiling the target
+//! field, planning the work list, setting up and bucketing the
+//! accumulators, summarising the field and building its super-cells — walk
+//! a wide grid's million cells. They run in fixed, index-ordered chunks of
+//! at least `CHUNK_CELLS` cells (`map_chunks`, `extend_in_place`):
+//! the pool only decides which thread computes a chunk, every buffer is
+//! allocated once on the calling thread, and chunk results fold in chunk
+//! order, so no bit depends on the pool size. Every legacy-scheme grid is
+//! one chunk and runs on the calling thread.
 
 use crate::aggregate::CellField;
 use crate::campaign::{CampaignConfig, MobileCampaign, Shard};
@@ -22,6 +32,8 @@ use crate::scenario::Scenario;
 use crate::spec::ExecBackend;
 use rayon::prelude::*;
 use sixg_geo::CellId;
+use std::mem::MaybeUninit;
+use std::ops::Range;
 
 /// One run's campaign runner with its typed work list — the single place
 /// the backend is chosen, for plain runs ([`crate::exec::run_field`]) and
@@ -149,24 +161,9 @@ pub(crate) fn run_shards<T: CellItem>(
     collect: impl Fn(T, &mut Vec<f64>) + Sync,
 ) -> CellField {
     let mut field = CellField::new(scenario.grid.clone());
-    let cells = scenario.grid.len();
-    let span = cells.div_ceil(rayon::current_num_threads() * RANGES_PER_THREAD).max(1);
-    // A stable counting sort of item indices by range: `starts[r]..starts[r + 1]`
-    // is range `r`'s bucket in `order`.
-    let mut starts = vec![0usize; cells.div_ceil(span) + 1];
-    for item in items {
-        starts[field.index(item.cell()) / span + 1] += 1;
-    }
-    for r in 1..starts.len() {
-        starts[r] += starts[r - 1];
-    }
-    let mut order = vec![0u32; items.len()];
-    let mut next = starts.clone();
-    for (i, item) in items.iter().enumerate() {
-        let slot = &mut next[field.index(item.cell()) / span];
-        order[*slot] = u32::try_from(i).expect("work list fits u32 indices");
-        *slot += 1;
-    }
+    let span =
+        scenario.grid.len().div_ceil(rayon::current_num_threads() * RANGES_PER_THREAD).max(1);
+    let (starts, order) = bucket_by_range(&field, items, span);
     let mut ranges: Vec<_> = field.ranges_mut(span).into_iter().zip(starts.windows(2)).collect();
     ranges.par_iter_mut().for_each(|(range, bucket)| {
         let mut buf = Vec::new();
@@ -180,6 +177,55 @@ pub(crate) fn run_shards<T: CellItem>(
         }
     });
     field
+}
+
+/// A stable counting sort of item indices by the `span`-cell range their
+/// cell falls in: `starts[r]..starts[r + 1]` is range `r`'s bucket in
+/// `order`. The work list is cut into chunks of `CHUNK_CELLS` items. Each
+/// chunk counts its items per range, and then writes its indices into its
+/// own slice of each bucket, after every earlier chunk's, so every bucket
+/// keeps work-list order at any pool size.
+fn bucket_by_range<T: CellItem>(
+    field: &CellField,
+    items: &[T],
+    span: usize,
+) -> (Vec<usize>, Vec<u32>) {
+    let range_count = field.grid().len().div_ceil(span);
+    let range_of = |item: &T| field.index(item.cell()) / span;
+    let chunks = cell_chunks(items.len());
+    let counts = map_chunks(chunks.clone(), |chunk| {
+        let mut n = vec![0usize; range_count];
+        for item in &items[chunk] {
+            n[range_of(item)] += 1;
+        }
+        n
+    });
+    let mut starts = vec![0usize; range_count + 1];
+    for r in 0..range_count {
+        starts[r + 1] = starts[r] + counts.iter().map(|n| n[r]).sum::<usize>();
+    }
+    // Cut `order` into one slice per (chunk, range), bucket by bucket and
+    // chunk by chunk inside a bucket.
+    let mut order = vec![0u32; items.len()];
+    let mut slices: Vec<Vec<&mut [u32]>> =
+        counts.iter().map(|_| Vec::with_capacity(range_count)).collect();
+    let mut rest = order.as_mut_slice();
+    for r in 0..range_count {
+        for (chunk_slices, n) in slices.iter_mut().zip(&counts) {
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(n[r]);
+            chunk_slices.push(head);
+            rest = tail;
+        }
+    }
+    map_chunks(chunks.into_iter().zip(slices).collect(), |(chunk, mut slices)| {
+        let mut next = vec![0usize; range_count];
+        for i in chunk {
+            let r = range_of(&items[i]);
+            slices[r][next[r]] = u32::try_from(i).expect("work list fits u32 indices");
+            next[r] += 1;
+        }
+    });
+    (starts, order)
 }
 
 /// The sequential counterpart of [`run_shards`] and the determinism
@@ -202,6 +248,105 @@ pub(crate) fn run_shards_sequential<T: CellItem>(
     field
 }
 
+/// Cells per chunk of a per-cell pass outside the sampling kernel. At
+/// least 2¹⁶, so every legacy-scheme grid (at most 256 × 256 cells) is a
+/// single chunk and runs on the calling thread.
+const CHUNK_CELLS: usize = 1 << 16;
+
+/// `0..len` cut into chunks of `CHUNK_CELLS` indices (the last one
+/// shorter), in index order; one empty chunk when `len` is zero.
+pub(crate) fn cell_chunks(len: usize) -> Vec<Range<usize>> {
+    let count = len.div_ceil(CHUNK_CELLS).max(1);
+    (0..count).map(|k| k * CHUNK_CELLS..((k + 1) * CHUNK_CELLS).min(len)).collect()
+}
+
+/// `0..rows` cut into runs of whole rows of `row_cells` cells each: the
+/// fewest rows that hold at least `CHUNK_CELLS` cells per run (the last
+/// run shorter), in row order.
+pub(crate) fn row_chunks(rows: u32, row_cells: usize) -> Vec<Range<u32>> {
+    // At most `CHUNK_CELLS` rows, so the cast is exact.
+    let step = CHUNK_CELLS.div_ceil(row_cells.max(1)) as u32;
+    (0..rows.div_ceil(step).max(1)).map(|k| k * step..((k + 1) * step).min(rows)).collect()
+}
+
+/// `buf` cut along `chunks`, which tile `0..buf.len()` in order.
+pub(crate) fn split_mut<'a, T>(mut buf: &'a mut [T], chunks: &[Range<usize>]) -> Vec<&'a mut [T]> {
+    let pieces = chunks
+        .iter()
+        .map(|chunk| {
+            let (head, tail) = std::mem::take(&mut buf).split_at_mut(chunk.len());
+            buf = tail;
+            head
+        })
+        .collect();
+    debug_assert!(buf.is_empty(), "chunks must tile the buffer");
+    pieces
+}
+
+/// Runs `f` on every chunk and returns the results in chunk order. More
+/// than one chunk runs on the pool; a single chunk runs on the calling
+/// thread.
+pub(crate) fn map_chunks<C: Send, R: Send>(
+    chunks: Vec<C>,
+    f: impl Fn(C) -> R + Sync + Send,
+) -> Vec<R> {
+    if chunks.len() <= 1 {
+        chunks.into_iter().map(f).collect()
+    } else {
+        chunks.into_par_iter().map(f).collect()
+    }
+}
+
+/// A run of uninitialised slots that [`extend_in_place`] hands to one
+/// piece, written front to back.
+pub(crate) struct Sink<'a, T> {
+    slots: &'a mut [MaybeUninit<T>],
+    written: usize,
+}
+
+impl<T> Sink<'_, T> {
+    /// Writes the next slot. Panics when every slot is already written.
+    pub(crate) fn push(&mut self, value: T) {
+        self.slots[self.written].write(value);
+        self.written += 1;
+    }
+}
+
+/// Appends `lens.iter().sum()` items to `out` in place: piece `p` writes
+/// the next `lens[p]` items, in order, through `fill(p, sink)`. The
+/// pieces run as chunks ([`map_chunks`]) into capacity reserved on the
+/// calling thread, so no pool worker allocates the buffer, and the items
+/// land in piece order at any pool size. Panics, leaving `out` as it was,
+/// when a piece writes more or fewer items than its length.
+pub(crate) fn extend_in_place<T: Send>(
+    out: &mut Vec<T>,
+    lens: &[usize],
+    fill: impl Fn(usize, &mut Sink<'_, T>) + Sync + Send,
+) {
+    let total: usize = lens.iter().sum();
+    let old_len = out.len();
+    out.reserve_exact(total);
+    let mut rest = &mut out.spare_capacity_mut()[..total];
+    let mut pieces = Vec::with_capacity(lens.len());
+    for (p, &len) in lens.iter().enumerate() {
+        let (slots, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        pieces.push((p, Sink { slots, written: 0 }));
+        rest = tail;
+    }
+    let full = map_chunks(pieces, |(p, mut sink)| {
+        fill(p, &mut sink);
+        sink.written == sink.slots.len()
+    });
+    assert!(full.iter().all(|&f| f), "a piece wrote fewer items than its length");
+    // SAFETY: the pieces split `out`'s spare capacity `old_len..old_len +
+    // total` into disjoint consecutive runs. A `Sink` writes its run front
+    // to back and counts what it wrote, and the assertion above checked
+    // that every run was written to its end, so all `total` slots past
+    // `old_len` hold initialised items. A panic in any piece propagates
+    // out of `map_chunks` before this line, leaving the length unchanged.
+    unsafe { out.set_len(old_len + total) };
+}
+
 pub use rayon::with_thread_count;
 
 #[cfg(test)]
@@ -212,17 +357,6 @@ mod tests {
 
     fn scenario() -> KlagenfurtScenario {
         KlagenfurtScenario::paper(0x6B6C_7531)
-    }
-
-    /// Every accumulator's exact state, row-major.
-    fn accumulator_bits(f: &CellField) -> Vec<(u64, u64, u64, u64, u64)> {
-        f.accumulators()
-            .iter()
-            .map(|w| {
-                let (n, mean, m2, min, max) = w.raw_parts();
-                (n, mean.to_bits(), m2.to_bits(), min.to_bits(), max.to_bits())
-            })
-            .collect()
     }
 
     /// Skopje resized to `cols × rows` with every cell traversed and every
@@ -257,13 +391,13 @@ mod tests {
     #[test]
     fn parallel_equals_sequential_bitwise() {
         let check = |s: &Scenario, config: CampaignConfig| {
-            let seq = accumulator_bits(&run_field_sequential(s, config, ExecBackend::Analytic));
+            let seq = run_field_sequential(s, config, ExecBackend::Analytic).accumulator_bits();
             for threads in [1usize, 2, 3, 4, 8] {
                 let par = with_thread_count(threads, || {
                     crate::exec::run_field(s, config, ExecBackend::Analytic)
                 });
                 assert!(
-                    accumulator_bits(&par) == seq,
+                    par.accumulator_bits() == seq,
                     "{}, seed {}, {} passes, {threads} threads: fields differ",
                     s.name,
                     config.seed,
@@ -280,6 +414,34 @@ mod tests {
             let s = resized_skopje(cols, rows);
             let seq = check(&s, CampaignConfig { seed: 11, passes, ..Default::default() });
             assert!(seq.iter().all(|a| a.0 >= passes as u64), "{}: a cell missed a pass", s.name);
+        }
+    }
+
+    /// `extend_in_place` appends the pieces in piece order at any pool
+    /// size, and refuses a piece that writes fewer or more items than its
+    /// length, leaving the vector as it was.
+    #[test]
+    fn extend_in_place_writes_pieces_in_order_and_checks_their_lengths() {
+        let lens = [3usize, 0, 5, 2];
+        for threads in [1usize, 2, 8] {
+            let mut out = vec![-1i64];
+            with_thread_count(threads, || {
+                extend_in_place(&mut out, &lens, |p, sink| {
+                    (0..lens[p]).for_each(|k| sink.push((p * 10 + k) as i64));
+                })
+            });
+            assert_eq!(out, [-1, 0, 1, 2, 20, 21, 22, 23, 24, 30, 31], "{threads} threads");
+        }
+        for written in [4usize, 6] {
+            let mut out = vec![7u32];
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                extend_in_place(&mut out, &lens, |p, sink| {
+                    let n = if p == 2 { written } else { lens[p] };
+                    (0..n).for_each(|_| sink.push(1));
+                })
+            }));
+            assert!(outcome.is_err(), "a piece of 5 slots wrote {written} items");
+            assert_eq!(out, [7]);
         }
     }
 
@@ -327,7 +489,7 @@ mod tests {
         let mut broken = scenario();
         let victim = broken.included[broken.included.len() / 2];
         broken.routes.retain(|&(cell, _), _| cell != victim);
-        let seq = accumulator_bits(&run_field_sequential(&s, config, ExecBackend::Analytic));
+        let seq = run_field_sequential(&s, config, ExecBackend::Analytic).accumulator_bits();
         for threads in [1usize, 2, 4] {
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 with_thread_count(threads, || {
@@ -338,7 +500,7 @@ mod tests {
             let par = with_thread_count(threads, || {
                 crate::exec::run_field(&s, config, ExecBackend::Analytic)
             });
-            assert!(accumulator_bits(&par) == seq, "{threads} threads: pool did not recover");
+            assert!(par.accumulator_bits() == seq, "{threads} threads: pool did not recover");
         }
     }
 }

@@ -5,6 +5,7 @@
 //! external plotting.
 
 use crate::aggregate::CellField;
+use crate::hvt::HvtReport;
 use serde::Serialize;
 use sixg_geo::CellId;
 
@@ -49,6 +50,59 @@ pub fn render_grid(field: &CellField, stat: FieldStat) -> String {
             out.push_str(&format!("{v:>8.1}"));
         }
         out.push('\n');
+    }
+    out
+}
+
+/// Renders a super-cell hierarchy's level-1 tiles as a labelled grid
+/// table of tile means (ms, `0.0` for a fully masked tile): the heatmap of
+/// a wide grid, drawn over its tessellation instead of its raw cells.
+/// Columns carry the letters and rows the number of each tile's origin cell.
+pub fn render_tiles(h: &HvtReport) -> String {
+    let mut out = String::from("       ");
+    for t in h.tiles.iter().take(h.tile_cols as usize) {
+        let letters = t.origin.trim_end_matches(|ch: char| ch.is_ascii_digit());
+        out.push_str(&format!("{letters:>8}"));
+    }
+    out.push('\n');
+    for row in h.tiles.chunks(h.tile_cols as usize) {
+        let number = row[0].origin.trim_start_matches(|ch: char| ch.is_ascii_alphabetic());
+        out.push_str(&format!("{number:>6} "));
+        for t in row {
+            out.push_str(&format!("{:>8.1}", t.mean_ms));
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// Renders every super-cell of a hierarchy as one table row, tile by tile
+/// in row-major order: the tile's origin cell, the mean band and
+/// exceedance verdict, member and sample counts, the members' mean RTL
+/// statistics (ms) and their bounding box as `top-left:bottom-right`
+/// cell labels.
+pub fn render_super_cells(h: &HvtReport) -> String {
+    let mut out = format!(
+        "{:<8} {:>4} {:>7} {:>8} {:>9} {:>9} {:>9} {:>9} {:>8}  box\n",
+        "tile", "band", "exceeds", "cells", "samples", "mean", "min", "max", "σ"
+    );
+    for t in &h.tiles {
+        for c in &t.super_cells {
+            out.push_str(&format!(
+                "{:<8} {:>4} {:>7} {:>8} {:>9} {:>9.3} {:>9.3} {:>9.3} {:>8.3}  {}:{}\n",
+                t.origin,
+                c.band,
+                if c.exceeds { "yes" } else { "no" },
+                c.cells,
+                c.samples,
+                c.mean_ms,
+                c.mean_min_ms,
+                c.mean_max_ms,
+                c.std_ms,
+                CellId::new(c.col_min, c.row_min),
+                CellId::new(c.col_max, c.row_max),
+            ));
+        }
     }
     out
 }
@@ -151,6 +205,24 @@ mod tests {
         assert!(s.contains("62.0"), "{s}");
         assert!(s.contains("111.0"), "{s}");
         assert!(s.lines().count() == 8, "{s}");
+    }
+
+    #[test]
+    fn super_cell_tables_cover_every_tile_and_bucket() {
+        use crate::hvt::{build, HvtConfig};
+        let h = build(&field(), &HvtConfig { tile_cells: 3, mean_bands: 2, requirement_ms: 100.0 });
+        let tiles = render_tiles(&h);
+        assert_eq!(tiles.lines().count(), 1 + 3, "{tiles}");
+        assert_eq!(
+            tiles.lines().next().unwrap().split_whitespace().collect::<Vec<_>>(),
+            ["A", "D"]
+        );
+        assert!(tiles.contains("     4 "), "{tiles}");
+        let table = render_super_cells(&h);
+        let buckets: usize = h.tiles.iter().map(|t| t.super_cells.len()).sum();
+        assert_eq!(table.lines().count(), 1 + buckets, "{table}");
+        assert!(table.contains("yes") && table.contains("no"), "{table}");
+        assert!(table.contains("C3:C3"), "{table}");
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! [`Scenario`] is the single runtime shape every measurement site compiles
 //! into: a router-level [`Topology`] with AS business relationships, a
-//! labelled grid with a density raster, one mobile UE per traversed cell
-//! behind an operator gateway, a measurement anchor (plus optional fixed
+//! labelled grid (its density raster built on demand by
+//! [`Scenario::density`]), one mobile UE per traversed cell behind an
+//! operator gateway, a measurement anchor (plus optional fixed
 //! peers and a cloud reference), and per-cell radio access models
 //! calibrated so the campaign *reproduces* the spec's target field.
 //!
@@ -18,6 +19,7 @@
 //! function of (spec, seed). The Klagenfurt golden suite pins this to the
 //! bit.
 
+use crate::parallel::{cell_chunks, extend_in_place, map_chunks, split_mut};
 use crate::spec::{
     parse_name_style, parse_node_kind, PositionDef, ScenarioSpec, SpecError, TargetDef,
 };
@@ -115,9 +117,22 @@ impl TargetField {
         self.mean_of(cell) > 0.0
     }
 
-    /// All traversed cells, row-major.
+    /// All traversed cells, row-major. A wide grid's cells are counted and
+    /// then listed on the pool, in index-ordered chunks.
     pub fn traversed_cells(&self, grid: &GridSpec) -> Vec<CellId> {
-        grid.cells().filter(|c| self.traversed(*c)).collect()
+        let cols = grid.cols as usize;
+        let chunk_cells = |chunk: std::ops::Range<usize>| {
+            chunk
+                .map(move |i| CellId::new((i % cols) as u32, (i / cols) as u32))
+                .filter(|&cell| self.traversed(cell))
+        };
+        let chunks = cell_chunks(grid.len());
+        let lens = map_chunks(chunks.clone(), |chunk| chunk_cells(chunk).count());
+        let mut out = Vec::new();
+        extend_in_place(&mut out, &lens, |p, sink| {
+            chunk_cells(chunks[p].clone()).for_each(|cell| sink.push(cell));
+        });
+        out
     }
 
     /// Grand mean over traversed cells.
@@ -134,7 +149,8 @@ impl TargetField {
     }
 
     /// Evaluates a spec's target definition over a grid, masking skipped
-    /// cells to `0.0`.
+    /// cells to `0.0`. A wide grid's projected field is filled on the pool,
+    /// in index-ordered chunks.
     pub fn from_def(def: &TargetDef, grid: &GridSpec, skipped: &[CellId]) -> Self {
         let mut field = match def {
             TargetDef::Explicit { mean, std } => Self::from_rows(mean.clone(), std.clone()),
@@ -148,15 +164,26 @@ impl TargetField {
             } => {
                 let hotspot = CellId::parse(hotspot).expect("validated hotspot label");
                 let mut field = Self::zero(grid);
-                for cell in grid.cells() {
-                    let diag = (cell.col as f64 / (grid.cols - 1).max(1) as f64
-                        + cell.row as f64 / (grid.rows - 1).max(1) as f64)
-                        / 2.0;
-                    let peak = if cell == hotspot { *hotspot_ms } else { 0.0 };
-                    let mean = floor_ms + gradient_ms * diag + peak;
-                    let std = (std_factor * (mean - floor_ms)).max(*std_floor_ms);
-                    field.set(cell, mean, std);
-                }
+                let cols = grid.cols as usize;
+                let chunks = cell_chunks(grid.len());
+                let pieces: Vec<_> = chunks
+                    .iter()
+                    .cloned()
+                    .zip(split_mut(&mut field.mean, &chunks))
+                    .zip(split_mut(&mut field.std, &chunks))
+                    .collect();
+                map_chunks(pieces, |((chunk, means), stds)| {
+                    for ((i, mean_slot), std_slot) in chunk.zip(means).zip(stds) {
+                        let cell = CellId::new((i % cols) as u32, (i / cols) as u32);
+                        let diag = (cell.col as f64 / (grid.cols - 1).max(1) as f64
+                            + cell.row as f64 / (grid.rows - 1).max(1) as f64)
+                            / 2.0;
+                        let peak = if cell == hotspot { *hotspot_ms } else { 0.0 };
+                        let mean = floor_ms + gradient_ms * diag + peak;
+                        *std_slot = (std_factor * (mean - floor_ms)).max(*std_floor_ms);
+                        *mean_slot = mean;
+                    }
+                });
                 field
             }
         };
@@ -227,8 +254,6 @@ pub struct Scenario {
     pub names: NameRegistry,
     /// The measurement grid.
     pub grid: GridSpec,
-    /// Synthetic population-density raster.
-    pub density: DensityRaster,
     /// Traversed cells, row-major.
     pub included: Vec<CellId>,
     /// Per-cell mobile UE.
@@ -297,26 +322,6 @@ impl Scenario {
         );
 
         let key_scheme = KeyScheme::for_grid(&grid);
-
-        // Density: monocentric synthetic profile made consistent with the
-        // traversal plan — every traversed cell dense, every skipped cell
-        // sparse (the paper ties its 0.0 cells to the <1000 /km² threshold).
-        // Jitter folds the scheme's cell key into the seed; under the
-        // legacy scheme the key's bit-fields are disjoint, so the XOR is
-        // bit-identical to the historical `seed ^ (col << 8) ^ row` form.
-        let d = &spec.density;
-        let mut density =
-            DensityRaster::synth_urban(&grid, d.core_col, d.core_row, d.peak, d.decay_cells);
-        for cell in grid.cells() {
-            let current = density.density(cell);
-            let jitter =
-                (sixg_geo::mobility::mix64(seed ^ key_scheme.cell_key(cell)) % d.jitter_mod) as f64;
-            if targets.traversed(cell) && current < SPARSE_THRESHOLD {
-                density.set_density(cell, d.dense_fill + jitter);
-            } else if !targets.traversed(cell) && current >= SPARSE_THRESHOLD {
-                density.set_density(cell, d.sparse_fill + jitter);
-            }
-        }
 
         // Topology: hops, links, UEs, peers — in spec order, so node and
         // link identifiers are a pure function of the spec.
@@ -449,7 +454,6 @@ impl Scenario {
             as_graph,
             names,
             grid,
-            density,
             included,
             ue,
             anchor,
@@ -469,6 +473,35 @@ impl Scenario {
             scenario.calibrate();
         }
         Ok(scenario)
+    }
+
+    /// The synthetic population-density raster: a monocentric profile from
+    /// the spec's `density` parameters, made consistent with the traversal
+    /// plan — every traversed cell dense, every skipped cell sparse (the
+    /// paper ties its 0.0 cells to the <1000 /km² threshold).
+    ///
+    /// No campaign reads it: the traversal and the samples depend only on
+    /// the grid and the target field. So compilation does not build it,
+    /// and each call builds it afresh on the calling thread; call it once,
+    /// outside any per-cell loop.
+    pub fn density(&self) -> DensityRaster {
+        // Jitter folds the scheme's cell key into the seed; under the
+        // legacy scheme the key's bit-fields are disjoint, so the XOR is
+        // bit-identical to the historical `seed ^ (col << 8) ^ row` form.
+        let d = &self.spec.density;
+        let mut density =
+            DensityRaster::synth_urban(&self.grid, d.core_col, d.core_row, d.peak, d.decay_cells);
+        for cell in self.grid.cells() {
+            let current = density.density(cell);
+            let jitter =
+                (sixg_geo::mobility::mix64(self.seed ^ self.cell_key(cell)) % d.jitter_mod) as f64;
+            if self.targets.traversed(cell) && current < SPARSE_THRESHOLD {
+                density.set_density(cell, d.dense_fill + jitter);
+            } else if !self.targets.traversed(cell) && current >= SPARSE_THRESHOLD {
+                density.set_density(cell, d.sparse_fill + jitter);
+            }
+        }
+        density
     }
 
     /// Recomputes the cached routes after a topology or policy mutation

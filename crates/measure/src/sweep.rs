@@ -18,8 +18,12 @@
 //! * [`AxisDef::Seeds`] — a contiguous campaign-seed range
 //!   (`start .. start + count`).
 //! * [`AxisDef::DensityScale`] — multiplies the base spec's density peak
-//!   (`$.density.peak`), scaling the population raster and with it the
-//!   dwell-time profile of the traversal.
+//!   (`$.density.peak`), scaling the population raster
+//!   ([`Scenario::density`]). No campaign reads that raster: the
+//!   traversal's dwell times and every sample depend only on the grid and
+//!   the target field. So density variants sample bit-identical fields,
+//!   while each factor still compiles (and calibrates) a scenario of its
+//!   own.
 //!
 //! **Variant ordering contract.** Variants enumerate the axis cross
 //! product like an odometer with the *last* axis fastest: axis 0 varies
@@ -1329,6 +1333,26 @@ mod tests {
         let a = with_thread_count(1, || make().run().expect("runs").report.to_json());
         let b = with_thread_count(4, || make().run().expect("runs").report.to_json());
         assert_eq!(a, b, "sweep report must not depend on the pool size");
+    }
+
+    /// The density axis changes no sample: each factor compiles its own
+    /// scenario, but the traversal and the samples never read the density
+    /// raster, so every variant's field is the base field, bit for bit. A
+    /// change that makes density matter must change this test on purpose.
+    #[test]
+    fn density_scale_variants_sample_bit_identical_fields() {
+        let sweep = Sweep::new(
+            sweep_spec(vec![AxisDef::DensityScale { factors: vec![0.5, 1.0, 2.0] }]),
+            &base_json(2),
+        )
+        .expect("valid sweep");
+        let run = sweep.run().expect("runs");
+        let base = run.base_field.accumulator_bits();
+        assert!(run.base_field.total_samples() > 0);
+        assert_eq!(run.variant_fields.len(), 3);
+        for (variant, field) in run.report.variants.iter().zip(&run.variant_fields) {
+            assert!(field.accumulator_bits() == base, "{}: the field moved", variant.label);
+        }
     }
 
     /// A cadence × backend sweep cross-validates at every swept cadence,

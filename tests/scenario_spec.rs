@@ -126,10 +126,11 @@ fn serialize_deserialize_build_is_bitwise_stable() {
         let a = Scenario::from_spec(&spec).expect("compiles");
         let b = Scenario::from_spec(&round_tripped).expect("compiles");
         assert_eq!(a.included, b.included, "{name}: traversal set");
+        let (density_a, density_b) = (a.density(), b.density());
         for cell in a.grid.cells() {
             assert_eq!(
-                a.density.density(cell).to_bits(),
-                b.density.density(cell).to_bits(),
+                density_a.density(cell).to_bits(),
+                density_b.density(cell).to_bits(),
                 "{name}: density bits at {cell}"
             );
         }
