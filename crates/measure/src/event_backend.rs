@@ -24,20 +24,20 @@
 //!   analytic `rtt = one_way + one_way` convention, so the two backends
 //!   agree in expectation (cross-validated by `repro_crossval`).
 //!
-//! The calendar holds plain `(time, insertion sequence, probe slot)`
-//! entries over a slab of probes whose journeys are drawn at launch, and
-//! fires them in `(time, insertion sequence)` order; a probe arriving at a
-//! hop claims that link's server and pushes its next arrival. Nothing is
-//! boxed: one worker-local world — servers, legs, probes and calendar — is
-//! reset per shard and keeps its capacity, so the steady-state loop makes
-//! no allocator call.
+//! The calendar is a typed [`Calendar`] of probe slots over a slab of
+//! probes whose journeys are drawn at launch, fired in `(time, insertion
+//! sequence)` order; a probe arriving at a hop claims that link's server
+//! and pushes its next arrival. Nothing is boxed: one worker-local world —
+//! servers, legs, probes and calendar — is reset per shard and keeps its
+//! capacity, so the steady-state loop makes no allocator call.
 //!
 //! A shard that the spec's fault timeline touches ([`crate::faults`] hands
 //! it a `FaultWindow`) routes each probe over the source AS's RIB at
-//! launch time. The window's BGP control plane runs on a calendar of its
-//! own, which the probe loop runs to each launch before the probe's; every
-//! other shard — all of them in a fault-free spec — routes over the
-//! scenario's compiled static table, looked up once per shard.
+//! launch time. The window's BGP control plane runs its messages on a
+//! calendar of its own, of the same type, which the probe loop runs to
+//! each launch before the probe's; every other shard — all of them in a
+//! fault-free spec — routes over the scenario's compiled static table,
+//! looked up once per shard.
 //!
 //! Determinism: each probe's stochastic quantities are drawn from its own
 //! per-sample stream (phase label `"campaign-event"`) at launch, and each
@@ -50,6 +50,7 @@
 use crate::campaign::{CampaignConfig, MobileCampaign, Shard};
 use crate::faults::FaultWindow;
 use crate::scenario::Scenario;
+use sixg_netsim::calendar::Calendar;
 use sixg_netsim::dist::{Component, DistSpec, Sample};
 use sixg_netsim::latency::DelaySampler;
 use sixg_netsim::queueing::FifoServer;
@@ -58,8 +59,6 @@ use sixg_netsim::rng::SimRng;
 use sixg_netsim::time::{SimDuration, SimTime};
 use sixg_netsim::topology::{LinkId, NodeId};
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Wire size of a measurement probe, bytes — the same figure the analytic
 /// sampler feeds its transmission-delay term.
@@ -140,8 +139,7 @@ struct Probe {
 
 /// The packet world one shard runs in: one FIFO server per link, every
 /// launched probe (blackholed probes are never launched) with its legs,
-/// and the calendar of next-hop arrivals as `(time, insertion sequence,
-/// probe slot)`, popped in `(time, insertion sequence)` order.
+/// and the calendar of next-hop arrivals, each naming its probe's slot.
 ///
 /// One world per worker thread ([`WORLD`]) is reset at each shard's start,
 /// so its buffers keep their capacity across shards.
@@ -150,8 +148,7 @@ struct ProbeWorld {
     links: Vec<FifoServer>,
     legs: Vec<Leg>,
     probes: Vec<Probe>,
-    calendar: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
-    seq: u64,
+    calendar: Calendar<usize>,
 }
 
 thread_local! {
@@ -171,7 +168,6 @@ impl ProbeWorld {
         self.legs.clear();
         self.probes.clear();
         self.calendar.clear();
-        self.seq = 0;
     }
 
     /// Launches a probe at `now` over the legs pushed since `first`.
@@ -193,18 +189,13 @@ impl ProbeWorld {
         let leg = self.legs[probe.next];
         probe.next += 1;
         let depart = self.links[leg.link.0 as usize].admit(now, leg.service);
-        self.calendar.push(Reverse((depart + leg.after, self.seq, slot)));
-        self.seq += 1;
+        self.calendar.push(depart + leg.after, slot);
     }
 
     /// Fires every arrival due at or before `until`, in `(time, insertion
     /// sequence)` order.
     fn run_until(&mut self, until: SimTime) {
-        while let Some(&Reverse((at, _, slot))) = self.calendar.peek() {
-            if at > until {
-                break;
-            }
-            self.calendar.pop();
+        while let Some((at, slot)) = self.calendar.pop_due(until) {
             self.advance(slot, at);
         }
     }

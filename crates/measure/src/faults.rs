@@ -20,8 +20,8 @@
 //!   carried go down/up and the speakers of
 //!   [`sixg_netsim::routing::dynamic`] exchange withdraw/update messages
 //!   (at [`CONTROL_DELAY`](sixg_netsim::routing::dynamic::CONTROL_DELAY)
-//!   per hop) on the window's own control-plane calendar, which the probe
-//!   loop runs to each launch — a probe launched during the transient asks
+//!   per hop) on the control plane's own calendar, which the probe loop
+//!   runs to each launch — a probe launched during the transient asks
 //!   the source AS's RIB at launch time and measures whatever the
 //!   half-converged control plane gives it;
 //! * a probe whose RIB entry cannot be stitched over live links (a
@@ -29,15 +29,17 @@
 //!   route exists) is dropped — no sample, a smaller per-cell count,
 //!   exactly like a lost ping.
 //!
-//! Two calendars replay the single calendar they replace exactly. Probe
-//! legs touch only FIFO servers and probe state; control messages touch
-//! only the control plane. Their one coupling is the RIB read at a launch,
-//! and both calendars run to each launch before it, so the read sees the
-//! same RIB. Each calendar keeps `(time, insertion sequence)` order among
-//! its own events, so FIFO admissions happen in the same order. Within a
-//! window, each target's resolved route is kept until the control plane
-//! delivers a message or a link changes — the only two events that move
-//! what route resolution reads.
+//! The probe calendar and the control plane's are two instances of one
+//! type ([`sixg_netsim::calendar::Calendar`]), and together they replay a
+//! single shared calendar exactly. Probe legs touch only FIFO servers and
+//! probe state; control messages touch only the control plane. Their one
+//! coupling is the RIB read at a launch, and both calendars run to each
+//! launch before it, so the read sees the same RIB. Each calendar keeps
+//! `(time, insertion sequence)` order among its own events, so FIFO
+//! admissions happen in the same order. Within a window, each target's
+//! resolved route is kept until the control plane delivers a message or a
+//! link changes — the only two events that move what route resolution
+//! reads.
 //!
 //! Determinism: every stochastic quantity of probe `i` still comes from
 //! its own stream (`key.with(i)`), so the sample a probe produces depends
@@ -55,10 +57,7 @@ use crate::event_backend::EventCampaign;
 use crate::parallel::CellItem;
 use crate::scenario::Scenario;
 use sixg_geo::CellId;
-use sixg_netsim::engine::Engine;
-use sixg_netsim::routing::dynamic::{
-    session_down, session_up, sessions_from_topology, ControlPlane,
-};
+use sixg_netsim::routing::dynamic::{sessions_from_topology, ControlPlane};
 use sixg_netsim::routing::{AsGraph, PathComputer, RoutedPath};
 use sixg_netsim::time::{SimDuration, SimTime};
 use sixg_netsim::topology::{Asn, LinkId, LinkParams, NodeId, Topology};
@@ -92,8 +91,9 @@ pub(crate) struct LinkChange {
 
 /// The slice of the timeline one shard replays: the shard-local topology
 /// with the pre-window fault state installed, its converged control plane
-/// on a calendar of its own, and the link changes from the window start up
-/// to the last launch, on the shard-local clock (`t0` ↦ [`SimTime::ZERO`]).
+/// (which carries its own clock and calendar), and the link changes from
+/// the window start up to the last launch, on the shard-local clock (`t0`
+/// ↦ [`SimTime::ZERO`]).
 pub(crate) struct FaultWindow<'f> {
     graph: &'f AsGraph,
     /// Pristine parameters of every faulted link.
@@ -105,10 +105,9 @@ pub(crate) struct FaultWindow<'f> {
     /// The BGP control plane, converged on the pre-window fault state: a
     /// transient from an earlier shard's window has had whole seconds of
     /// calendar to settle — reconvergence takes milliseconds — so the
-    /// window starts at its fixed point.
+    /// window starts at its fixed point, with its clock at the window's
+    /// origin.
     cp: ControlPlane,
-    /// The control plane's calendar of in-flight messages.
-    control: Engine<ControlPlane>,
     /// The shard's UE and the campaign's measurement targets.
     ue: NodeId,
     targets: &'f [NodeId],
@@ -126,10 +125,10 @@ impl FaultWindow<'_> {
     /// they were cleared.
     pub(crate) fn run_to(&mut self, launch: SimTime) {
         while let Some((at, change)) = self.due.next_if(|&(at, _)| at <= launch) {
-            self.control.run_until(&mut self.cp, at);
+            self.cp.run_until(at);
             self.apply_change(change);
         }
-        self.control.run_until(&mut self.cp, launch);
+        self.cp.run_until(launch);
         if self.cp.messages_delivered() != self.delivered {
             self.forget_routes();
         }
@@ -166,10 +165,10 @@ impl FaultWindow<'_> {
         }
         let after = sessions_from_topology(&self.topo, self.graph);
         for &(a, b) in before.difference(&after) {
-            session_down(&mut self.control, &mut self.cp, Asn(a), Asn(b));
+            self.cp.session_down(Asn(a), Asn(b));
         }
         for &(a, b) in after.difference(&before) {
-            session_up(&mut self.control, &mut self.cp, Asn(a), Asn(b));
+            self.cp.session_up(Asn(a), Asn(b));
         }
         self.forget_routes();
     }
@@ -325,7 +324,6 @@ impl<'a> FaultCampaign<'a> {
             due: due.into_iter().peekable(),
             delivered: cp.messages_delivered(),
             cp,
-            control: Engine::new(),
             ue: s.ue[&fs.shard.cell],
             targets,
             routes: vec![None; targets.len()],
@@ -420,15 +418,23 @@ mod tests {
     /// own instant, so a route kept across a message delivery or a link
     /// change would move these counts and hashes. At the fault 5 probes
     /// are blackholed while the withdraw propagates; at recovery none is.
+    /// Windows that open 50 ms before each change and exactly at it are
+    /// both pinned: the control plane a window converges must start its
+    /// clock at the window's origin, and a clock left at the end of
+    /// convergence (tens of milliseconds in) would shift a change that
+    /// falls at the origin and every message it sends.
     #[test]
     fn fine_cadence_transients_are_pinned() {
         let s = Scenario::from_spec(klagenfurt_flap_spec()).expect("compiles");
         let config = CampaignConfig { seed: 2, passes: 1, sample_interval_s: 0.002 };
         let fc = FaultCampaign::new(&s, config);
         let mut out = Vec::new();
-        for (t0_s, count, hash) in
-            [(899.95, 95, 0xef76_6f88_9494_dfea_u64), (2499.95, 100, 0x0a0d_b9e0_c170_cd2e)]
-        {
+        for (t0_s, count, hash) in [
+            (899.95, 95, 0xef76_6f88_9494_dfea_u64),
+            (2499.95, 100, 0x0a0d_b9e0_c170_cd2e),
+            (900.0, 95, 0xae2c_0502_e1f0_4df5),
+            (2500.0, 100, 0xd697_c8fd_cbfb_4770),
+        ] {
             let shard = Shard { pass: 0, cell: s.reference_cell, dwell_s: 0.2 };
             fc.collect_shard_into(FaultShard { shard, t0_s }, &mut out);
             let bytes: Vec<u8> = out.iter().flat_map(|v| v.to_bits().to_le_bytes()).collect();

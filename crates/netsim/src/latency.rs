@@ -19,7 +19,6 @@ use crate::dist::{LogNormal, Sample};
 use crate::packet::MEAN_PACKET_BYTES;
 use crate::queueing::{mg1_wait, Load};
 use crate::rng::SimRng;
-use crate::time::SimDuration;
 use crate::topology::{LinkId, NodeId, Topology};
 use sixg_geo::coord::C_FIBRE_KM_S;
 use sixg_geo::route::FIBRE_ROUTE_FACTOR;
@@ -187,16 +186,6 @@ impl<'a> DelaySampler<'a> {
     /// independently over the same hops), milliseconds.
     pub fn rtt_ms(&self, hops: &[(NodeId, LinkId)], size_bytes: u32, rng: &mut SimRng) -> f64 {
         self.one_way_ms(hops, size_bytes, rng) + self.one_way_ms(hops, size_bytes, rng)
-    }
-
-    /// Samples the one-way delay as a [`SimDuration`].
-    pub fn one_way(
-        &self,
-        hops: &[(NodeId, LinkId)],
-        size_bytes: u32,
-        rng: &mut SimRng,
-    ) -> SimDuration {
-        SimDuration::from_millis_f64(self.one_way_ms(hops, size_bytes, rng))
     }
 
     /// Expected (mean) one-way latency along a path, milliseconds.

@@ -6,20 +6,22 @@
 //!
 //! It contains two complementary execution models that share one topology:
 //!
-//! 1. **A discrete-event engine** ([`engine`]) for workload simulation —
-//!    video streams, AR gaming service chains, transport protocols — where
-//!    per-packet ordering matters.
+//! 1. **A typed event calendar** ([`calendar`]) for runs where event order
+//!    matters: the live BGP control plane's messages
+//!    ([`routing::dynamic`]), and the probe packets of `sixg-measure`'s
+//!    packet world, which queue at per-link FIFO servers.
 //! 2. **An analytic path sampler** ([`latency`]) for measurement campaigns
 //!    — RIPE-Atlas-style pings across thousands of (cell × peer ×
 //!    repetition) combinations — where per-sample distributions matter and
 //!    event-by-event simulation would be needlessly slow. The sampler uses
-//!    the same per-hop building blocks (propagation, transmission, M/M/1
-//!    queueing, processing) that the engine's links implement.
+//!    the same per-hop building blocks (propagation, transmission, M/G/1
+//!    queueing, processing) that the packet world's probes draw per leg.
 //!
 //! Modules:
 //!
 //! * [`time`] — nanosecond simulation time;
-//! * [`engine`] — deterministic event queue and scheduler;
+//! * [`calendar`] — the typed event queue, popped in `(time, insertion
+//!   sequence)` order;
 //! * [`rng`] + [`dist`] — splittable deterministic randomness and
 //!   hand-rolled distributions (normal, lognormal, exponential, Pareto,
 //!   Weibull, empirical mixtures);
@@ -31,8 +33,8 @@
 //! * [`latency`] — per-hop delay decomposition and end-to-end sampling;
 //! * [`radio`] — access-network models: wired, 5G NR (scheduling/HARQ),
 //!   5G mmWave PHY (calibrated to Fezeu et al.), and 6G targets;
-//! * [`protocols`] — ICMP ping/traceroute, a reliable transport, and IoT
-//!   messaging overhead models (MQTT/AMQP/CoAP, the paper's 5–8 ms);
+//! * [`protocols`] — ICMP ping/traceroute and IoT messaging overhead
+//!   models (MQTT/AMQP/CoAP, the paper's 5–8 ms);
 //! * [`queueing`] — analytic M/M/1 / M/D/1 / M/G/1 results used to verify
 //!   the sampled queues;
 //! * [`stats`] — Welford statistics, histograms, percentiles;
@@ -40,8 +42,8 @@
 //!   like the paper's Table I;
 //! * [`trace`] — hop-by-hop flow traces and their geographic projection.
 
+pub mod calendar;
 pub mod dist;
-pub mod engine;
 pub mod latency;
 pub mod names;
 pub mod packet;
@@ -55,7 +57,6 @@ pub mod time;
 pub mod topology;
 pub mod trace;
 
-pub use engine::Engine;
 pub use packet::Packet;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

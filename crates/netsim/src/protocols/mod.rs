@@ -2,15 +2,11 @@
 //!
 //! * [`icmp`] — ping and traceroute, the instruments of the paper's
 //!   measurement campaign;
-//! * [`transport`] — a windowed reliable transport simulated on the event
-//!   engine, used by the video/AR workloads;
 //! * [`iot`] — application-protocol overhead models (MQTT / AMQP / CoAP),
 //!   quantifying the paper's "extra 5–8 ms" (Section III-A).
 
 pub mod icmp;
 pub mod iot;
-pub mod transport;
 
 pub use icmp::Pinger;
 pub use iot::IotProtocol;
-pub use transport::{transfer, TransferConfig, TransferStats};

@@ -1,4 +1,4 @@
-//! Message-level BGP: a live control plane on the event calendar.
+//! Message-level BGP: a live control plane on its own event calendar.
 //!
 //! [`super::bgp`] computes Gao–Rexford routes *statically* — one Dijkstra
 //! over the valley-free path algebra. That is exact for steady state, but
@@ -7,10 +7,11 @@
 //! the latency field behaves while the control plane reconverges after a
 //! link failure requires actually exchanging routing messages.
 //!
-//! This module runs one small BGP speaker per AS on the deterministic
-//! event calendar ([`crate::engine`]). Each speaker holds an Adj-RIB-In
-//! (the last path every neighbour advertised, per destination) and two
-//! export registers per destination:
+//! This module runs one small BGP speaker per AS. The [`ControlPlane`]
+//! owns a clock and a typed [`Calendar`] of in-flight messages, and
+//! [`ControlPlane::run_until`] delivers them in `(time, send order)`
+//! order. Each speaker holds an Adj-RIB-In (the last path every neighbour
+//! advertised, per destination) and two export registers per destination:
 //!
 //! * the **up register** — the best route learned from a *customer* (or
 //!   the speaker's own origination), selected by `(length, lexicographic
@@ -26,9 +27,10 @@
 //! [`CONTROL_DELAY`] so per-session FIFO order falls out of the calendar's
 //! `(time, sequence)` ordering. Sessions exist per adjacent AS pair while
 //! at least one inter-AS link backs them ([`sessions_from_topology`]);
-//! [`session_down`]/[`session_up`] drive reconvergence when the fault
-//! schedule flaps a link. In-flight messages of a torn-down session are
-//! discarded on delivery via a per-session epoch counter.
+//! [`ControlPlane::session_down`]/[`ControlPlane::session_up`] drive
+//! reconvergence when the fault schedule flaps a link. In-flight messages
+//! of a torn-down session are discarded on delivery via a per-session
+//! epoch counter.
 //!
 //! With no faults the emergent selection ([`ControlPlane::best_route`]) is
 //! *identical* — preference class, path and tiebreak — to the static
@@ -43,8 +45,8 @@
 //! schedule of topology events replays bit-identically.
 
 use super::bgp::{AsGraph, AsPath, Relationship, RoutePref};
-use crate::engine::Engine;
-use crate::time::SimDuration;
+use crate::calendar::Calendar;
+use crate::time::{SimDuration, SimTime};
 use crate::topology::{Asn, Topology};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
@@ -55,7 +57,7 @@ use std::collections::{BTreeMap, BTreeSet};
 pub const CONTROL_DELAY: SimDuration = SimDuration(10_000_000);
 
 /// A BGP message in flight on one session.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 enum Msg {
     /// The sender's best exportable route towards `dest`; the path starts
     /// at the sender and ends at `dest`.
@@ -72,6 +74,17 @@ impl Msg {
     }
 }
 
+/// A message on the calendar: sent from `from` to `to` while the session
+/// was in `epoch`. The calendar needs an order on its events, but its
+/// unique insertion sequence always decides before this one is consulted.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+struct Delivery {
+    epoch: u64,
+    from: u32,
+    to: u32,
+    msg: Msg,
+}
+
 /// Per-AS speaker state.
 #[derive(Debug, Clone, Default)]
 struct Speaker {
@@ -86,10 +99,9 @@ struct Speaker {
     down_reg: BTreeMap<u32, Vec<u32>>,
 }
 
-/// The distributed control plane: one speaker per AS, live sessions, and
-/// the relationship graph the export policy derives from. The driver
-/// functions ([`originate_all`], [`session_down`], …) run it on an
-/// `Engine<ControlPlane>` calendar of its own.
+/// The distributed control plane: one speaker per AS, live sessions, the
+/// relationship graph the export policy derives from, and the clock and
+/// calendar its messages run on.
 #[derive(Debug, Clone)]
 pub struct ControlPlane {
     graph: AsGraph,
@@ -100,6 +112,13 @@ pub struct ControlPlane {
     /// discarded on delivery.
     epochs: BTreeMap<(u32, u32), u64>,
     delivered: u64,
+    /// The time of the last delivery, or the horizon of the last
+    /// [`Self::run_until`] if that is later; zero when
+    /// [`Self::converged`] hands the control plane over. Messages sent
+    /// now arrive [`CONTROL_DELAY`] after it.
+    now: SimTime,
+    /// Messages in flight.
+    calendar: Calendar<Delivery>,
 }
 
 fn ordered(a: u32, b: u32) -> (u32, u32) {
@@ -123,28 +142,37 @@ fn pref_class(rel: Relationship) -> u8 {
 }
 
 impl ControlPlane {
-    /// A cold control plane: speakers for every AS in `graph`, the given
-    /// sessions live (normalised and restricted to adjacent pairs), empty
-    /// RIBs. Call [`originate_all`] and run the engine to converge.
-    pub fn new(graph: AsGraph, sessions: &BTreeSet<(u32, u32)>) -> Self {
+    /// A cold control plane at time zero: speakers for every AS in
+    /// `graph`, the given sessions live (normalised and restricted to
+    /// adjacent pairs), empty RIBs and no message in flight.
+    fn new(graph: AsGraph, sessions: &BTreeSet<(u32, u32)>) -> Self {
         let speakers = graph.asns().iter().map(|a| (a.0, Speaker::default())).collect();
         let sessions = sessions
             .iter()
             .map(|&(a, b)| ordered(a, b))
             .filter(|&(a, b)| graph.relationship(Asn(a), Asn(b)).is_some())
             .collect();
-        Self { graph, speakers, sessions, epochs: BTreeMap::new(), delivered: 0 }
+        Self {
+            graph,
+            speakers,
+            sessions,
+            epochs: BTreeMap::new(),
+            delivered: 0,
+            now: SimTime::ZERO,
+            calendar: Calendar::default(),
+        }
     }
 
-    /// Builds a control plane and runs it to quiescence on a private
-    /// calendar: every origination has propagated and no message is in
-    /// flight. This is the dynamic analogue of calling
-    /// [`AsGraph::as_path_where`] for all pairs.
+    /// Builds a control plane and runs it to quiescence: every origination
+    /// has propagated and no message is in flight. This is the dynamic
+    /// analogue of calling [`AsGraph::as_path_where`] for all pairs. The
+    /// clock is handed back at zero, since a caller replays its own
+    /// timeline from the fixed point and convergence is not part of it.
     pub fn converged(graph: &AsGraph, sessions: &BTreeSet<(u32, u32)>) -> Self {
         let mut cp = Self::new(graph.clone(), sessions);
-        let mut eng: Engine<ControlPlane> = Engine::new();
-        originate_all(&mut eng, &mut cp);
-        eng.run(&mut cp);
+        cp.originate_all();
+        cp.drain();
+        cp.now = SimTime::ZERO;
         cp
     }
 
@@ -153,16 +181,6 @@ impl ControlPlane {
     /// link (the same restriction [`super::PathComputer`] applies).
     pub fn converged_from_topology(topo: &Topology, graph: &AsGraph) -> Self {
         Self::converged(graph, &sessions_from_topology(topo, graph))
-    }
-
-    /// The relationship graph the export policy derives from.
-    pub fn graph(&self) -> &AsGraph {
-        &self.graph
-    }
-
-    /// Live sessions as `(min asn, max asn)` pairs.
-    pub fn live_sessions(&self) -> &BTreeSet<(u32, u32)> {
-        &self.sessions
     }
 
     /// Messages delivered so far (dropped in-flight messages excluded).
@@ -223,8 +241,188 @@ impl ControlPlane {
             .collect()
     }
 
+    /// Delivers every message due at or before `t`, in `(time, send
+    /// order)` order, then moves the clock to `t` if it is behind.
+    pub fn run_until(&mut self, t: SimTime) {
+        self.deliver_until(t);
+        self.now = self.now.max(t);
+    }
+
+    /// Tears down the session between `a` and `b` (if live) at the current
+    /// time: both sides drop the neighbour's Adj-RIB-In entries, reselect,
+    /// and propagate withdrawals or replacement updates. In-flight
+    /// messages on the session are discarded at delivery time.
+    pub fn session_down(&mut self, a: Asn, b: Asn) {
+        let key = ordered(a.0, b.0);
+        if !self.sessions.remove(&key) {
+            return;
+        }
+        *self.epochs.entry(key).or_insert(0) += 1;
+        let mut dirty: Vec<(u32, u32)> = Vec::new();
+        for (me, other) in [(a.0, b.0), (b.0, a.0)] {
+            let sp = self.speakers.get_mut(&me).expect("speaker exists");
+            let dests: Vec<u32> =
+                sp.adj_in.range((other, 0)..=(other, u32::MAX)).map(|(&(_, d), _)| d).collect();
+            for d in dests {
+                sp.adj_in.remove(&(other, d));
+                dirty.push((me, d));
+            }
+        }
+        for (me, d) in dirty {
+            self.recompute_dest(me, d);
+        }
+    }
+
+    /// Brings the session between `a` and `b` up at the current time
+    /// (no-op unless the pair has a relationship): both sides re-advertise
+    /// their full exportable table to the other, as real BGP does on
+    /// session establishment.
+    pub fn session_up(&mut self, a: Asn, b: Asn) {
+        if self.graph.relationship(a, b).is_none() {
+            return;
+        }
+        let key = ordered(a.0, b.0);
+        if !self.sessions.insert(key) {
+            return;
+        }
+        *self.epochs.entry(key).or_insert(0) += 1;
+        let epoch = self.epochs[&key];
+        let at = self.now + CONTROL_DELAY;
+        for (from, to) in [(a.0, b.0), (b.0, a.0)] {
+            let rel = self.graph.relationship(Asn(from), Asn(to)).expect("adjacent");
+            let sp = &self.speakers[&from];
+            let reg = match rel {
+                Relationship::ProviderOf => &sp.down_reg, // `to` is our customer
+                Relationship::PeerOf | Relationship::CustomerOf => &sp.up_reg,
+            };
+            for (dest, path) in reg {
+                let msg = Msg::Update { dest: *dest, path: path.clone() };
+                self.calendar.push(at, Delivery { epoch, from, to, msg });
+            }
+        }
+    }
+
+    /// Makes every speaker originate its own AS as a destination.
+    fn originate_all(&mut self) {
+        let asns: Vec<u32> = self.speakers.keys().copied().collect();
+        for x in asns {
+            self.recompute_dest(x, x);
+        }
+    }
+
+    /// Delivers messages until none is in flight. The clock stays at the
+    /// last delivery, so messages sent afterwards still fit its range.
+    fn drain(&mut self) {
+        self.deliver_until(SimTime(u64::MAX));
+    }
+
+    fn deliver_until(&mut self, t: SimTime) {
+        while let Some((at, delivery)) = self.calendar.pop_due(t) {
+            self.now = at;
+            self.deliver(delivery);
+        }
+    }
+
     fn epoch(&self, key: (u32, u32)) -> u64 {
         self.epochs.get(&key).copied().unwrap_or(0)
+    }
+
+    fn deliver(&mut self, Delivery { epoch, from, to, msg }: Delivery) {
+        let key = ordered(from, to);
+        if !self.sessions.contains(&key) || self.epoch(key) != epoch {
+            return; // session flapped while the message was in flight
+        }
+        self.delivered += 1;
+        let dest = msg.dest();
+        let sp = self.speakers.get_mut(&to).expect("speaker exists");
+        let changed = match msg {
+            Msg::Update { dest, path } => match sp.adj_in.entry((from, dest)) {
+                Entry::Occupied(mut o) => {
+                    if *o.get() == path {
+                        false
+                    } else {
+                        o.insert(path);
+                        true
+                    }
+                }
+                Entry::Vacant(v) => {
+                    v.insert(path);
+                    true
+                }
+            },
+            Msg::Withdraw { dest } => sp.adj_in.remove(&(from, dest)).is_some(),
+        };
+        if changed {
+            self.recompute_dest(to, dest);
+        }
+    }
+
+    /// Recomputes `x`'s two registers for `dest` and advertises any change
+    /// to the neighbour classes the export policy allows.
+    fn recompute_dest(&mut self, x: u32, dest: u32) {
+        let nbrs: Vec<(u32, Relationship)> = self
+            .graph
+            .neighbours(Asn(x))
+            .into_iter()
+            .filter(|(n, _)| self.sessions.contains(&ordered(x, n.0)))
+            .map(|(n, r)| (n.0, r))
+            .collect();
+
+        let own = (x == dest).then(|| vec![x]);
+        let mut up = own.clone();
+        let mut down = own;
+        {
+            let sp = &self.speakers[&x];
+            for &(n, rel) in &nbrs {
+                let Some(p) = sp.adj_in.get(&(n, dest)) else { continue };
+                if p.contains(&x) {
+                    continue;
+                }
+                let mut cand = Vec::with_capacity(p.len() + 1);
+                cand.push(x);
+                cand.extend_from_slice(p);
+                if rel == Relationship::ProviderOf && up.as_ref().is_none_or(|c| beats(&cand, c)) {
+                    up = Some(cand.clone());
+                }
+                if down.as_ref().is_none_or(|c| beats(&cand, c)) {
+                    down = Some(cand);
+                }
+            }
+        }
+
+        let sp = self.speakers.get_mut(&x).expect("speaker exists");
+        let up_changed = sp.up_reg.get(&dest) != up.as_ref();
+        if up_changed {
+            match &up {
+                Some(p) => sp.up_reg.insert(dest, p.clone()),
+                None => sp.up_reg.remove(&dest),
+            };
+        }
+        let down_changed = sp.down_reg.get(&dest) != down.as_ref();
+        if down_changed {
+            match &down {
+                Some(p) => sp.down_reg.insert(dest, p.clone()),
+                None => sp.down_reg.remove(&dest),
+            };
+        }
+
+        for &(n, rel) in &nbrs {
+            let (changed, reg) = match rel {
+                // `n` is our customer: it receives the down register.
+                Relationship::ProviderOf => (down_changed, &down),
+                // Providers and peers receive customer/own routes only.
+                Relationship::PeerOf | Relationship::CustomerOf => (up_changed, &up),
+            };
+            if !changed {
+                continue;
+            }
+            let msg = match reg {
+                Some(p) => Msg::Update { dest, path: p.clone() },
+                None => Msg::Withdraw { dest },
+            };
+            let epoch = self.epoch(ordered(x, n));
+            self.calendar.push(self.now + CONTROL_DELAY, Delivery { epoch, from: x, to: n, msg });
+        }
     }
 }
 
@@ -239,182 +437,6 @@ pub fn sessions_from_topology(topo: &Topology, graph: &AsGraph) -> BTreeSet<(u32
         })
         .filter(|&(a, b)| graph.relationship(Asn(a), Asn(b)).is_some())
         .collect()
-}
-
-/// Makes every speaker originate its own AS as a destination. Run the
-/// engine afterwards to propagate.
-pub fn originate_all(eng: &mut Engine<ControlPlane>, cp: &mut ControlPlane) {
-    let asns: Vec<u32> = cp.speakers.keys().copied().collect();
-    for x in asns {
-        recompute_dest(eng, cp, x, x);
-    }
-}
-
-/// Tears down the session between `a` and `b` (if live): both sides drop
-/// the neighbour's Adj-RIB-In entries, reselect, and propagate withdrawals
-/// or replacement updates. In-flight messages on the session are discarded
-/// at delivery time.
-pub fn session_down(eng: &mut Engine<ControlPlane>, cp: &mut ControlPlane, a: Asn, b: Asn) {
-    let key = ordered(a.0, b.0);
-    if !cp.sessions.remove(&key) {
-        return;
-    }
-    *cp.epochs.entry(key).or_insert(0) += 1;
-    let mut dirty: Vec<(u32, u32)> = Vec::new();
-    for (me, other) in [(a.0, b.0), (b.0, a.0)] {
-        let sp = cp.speakers.get_mut(&me).expect("speaker exists");
-        let dests: Vec<u32> =
-            sp.adj_in.range((other, 0)..=(other, u32::MAX)).map(|(&(_, d), _)| d).collect();
-        for d in dests {
-            sp.adj_in.remove(&(other, d));
-            dirty.push((me, d));
-        }
-    }
-    for (me, d) in dirty {
-        recompute_dest(eng, cp, me, d);
-    }
-}
-
-/// Brings the session between `a` and `b` up (no-op unless the pair has a
-/// relationship): both sides re-advertise their full exportable table to
-/// the other, as real BGP does on session establishment.
-pub fn session_up(eng: &mut Engine<ControlPlane>, cp: &mut ControlPlane, a: Asn, b: Asn) {
-    if cp.graph.relationship(a, b).is_none() {
-        return;
-    }
-    let key = ordered(a.0, b.0);
-    if !cp.sessions.insert(key) {
-        return;
-    }
-    *cp.epochs.entry(key).or_insert(0) += 1;
-    let epoch = cp.epochs[&key];
-    let mut outbox: Vec<(u32, u32, Msg)> = Vec::new();
-    for (from, to) in [(a.0, b.0), (b.0, a.0)] {
-        let rel = cp.graph.relationship(Asn(from), Asn(to)).expect("adjacent");
-        let sp = &cp.speakers[&from];
-        let reg = match rel {
-            Relationship::ProviderOf => &sp.down_reg, // `to` is our customer
-            Relationship::PeerOf | Relationship::CustomerOf => &sp.up_reg,
-        };
-        for (dest, path) in reg {
-            outbox.push((from, to, Msg::Update { dest: *dest, path: path.clone() }));
-        }
-    }
-    for (from, to, msg) in outbox {
-        send(eng, epoch, from, to, msg);
-    }
-}
-
-fn send(eng: &mut Engine<ControlPlane>, epoch: u64, from: u32, to: u32, msg: Msg) {
-    eng.schedule(CONTROL_DELAY, move |eng, cp| deliver(eng, cp, epoch, from, to, msg));
-}
-
-fn deliver(
-    eng: &mut Engine<ControlPlane>,
-    cp: &mut ControlPlane,
-    epoch: u64,
-    from: u32,
-    to: u32,
-    msg: Msg,
-) {
-    let key = ordered(from, to);
-    if !cp.sessions.contains(&key) || cp.epoch(key) != epoch {
-        return; // session flapped while the message was in flight
-    }
-    cp.delivered += 1;
-    let dest = msg.dest();
-    let sp = cp.speakers.get_mut(&to).expect("speaker exists");
-    let changed = match msg {
-        Msg::Update { dest, path } => match sp.adj_in.entry((from, dest)) {
-            Entry::Occupied(mut o) => {
-                if *o.get() == path {
-                    false
-                } else {
-                    o.insert(path);
-                    true
-                }
-            }
-            Entry::Vacant(v) => {
-                v.insert(path);
-                true
-            }
-        },
-        Msg::Withdraw { dest } => sp.adj_in.remove(&(from, dest)).is_some(),
-    };
-    if changed {
-        recompute_dest(eng, cp, to, dest);
-    }
-}
-
-/// Recomputes `x`'s two registers for `dest` and advertises any change to
-/// the neighbour classes the export policy allows.
-fn recompute_dest(eng: &mut Engine<ControlPlane>, cp: &mut ControlPlane, x: u32, dest: u32) {
-    let nbrs: Vec<(u32, Relationship)> = cp
-        .graph
-        .neighbours(Asn(x))
-        .into_iter()
-        .filter(|(n, _)| cp.sessions.contains(&ordered(x, n.0)))
-        .map(|(n, r)| (n.0, r))
-        .collect();
-
-    let own = (x == dest).then(|| vec![x]);
-    let mut up = own.clone();
-    let mut down = own;
-    {
-        let sp = &cp.speakers[&x];
-        for &(n, rel) in &nbrs {
-            let Some(p) = sp.adj_in.get(&(n, dest)) else { continue };
-            if p.contains(&x) {
-                continue;
-            }
-            let mut cand = Vec::with_capacity(p.len() + 1);
-            cand.push(x);
-            cand.extend_from_slice(p);
-            if rel == Relationship::ProviderOf && up.as_ref().is_none_or(|c| beats(&cand, c)) {
-                up = Some(cand.clone());
-            }
-            if down.as_ref().is_none_or(|c| beats(&cand, c)) {
-                down = Some(cand);
-            }
-        }
-    }
-
-    let sp = cp.speakers.get_mut(&x).expect("speaker exists");
-    let up_changed = sp.up_reg.get(&dest) != up.as_ref();
-    if up_changed {
-        match &up {
-            Some(p) => sp.up_reg.insert(dest, p.clone()),
-            None => sp.up_reg.remove(&dest),
-        };
-    }
-    let down_changed = sp.down_reg.get(&dest) != down.as_ref();
-    if down_changed {
-        match &down {
-            Some(p) => sp.down_reg.insert(dest, p.clone()),
-            None => sp.down_reg.remove(&dest),
-        };
-    }
-
-    let mut outbox: Vec<(u64, u32, Msg)> = Vec::new();
-    for &(n, rel) in &nbrs {
-        let (changed, reg) = match rel {
-            // `n` is our customer: it receives the down register.
-            Relationship::ProviderOf => (down_changed, &down),
-            // Providers and peers receive customer/own routes only.
-            Relationship::PeerOf | Relationship::CustomerOf => (up_changed, &up),
-        };
-        if !changed {
-            continue;
-        }
-        let msg = match reg {
-            Some(p) => Msg::Update { dest, path: p.clone() },
-            None => Msg::Withdraw { dest },
-        };
-        outbox.push((cp.epoch(ordered(x, n)), n, msg));
-    }
-    for (epoch, to, msg) in outbox {
-        send(eng, epoch, x, to, msg);
-    }
 }
 
 #[cfg(test)]
@@ -501,9 +523,8 @@ mod tests {
         let g = hierarchy();
         let sessions = all_sessions(&g);
         let mut cp = ControlPlane::converged(&g, &sessions);
-        let mut eng: Engine<ControlPlane> = Engine::new();
-        session_down(&mut eng, &mut cp, T1, TIER1);
-        eng.run(&mut cp);
+        cp.session_down(T1, TIER1);
+        cp.drain();
 
         // A is now partitioned from everything beyond T1.
         assert!(cp.best_route(A, B).is_none());
@@ -518,11 +539,10 @@ mod tests {
         let g = hierarchy();
         let sessions = all_sessions(&g);
         let mut cp = ControlPlane::converged(&g, &sessions);
-        let mut eng: Engine<ControlPlane> = Engine::new();
-        session_down(&mut eng, &mut cp, T1, TIER1);
-        eng.run(&mut cp);
-        session_up(&mut eng, &mut cp, T1, TIER1);
-        eng.run(&mut cp);
+        cp.session_down(T1, TIER1);
+        cp.drain();
+        cp.session_up(T1, TIER1);
+        cp.drain();
         assert_matches_static(&cp, &g, &sessions);
     }
 
@@ -533,12 +553,11 @@ mod tests {
         let g = hierarchy();
         let sessions = all_sessions(&g);
         let mut cp = ControlPlane::new(g.clone(), &sessions);
-        let mut eng: Engine<ControlPlane> = Engine::new();
-        originate_all(&mut eng, &mut cp);
+        cp.originate_all();
         // One delivery round only, then flap.
-        eng.run_until(&mut cp, crate::time::SimTime::ZERO + CONTROL_DELAY);
-        session_down(&mut eng, &mut cp, T1, TIER1);
-        eng.run(&mut cp);
+        cp.run_until(SimTime::ZERO + CONTROL_DELAY);
+        cp.session_down(T1, TIER1);
+        cp.drain();
         let mut reduced = sessions.clone();
         reduced.remove(&ordered(T1.0, TIER1.0));
         assert_matches_static(&cp, &g, &reduced);

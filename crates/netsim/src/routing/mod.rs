@@ -8,10 +8,10 @@
 //!   and ten hops (Table I / Figure 4) — *emerges* from these policies
 //!   when no local peering exists;
 //! * [`path`] — the combined router-level path computer used by
-//!   everything else (ping, traceroute, transport, campaigns);
+//!   everything else (ping, traceroute, campaigns);
 //! * [`dynamic`] — the same Gao–Rexford policies as *emergent* behaviour:
-//!   one BGP speaker per AS exchanging update/withdraw messages on the
-//!   event calendar, so link failures trigger real reconvergence
+//!   one BGP speaker per AS exchanging update/withdraw messages on a
+//!   typed event calendar, so link failures trigger real reconvergence
 //!   transients instead of an instant new fixed point.
 
 pub mod bgp;

@@ -16,16 +16,13 @@
 //! * [`smart_city`] — the adaptive traffic-management scenario (up to
 //!   50 000 intersections, Section III-C);
 //! * [`industrial`] — smart-factory lines (5 TB/day, tens of thousands of
-//!   sensors);
-//! * [`healthcare`] — remote surgery (kHz haptic loop + HD video).
-
+//!   sensors).
 //!
 //! The paper's future work (Section VI) names federated learning at the
 //! edge; [`federated`] implements it as a synchronous FedAvg workload.
 
 pub mod ar_game;
 pub mod federated;
-pub mod healthcare;
 pub mod industrial;
 pub mod services;
 pub mod smart_city;

@@ -1,9 +1,10 @@
 //! Allocation gate for the packet world.
 //!
 //! The event backend flies probes on a typed, worker-local calendar, so a
-//! warm worker runs a plain shard without calling the allocator, and a
-//! faulted shard allocates only for its window (topology clone, converged
-//! control plane, messages, resolved routes). A counting global allocator
+//! warm worker runs a plain shard without calling the allocator. A faulted
+//! shard allocates only for its window: the topology clone, the converged
+//! control plane, the paths its messages carry and the resolved routes.
+//! No event is boxed on either calendar. A counting global allocator
 //! checks it: after one warm-up pass, a second pass of
 //! `collect_shard_into` over every shard, on the calling thread, into one
 //! reused buffer, must stay under a per-sample allocation budget. The
@@ -104,5 +105,8 @@ fn faulted_flap_pass_allocates_only_per_window() {
     let s = Scenario::from_spec(klagenfurt_flap_spec()).expect("compiles");
     let fc = FaultCampaign::new(&s, config());
     let counted = counted_pass(&fc.shards(), |fs, buf| fc.collect_shard_into(fs, buf));
-    assert_budget("klagenfurt flap faulted", counted, 1_957, 10.0);
+    // Measured: 11 173 allocations, 5.71 per sample. The budget leaves
+    // 3.3 % headroom, and boxing each control message again (one more
+    // allocation per message sent) would exceed it.
+    assert_budget("klagenfurt flap faulted", counted, 1_957, 5.9);
 }
