@@ -9,10 +9,15 @@
 //! accumulators, **in work-list order**. Every cell therefore sees the
 //! sequential runner's exact floating-point accumulation sequence, so the
 //! result is bitwise identical for every pool size — asserted by the
-//! `parallel_equals_sequential_bitwise` thread-count matrix test. A
-//! sweep's runs go through the sweep's own round-based fold (see
-//! [`crate::sweep`]); both drive the same `Runner`, the one place a run's
-//! backend is chosen.
+//! `parallel_equals_sequential_bitwise` thread-count matrix test. A worker
+//! folds its items in groups of up to four consecutive items with distinct
+//! cells: it collects the group, then pushes the samples round-robin by
+//! sample index, so the four cells' Welford division chains overlap
+//! instead of running one after another. A repeated cell ends the group,
+//! so each cell still takes its samples in work-list order
+//! (`a_repeated_cell_ends_the_group`). A sweep's runs go through the
+//! sweep's own round-based fold (see [`crate::sweep`]); both drive the
+//! same `Runner`, the one place a run's backend is chosen.
 //!
 //! The per-cell passes around the sampling kernel — compiling the target
 //! field, planning the work list, setting up and bucketing the
@@ -24,7 +29,7 @@
 //! order, so no bit depends on the pool size. Every legacy-scheme grid is
 //! one chunk and runs on the calling thread.
 
-use crate::aggregate::CellField;
+use crate::aggregate::{CellField, CellRange};
 use crate::campaign::{CampaignConfig, MobileCampaign, Shard};
 use crate::event_backend::EventCampaign;
 use crate::faults::{FaultCampaign, FaultShard};
@@ -150,11 +155,12 @@ const RANGES_PER_THREAD: usize = 4;
 /// size and the cell count — and the work list is bucketed by range,
 /// keeping work-list order inside each bucket. Each pool worker then owns
 /// the accumulators of the ranges it claims: it samples their items with
-/// `collect` and pushes the samples straight in. A cell's samples arrive
-/// in work-list order whoever samples them, so the field is bitwise equal
-/// to [`run_shards_sequential`]'s at every pool size, with no serial fold
-/// and no round barrier. An item outside the grid panics before any
-/// sampling starts.
+/// `collect`, a group of up to `GROUP` items with distinct cells at a
+/// time, and pushes the samples straight in ([`fold_group`]). A cell's
+/// samples arrive in work-list order whoever samples them, so the field is
+/// bitwise equal to [`run_shards_sequential`]'s at every pool size, with
+/// no serial fold and no round barrier. An item outside the grid panics
+/// before any sampling starts.
 pub(crate) fn run_shards<T: CellItem>(
     scenario: &Scenario,
     items: &[T],
@@ -166,17 +172,44 @@ pub(crate) fn run_shards<T: CellItem>(
     let (starts, order) = bucket_by_range(&field, items, span);
     let mut ranges: Vec<_> = field.ranges_mut(span).into_iter().zip(starts.windows(2)).collect();
     ranges.par_iter_mut().for_each(|(range, bucket)| {
-        let mut buf = Vec::new();
-        for &i in &order[bucket[0]..bucket[1]] {
-            let item = items[i as usize];
-            collect(item, &mut buf);
-            let acc = range.cell_mut(item.cell());
-            for &v in &buf {
-                acc.push(v);
+        let mut bufs: [Vec<f64>; GROUP] = Default::default();
+        let mut cells = [CellId::new(0, 0); GROUP];
+        let mut rest = &order[bucket[0]..bucket[1]];
+        while !rest.is_empty() {
+            // The group: the leading items up to the first repeated cell.
+            let mut len = 0;
+            for &i in rest.iter().take(GROUP) {
+                let item = items[i as usize];
+                if cells[..len].contains(&item.cell()) {
+                    break;
+                }
+                cells[len] = item.cell();
+                collect(item, &mut bufs[len]);
+                len += 1;
             }
+            fold_group(range, &cells[..len], &bufs[..len]);
+            rest = &rest[len..];
         }
     });
     field
+}
+
+/// Consecutive bucket items a [`run_shards`] range worker folds together.
+/// Groups of 2 and 8 measured slower.
+const GROUP: usize = 4;
+
+/// Pushes a group's samples into its distinct cells' accumulators,
+/// round-robin by sample index, so the group's Welford division chains
+/// overlap. Each cell still takes its own samples in order.
+fn fold_group(range: &mut CellRange<'_>, cells: &[CellId], bufs: &[Vec<f64>]) {
+    let longest = bufs.iter().map(Vec::len).max().unwrap_or(0);
+    for k in 0..longest {
+        for (&cell, buf) in cells.iter().zip(bufs) {
+            if let Some(&v) = buf.get(k) {
+                range.cell_mut(cell).push(v);
+            }
+        }
+    }
 }
 
 /// A stable counting sort of item indices by the `span`-cell range their
@@ -414,6 +447,33 @@ mod tests {
             let s = resized_skopje(cols, rows);
             let seq = check(&s, CampaignConfig { seed: 11, passes, ..Default::default() });
             assert!(seq.iter().all(|a| a.0 >= passes as u64), "{}: a cell missed a pass", s.name);
+        }
+    }
+
+    /// A cell that recurs within four consecutive items of a range ends the
+    /// range worker's group, so its later item's samples fold after its
+    /// earlier item's, as in the sequential fold. The hand-built work list
+    /// keeps every item inside the first cell range at pools 1, 2 and 8
+    /// (ranges of 100, 50 and 13 cells) and gives the recurring cells
+    /// different dwells, so their items differ in sample count. Its groups
+    /// are `A1 B1 | A1 C1 | A1 | A1 D1 B1 E1 | B1`.
+    #[test]
+    fn a_repeated_cell_ends_the_group() {
+        let s = resized_skopje(40, 10);
+        let config = CampaignConfig { seed: 5, passes: 1, ..Default::default() };
+        let campaign = MobileCampaign::new(&s, config);
+        let dwells = [12.0, 40.0, 26.0, 8.0, 60.0, 4.0, 18.0, 30.0, 50.0, 22.0];
+        let cols = [0, 1, 0, 2, 0, 0, 3, 1, 4, 1];
+        let items: Vec<Shard> = cols
+            .into_iter()
+            .zip(dwells)
+            .map(|(col, dwell_s)| Shard { pass: 0, cell: CellId::new(col, 0), dwell_s })
+            .collect();
+        let collect = |x, buf: &mut Vec<f64>| campaign.collect_shard_into(x, buf);
+        let seq = run_shards_sequential(&s, &items, collect).accumulator_bits();
+        for threads in [1usize, 2, 8] {
+            let par = with_thread_count(threads, || run_shards(&s, &items, collect));
+            assert!(par.accumulator_bits() == seq, "{threads} threads: fields differ");
         }
     }
 

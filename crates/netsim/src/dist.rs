@@ -34,9 +34,11 @@ pub trait Quantile {
     /// This is the columnar hot path for large-grid campaigns: the caller
     /// advances the RNG once per *block* to fill `u`, then this tight loop
     /// turns the block into samples. The default implementation applies the
-    /// exact same scalar `quantile` expression element-wise, so results are
-    /// bitwise-identical to calling `quantile` in a loop — pinned by tests
-    /// for every closed-form distribution.
+    /// exact same scalar `quantile` expression element-wise; an override
+    /// (`Normal`'s) may reorder the work across lanes but never within one.
+    /// Either way results are bitwise-identical to calling `quantile` in a
+    /// loop, and panic where it panics — pinned by tests for every
+    /// closed-form distribution.
     fn inverse_cdf_block(&self, u: &[f64], out: &mut [f64]) {
         assert_eq!(u.len(), out.len(), "inverse_cdf_block: length mismatch");
         for (o, p) in out.iter_mut().zip(u) {
@@ -165,21 +167,6 @@ impl Normal {
     /// approximation, |relative error| < 1.15e-9 over (0, 1)).
     pub fn standard_quantile(p: f64) -> f64 {
         assert!(p > 0.0 && p < 1.0, "standard_quantile: p must be in (0, 1), got {p}");
-        const A: [f64; 6] = [
-            -3.969683028665376e+01,
-            2.209460984245205e+02,
-            -2.759285104469687e+02,
-            1.38357751867269e+02,
-            -3.066479806614716e+01,
-            2.506628277459239e+00,
-        ];
-        const B: [f64; 5] = [
-            -5.447609879822406e+01,
-            1.615858368580409e+02,
-            -1.556989798598866e+02,
-            6.680131188771972e+01,
-            -1.328068155288572e+01,
-        ];
         const C: [f64; 6] = [
             -7.784894002430293e-03,
             -3.223964580411365e-01,
@@ -194,18 +181,13 @@ impl Normal {
             2.445134137142996e+00,
             3.754408661907416e+00,
         ];
-        const P_LOW: f64 = 0.02425;
         if p < P_LOW {
             // Lower tail.
             let q = (-2.0 * p.ln()).sqrt();
             (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
                 / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
         } else if p <= 1.0 - P_LOW {
-            // Central region.
-            let q = p - 0.5;
-            let r = q * q;
-            (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-                / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
+            central_quantile(p)
         } else {
             // Upper tail (by symmetry).
             let q = (-2.0 * (1.0 - p).ln()).sqrt();
@@ -232,6 +214,56 @@ impl Quantile for Normal {
         }
         self.mu + self.sigma * Self::standard_quantile(p)
     }
+
+    /// Two passes with the bits of the scalar loop. The first evaluates the
+    /// central region's rational function for every lane without a branch,
+    /// so the loop vectorises; the second recomputes through
+    /// [`Quantile::quantile`] only the lanes outside `[P_LOW, 1 − P_LOW]`,
+    /// which keeps the `[0, 1)` check and `quantile(0) = −∞`. A central
+    /// lane runs the same IEEE operations in the same order as the scalar
+    /// path, and rustc never contracts them into fused multiply-adds.
+    fn inverse_cdf_block(&self, u: &[f64], out: &mut [f64]) {
+        assert_eq!(u.len(), out.len(), "inverse_cdf_block: length mismatch");
+        for (o, &p) in out.iter_mut().zip(u) {
+            *o = self.mu + self.sigma * central_quantile(p);
+        }
+        for (o, &p) in out.iter_mut().zip(u) {
+            if !(P_LOW..=1.0 - P_LOW).contains(&p) {
+                *o = self.quantile(p);
+            }
+        }
+    }
+}
+
+/// Acklam's central-region numerator coefficients.
+const A: [f64; 6] = [
+    -3.969683028665376e+01,
+    2.209460984245205e+02,
+    -2.759285104469687e+02,
+    1.38357751867269e+02,
+    -3.066479806614716e+01,
+    2.506628277459239e+00,
+];
+
+/// Acklam's central-region denominator coefficients.
+const B: [f64; 5] = [
+    -5.447609879822406e+01,
+    1.615858368580409e+02,
+    -1.556989798598866e+02,
+    6.680131188771972e+01,
+    -1.328068155288572e+01,
+];
+
+/// The standard normal quantile's central region is `[P_LOW, 1 − P_LOW]`.
+const P_LOW: f64 = 0.02425;
+
+/// The central-region expression of [`Normal::standard_quantile`], the
+/// one both it and the block kernel evaluate.
+fn central_quantile(p: f64) -> f64 {
+    let q = p - 0.5;
+    let r = q * q;
+    (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
+        / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
 }
 
 /// LogNormal: `exp(Normal(mu, sigma))`.
@@ -780,6 +812,11 @@ mod tests {
         let mut rng = SimRng::from_seed(0xC01u64);
         let mut u: Vec<f64> = (0..4096).map(|_| rng.unit()).collect();
         u.extend_from_slice(&[0.0, 1e-300, 0.5, 0.02424, 0.02426, 0.97576, 1.0 - 1e-12]);
+        // On and one ulp either side of both boundaries of the Normal
+        // kernel's central region, where its two passes meet.
+        let p_high = 1.0 - P_LOW;
+        u.extend_from_slice(&[P_LOW.next_down(), P_LOW, P_LOW.next_up()]);
+        u.extend_from_slice(&[p_high.next_down(), p_high, p_high.next_up(), 1.0f64.next_down()]);
         let quantiles: [&dyn Quantile; 7] = [
             &Constant(4.2),
             &Uniform::new(1.0, 9.0),
@@ -802,6 +839,20 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "quantile: p must be in")]
+    fn normal_inverse_cdf_block_rejects_p_of_one() {
+        let mut out = [0.0; 3];
+        Normal::new(10.0, 2.0).inverse_cdf_block(&[0.5, 1.0, 0.25], &mut out);
+    }
+
+    #[test]
+    #[should_panic(expected = "quantile: p must be in")]
+    fn normal_inverse_cdf_block_rejects_nan() {
+        let mut out = [0.0; 3];
+        Normal::new(10.0, 2.0).inverse_cdf_block(&[0.5, f64::NAN, 0.25], &mut out);
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //!
 //! Pins the key numbers behind the `repro_*` binaries — the gap exceedance,
 //! the Table I hop count, the Klagenfurt campaign grand mean, the
-//! multi-seed sweep extrema and the packet world's event runs — against
-//! committed expected values **to the bit**. Any change to the RNG streams, distribution parameterisations,
-//! routing metric, or accumulation order shows up here as a bit-exact diff,
-//! not a tolerance-sized drift.
+//! multi-seed sweep extrema, the packet world's event runs and a
+//! wide-key-scheme run with its report bytes — against committed expected
+//! values **to the bit**. Any change to the RNG streams, distribution
+//! parameterisations, routing metric, or accumulation order shows up here
+//! as a bit-exact diff, not a tolerance-sized drift.
 //!
 //! The values are pinned for the CI target (x86_64-linux-gnu): IEEE-754
 //! arithmetic is deterministic everywhere, but `ln`/`exp`/`powf` round
@@ -24,10 +25,12 @@ use sixg::core::requirements::campaign_reference_requirement;
 use sixg::measure::aggregate::FieldSummary;
 use sixg::measure::campaign::{CampaignConfig, MobileCampaign, Shard};
 use sixg::measure::event_backend::EventCampaign;
-use sixg::measure::exec::run_field;
+use sixg::measure::exec::{execute, run_field, ExecReport, ExecRequest, RunReport};
 use sixg::measure::klagenfurt::{klagenfurt_flap_spec, klagenfurt_spec, KlagenfurtScenario};
 use sixg::measure::parallel::with_thread_count;
 use sixg::measure::scenario::Scenario;
+use sixg::measure::skopje::skopje_spec;
+use sixg::measure::store::fnv1a64;
 use sixg::measure::ExecBackend;
 use std::sync::OnceLock;
 
@@ -43,6 +46,24 @@ const SWEEP_SEEDS: [u64; 3] = [1, 2, 3];
 fn scenario() -> &'static KlagenfurtScenario {
     static S: OnceLock<KlagenfurtScenario> = OnceLock::new();
     S.get_or_init(|| KlagenfurtScenario::paper(SEED))
+}
+
+/// The wide key scheme end to end: Skopje widened to 600 × 300 cells and
+/// run for two passes through `execute`, so the columnar sampling kernel,
+/// the range workers' fold and the super-cell report all decide its bits.
+fn wide_report() -> &'static RunReport {
+    static R: OnceLock<RunReport> = OnceLock::new();
+    R.get_or_init(|| {
+        let mut spec = skopje_spec().clone();
+        spec.name = "wide-golden".into();
+        spec.grid.cols = 600;
+        spec.grid.rows = 300;
+        spec.campaign.passes = 2;
+        match execute(&ExecRequest::run(spec)).expect("the widened spec runs") {
+            ExecReport::Run(out) => out.report,
+            other => panic!("expected a run report, got {other:?}"),
+        }
+    })
 }
 
 /// Computes every golden quantity, in a fixed order, from the same logic
@@ -134,6 +155,15 @@ fn compute_goldens() -> Vec<(&'static str, f64)> {
     let mut probes = Vec::new();
     EventCampaign::new(&narrow, saturated).collect_shard_into(shard, &mut probes);
     out.push(("saturated_shard_mean_ms", probes.iter().sum::<f64>() / probes.len() as f64));
+
+    // The wide key scheme (`wide_report`).
+    let wide = wide_report();
+    out.push(("wide_total_samples", wide.total_samples as f64));
+    out.push(("wide_grand_mean_ms", wide.grand_mean_ms));
+    out.push(("wide_mean_min_ms", wide.mean_min_ms));
+    out.push(("wide_mean_max_ms", wide.mean_max_ms));
+    out.push(("wide_std_min_ms", wide.std_min_ms));
+    out.push(("wide_std_max_ms", wide.std_max_ms));
     out
 }
 
@@ -164,6 +194,12 @@ const EXPECTED: &[(&str, u64, f64)] = &[
     ("event_grand_mean_ms", 0x40529803e542fd56, 74.37523776571228),
     ("event_total_samples", 0x40afc20000000000, 4065.0),
     ("saturated_shard_mean_ms", 0x408d34c4631ba5ee, 934.5958921585095),
+    ("wide_total_samples", 0x41749b5cd0000000, 21607885.0),
+    ("wide_grand_mean_ms", 0x40533ff2230a3541, 76.99915386196973),
+    ("wide_mean_min_ms", 0x4050732421da1ed1, 65.79908033657854),
+    ("wide_mean_max_ms", 0x4057d0f594aa1106, 95.26498905761773),
+    ("wide_std_min_ms", 0x3ff862bcf48f6e55, 1.5241059830795127),
+    ("wide_std_max_ms", 0x403aef67cd44bf12, 26.935177640231878),
     // GOLDEN-TABLE-END
 ];
 
@@ -197,6 +233,19 @@ fn golden_values_survive_parallel_execution() {
     let (mean_min, mean_max) = field.mean_extrema().expect("non-empty");
     assert_eq!(mean_min.mean_ms.to_bits(), expect("dense_mean_min_ms"));
     assert_eq!(mean_max.mean_ms.to_bits(), expect("dense_mean_max_ms"));
+}
+
+/// The wide run's report bytes, super-cell aggregates included, pinned
+/// by their FNV-1a 64 hash: the rows above pin only its field summary.
+#[test]
+fn wide_grid_report_bytes_are_pinned() {
+    let json = wide_report().to_json();
+    assert_eq!(
+        fnv1a64(json.as_bytes()),
+        0xb185_18a3_7c24_6150,
+        "the {}-byte wide-grid report moved",
+        json.len()
+    );
 }
 
 /// Prints the golden table in source form; run with `--ignored --nocapture`
