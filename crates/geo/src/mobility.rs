@@ -119,24 +119,25 @@ impl ManhattanMobility {
         Traversal { visits }
     }
 
+    /// The visit of `cell`. Its dwell depends only on the seed and the
+    /// cell, not on where the cell falls in the traversal.
+    pub fn visit(&self, cell: CellId) -> Visit {
+        let h = mix64(self.seed ^ mix64((cell.col as u64) << 32 | cell.row as u64));
+        let jitter = 1.0 + self.dwell_jitter * (2.0 * unit_f64(h) - 1.0);
+        Visit { cell, dwell_s: self.mean_dwell_s * jitter.max(0.05) }
+    }
+
     /// The visits of grid row `row`, in traversal order, passed to `emit`.
     /// `cols` yields the row's included columns west to east. Even rows are
     /// driven west to east and odd rows back east to west, so consecutive
-    /// rows join into one lawn-mower sweep. A row's visits depend only on
-    /// the seed, the row and its included columns, so a caller holding
-    /// those can produce any run of rows without the rest of the traversal.
+    /// rows join into one lawn-mower sweep. Each visit is [`Self::visit`]
+    /// of its cell, so a caller holding a run of rows' included columns
+    /// can produce its visits without the rest of the traversal.
     pub fn visit_row<I>(&self, row: u32, cols: I, mut emit: impl FnMut(Visit))
     where
         I: DoubleEndedIterator<Item = u32>,
     {
-        let mut visit = |c: u32| {
-            let h = mix64(self.seed ^ mix64((c as u64) << 32 | row as u64));
-            let jitter = 1.0 + self.dwell_jitter * (2.0 * unit_f64(h) - 1.0);
-            emit(Visit {
-                cell: CellId::new(c, row),
-                dwell_s: self.mean_dwell_s * jitter.max(0.05),
-            });
-        };
+        let mut visit = |c: u32| emit(self.visit(CellId::new(c, row)));
         if row.is_multiple_of(2) {
             cols.for_each(&mut visit);
         } else {

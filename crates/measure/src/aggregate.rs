@@ -4,7 +4,7 @@
 //! deviation of round-trip latency, with cells holding fewer than ten
 //! measurements rendered as `0.0`.
 
-use crate::parallel::{cell_chunks, extend_in_place, map_chunks, split_mut};
+use crate::parallel::{cell_chunks, extend_in_place, map_chunks};
 use serde::{Deserialize, Serialize};
 use sixg_geo::{CellId, GridSpec};
 use sixg_netsim::stats::Welford;
@@ -32,13 +32,17 @@ impl CellStats {
     }
 }
 
-/// The report statistics of a field, taken in one pass over its
-/// accumulators. Each member equals what the same-named [`CellField`]
-/// method returns, bit for bit.
+/// The report statistics of a field, taken in two passes over its
+/// accumulators: one for the counts and extrema, one for the grand mean
+/// (see [`CellField::summary`]). Each member but `reported_cells` equals
+/// what the same-named [`CellField`] method returns, bit for bit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FieldSummary {
     /// Total sample count over all cells, masked ones included.
     pub total_samples: u64,
+    /// Cells with at least [`MIN_SAMPLES`] samples: the length of
+    /// [`CellField::reported`].
+    pub reported_cells: u64,
     /// Grand mean over reported cells, ms (0.0 when none is reported).
     pub grand_mean_ms: f64,
     /// Minimum / maximum reported cell means with their cells.
@@ -70,11 +74,12 @@ fn fold_extrema(
     }
 }
 
-/// One chunk's share of [`CellField::summary`].
+/// The counts and extrema of [`CellField::summary`], for one chunk of
+/// cells or for the whole field.
 #[derive(Default)]
 struct ChunkSummary {
     total_samples: u64,
-    reported: usize,
+    reported: u64,
     mean_extrema: Option<(CellStats, CellStats)>,
     std_extrema: Option<(CellStats, CellStats)>,
 }
@@ -84,28 +89,6 @@ struct ChunkSummary {
 pub struct CellField {
     grid: GridSpec,
     acc: Vec<Welford>,
-}
-
-/// A contiguous row-major run of a field's accumulators, borrowed mutably
-/// so that disjoint ranges can fill on different threads.
-pub(crate) struct CellRange<'a> {
-    grid: &'a GridSpec,
-    start: usize,
-    acc: &'a mut [Welford],
-}
-
-impl CellRange<'_> {
-    /// The accumulator of `cell`. Panics when the cell is outside the
-    /// grid or outside this range.
-    pub(crate) fn cell_mut(&mut self, cell: CellId) -> &mut Welford {
-        &mut self.acc[cell_index(self.grid, cell) - self.start]
-    }
-}
-
-/// Row-major accumulator index of `cell`; panics outside the grid.
-fn cell_index(grid: &GridSpec, cell: CellId) -> usize {
-    assert!(grid.contains(cell), "cell {cell} outside grid");
-    cell.row as usize * grid.cols as usize + cell.col as usize
 }
 
 impl CellField {
@@ -129,19 +112,16 @@ impl CellField {
     }
 
     /// Row-major accumulator index of `cell`; panics outside the grid.
-    pub(crate) fn index(&self, cell: CellId) -> usize {
-        cell_index(&self.grid, cell)
+    fn index(&self, cell: CellId) -> usize {
+        assert!(self.grid.contains(cell), "cell {cell} outside grid");
+        cell.row as usize * self.grid.cols as usize + cell.col as usize
     }
 
     /// The accumulators split into contiguous row-major ranges of `span`
-    /// cells (the last one may be shorter), in index order.
-    pub(crate) fn ranges_mut(&mut self, span: usize) -> Vec<CellRange<'_>> {
-        let grid = &self.grid;
-        self.acc
-            .chunks_mut(span)
-            .enumerate()
-            .map(|(r, acc)| CellRange { grid, start: r * span, acc })
-            .collect()
+    /// cells (the last one may be shorter), in index order, so that
+    /// disjoint ranges can fill on different threads.
+    pub(crate) fn ranges_mut(&mut self, span: usize) -> Vec<&mut [Welford]> {
+        self.acc.chunks_mut(span).collect()
     }
 
     /// Records one RTL sample for a cell.
@@ -200,22 +180,33 @@ impl CellField {
     }
 
     /// [`Self::total_samples`], [`Self::grand_mean_ms`],
-    /// [`Self::mean_extrema`] and [`Self::std_extrema`] from one row-major
-    /// pass over the accumulators, without materialising [`Self::reported`].
+    /// [`Self::mean_extrema`], [`Self::std_extrema`] and the reported cell
+    /// count, without materialising [`Self::reported`] or any buffer that
+    /// grows with the grid.
     ///
-    /// A wide grid's pass runs on the pool in index-ordered chunks. Each
-    /// chunk counts its samples, takes its own extrema and lists its
-    /// reported means, in row-major order, in its slice of one buffer.
-    /// The chunks then fold in index order: the grand-mean sum adds every
-    /// listed mean in row-major order, and the extrema keep
-    /// [`Self::mean_extrema`]'s tie rule, so every member has the bits of
-    /// a single serial pass at any pool size.
+    /// A wide grid's counts and extrema run on the pool in index-ordered
+    /// chunks, which fold in index order with [`Self::mean_extrema`]'s tie
+    /// rule; the grand mean is its own row-major walk
+    /// ([`Self::grand_mean_ms`]). So every member has the bits of a single
+    /// serial pass at any pool size.
     pub fn summary(&self) -> FieldSummary {
+        let all = self.counts_and_extrema();
+        FieldSummary {
+            total_samples: all.total_samples,
+            reported_cells: all.reported,
+            grand_mean_ms: self.grand_mean_ms(),
+            mean_extrema: all.mean_extrema,
+            std_extrema: all.std_extrema,
+        }
+    }
+
+    /// The sample and reported-cell counts and the mean and σ extrema. A
+    /// wide grid's pass runs on the pool in index-ordered chunks: each
+    /// chunk counts its own and takes its own extrema, and the chunks fold
+    /// in index order, keeping [`Self::mean_extrema`]'s tie rule.
+    fn counts_and_extrema(&self) -> ChunkSummary {
         let cols = self.grid.cols as usize;
-        let chunks = cell_chunks(self.acc.len());
-        let mut means = vec![0.0; self.acc.len()];
-        let pieces: Vec<_> = chunks.iter().cloned().zip(split_mut(&mut means, &chunks)).collect();
-        let parts = map_chunks(pieces, |(chunk, means)| {
+        let parts = map_chunks(cell_chunks(self.acc.len()), |chunk| {
             let mut part = ChunkSummary::default();
             for (i, w) in chunk.clone().zip(&self.acc[chunk]) {
                 part.total_samples += w.count();
@@ -223,54 +214,56 @@ impl CellField {
                     continue;
                 }
                 let s = Self::stats_of(CellId::new((i % cols) as u32, (i / cols) as u32), w);
-                means[part.reported] = s.mean_ms;
                 part.reported += 1;
                 fold_extrema(&mut part.mean_extrema, s.clone(), |s| s.mean_ms);
                 fold_extrema(&mut part.std_extrema, s, |s| s.std_ms);
             }
             part
         });
-        let mut total_samples = 0;
-        // `Iterator::sum`'s neutral element, so the grand mean keeps its bits.
-        let mut mean_sum = -0.0;
-        let mut reported = 0usize;
-        let mut mean_extrema = None;
-        let mut std_extrema = None;
-        for (part, chunk) in parts.into_iter().zip(&chunks) {
-            total_samples += part.total_samples;
-            for &m in &means[chunk.start..chunk.start + part.reported] {
-                mean_sum += m;
-            }
-            reported += part.reported;
+        let mut all = ChunkSummary::default();
+        for part in parts {
+            all.total_samples += part.total_samples;
+            all.reported += part.reported;
             if let Some((min, max)) = part.mean_extrema {
-                fold_extrema(&mut mean_extrema, min, |s| s.mean_ms);
-                fold_extrema(&mut mean_extrema, max, |s| s.mean_ms);
+                fold_extrema(&mut all.mean_extrema, min, |s| s.mean_ms);
+                fold_extrema(&mut all.mean_extrema, max, |s| s.mean_ms);
             }
             if let Some((min, max)) = part.std_extrema {
-                fold_extrema(&mut std_extrema, min, |s| s.std_ms);
-                fold_extrema(&mut std_extrema, max, |s| s.std_ms);
+                fold_extrema(&mut all.std_extrema, min, |s| s.std_ms);
+                fold_extrema(&mut all.std_extrema, max, |s| s.std_ms);
             }
         }
-        let grand_mean_ms = if reported == 0 { 0.0 } else { mean_sum / reported as f64 };
-        FieldSummary { total_samples, grand_mean_ms, mean_extrema, std_extrema }
+        all
     }
 
     /// Grand mean over *reported* cells (unweighted across cells, as the
-    /// paper compares cell means).
+    /// paper compares cell means): one row-major walk over the
+    /// accumulators on the calling thread, adding every reported mean in
+    /// turn, so the sum keeps its bits at any pool size.
     pub fn grand_mean_ms(&self) -> f64 {
-        self.summary().grand_mean_ms
+        // `Iterator::sum`'s neutral element, so the grand mean keeps its bits.
+        let (mut sum, mut reported) = (-0.0, 0u64);
+        for w in self.acc.iter().filter(|w| w.count() >= MIN_SAMPLES) {
+            sum += w.mean();
+            reported += 1;
+        }
+        if reported == 0 {
+            0.0
+        } else {
+            sum / reported as f64
+        }
     }
 
     /// Minimum / maximum reported cell means with their cells. Ties go to
     /// the first equal cell for the minimum and the last for the maximum.
     pub fn mean_extrema(&self) -> Option<(CellStats, CellStats)> {
-        self.summary().mean_extrema
+        self.counts_and_extrema().mean_extrema
     }
 
     /// Minimum / maximum reported cell standard deviations, with ties
     /// broken as in [`Self::mean_extrema`].
     pub fn std_extrema(&self) -> Option<(CellStats, CellStats)> {
-        self.summary().std_extrema
+        self.counts_and_extrema().std_extrema
     }
 
     /// Total sample count over all cells.
@@ -427,6 +420,7 @@ mod tests {
         assert_eq!(summary.std_extrema, Some((smin, smax)));
         assert_eq!(summary.grand_mean_ms.to_bits(), old_grand.to_bits());
         assert_eq!(summary.total_samples, f.total_samples());
+        assert_eq!(summary.reported_cells, rep.len() as u64);
     }
 
     /// A grid of two summary chunks, with the lowest reported mean tied
@@ -477,6 +471,7 @@ mod tests {
         assert_eq!((Some(smin), Some(smax)), one_pass_std);
         assert_eq!(summary.grand_mean_ms.to_bits(), one_pass_grand.to_bits());
         assert_eq!(summary.total_samples, 108 * 12 + 9);
+        assert_eq!(summary.reported_cells, 108);
     }
 
     #[test]
@@ -486,6 +481,7 @@ mod tests {
         assert!(f.mean_extrema().is_none());
         assert!(f.std_extrema().is_none());
         assert_eq!(f.total_samples(), 0);
+        assert_eq!(f.summary().reported_cells, 0);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! traffic flow exactly as in the paper. Samples are RIPE-Atlas-style pure
 //! network RTTs: wire path + radio access, no application processing.
 
-use crate::parallel::{extend_in_place, row_chunks};
+use crate::parallel::{assert_row_major, extend_in_place, row_chunks};
 use crate::scenario::{KeyScheme, Scenario};
 use bytes::Arena;
 use serde::{Deserialize, Serialize};
@@ -70,14 +70,16 @@ pub struct Shard {
 
 /// The mobile campaign runner, over any spec-compiled [`Scenario`].
 ///
-/// Construction hoists everything shards share — the path sampler and the
-/// target list — so the per-shard hot path ([`Self::collect_cell_into`])
-/// does no redundant setup work.
+/// Construction hoists everything shards share — the path sampler, the
+/// target list and the stream-key prefix — so the per-shard hot path
+/// ([`Self::collect_cell_into`]) does no redundant setup work.
 pub struct MobileCampaign<'a> {
     scenario: &'a Scenario,
     config: CampaignConfig,
     sampler: DelaySampler<'a>,
     targets: Vec<NodeId>,
+    /// [`Self::key_prefix`] of the analytic phase label, `"campaign"`.
+    key: StreamKey,
 }
 
 impl<'a> MobileCampaign<'a> {
@@ -88,6 +90,7 @@ impl<'a> MobileCampaign<'a> {
             config,
             sampler: DelaySampler::new(&scenario.topo),
             targets: scenario.measurement_targets(),
+            key: Self::key_prefix(scenario, config, "campaign"),
         }
     }
 
@@ -112,15 +115,23 @@ impl<'a> MobileCampaign<'a> {
         (dwell_s / interval).round().max(1.0) as usize
     }
 
-    /// The shard random-stream key: (scenario seed, campaign seed, pass,
-    /// packed cell), shared verbatim by both execution backends (the event
-    /// backend substitutes its own phase label).
-    pub(crate) fn shard_key(&self, label: &str, pass: u32, cell: CellId) -> StreamKey {
-        StreamKey::root(self.scenario.seed)
-            .with_label(label)
-            .with(self.config.seed)
-            .with(pass as u64)
-            .with(self.scenario.cell_key(cell))
+    /// The part of every shard key of phase `label` that no shard changes:
+    /// (scenario seed, label, campaign seed). The analytic backend uses
+    /// `"campaign"`, the event backend its own label; each campaign
+    /// computes its prefix once.
+    pub(crate) fn key_prefix(
+        scenario: &Scenario,
+        config: CampaignConfig,
+        label: &str,
+    ) -> StreamKey {
+        StreamKey::root(scenario.seed).with_label(label).with(config.seed)
+    }
+
+    /// The shard random-stream key: a phase's [`Self::key_prefix`], then
+    /// the pass and the packed cell, shared verbatim by both execution
+    /// backends.
+    pub(crate) fn shard_key(&self, prefix: StreamKey, pass: u32, cell: CellId) -> StreamKey {
+        prefix.with(pass as u64).with(self.scenario.cell_key(cell))
     }
 
     /// Samples of one (pass, cell) pair, in cadence order, into a
@@ -139,7 +150,7 @@ impl<'a> MobileCampaign<'a> {
         let s = self.scenario;
         let access = s.access_for(cell);
         let n = self.samples_for_dwell(dwell_s);
-        let key = self.shard_key("campaign", pass, cell);
+        let key = self.shard_key(self.key, pass, cell);
         out.clear();
         out.reserve(n);
         for i in 0..n {
@@ -171,7 +182,7 @@ impl<'a> MobileCampaign<'a> {
     fn collect_cell_wide(&self, pass: u32, cell: CellId, dwell_s: f64, out: &mut Vec<f64>) {
         let s = self.scenario;
         let n = self.samples_for_dwell(dwell_s);
-        let key = self.shard_key("campaign", pass, cell);
+        let key = self.shard_key(self.key, pass, cell);
         let dist = Normal::new(s.targets.mean_of(cell), s.targets.std_of(cell));
         out.clear();
         out.resize(n, 0.0);
@@ -224,13 +235,22 @@ impl<'a> MobileCampaign<'a> {
         self.mobility(pass).traverse(&self.scenario.grid, &self.scenario.included)
     }
 
+    /// The work item of `cell` in pass `pass`: the traversal visits each
+    /// included cell once per pass, and the dwell depends only on the
+    /// pass's mobility seed and the cell ([`ManhattanMobility::visit`]).
+    pub(crate) fn shard(&self, pass: u32, cell: CellId) -> Shard {
+        Shard { pass, cell, dwell_s: self.mobility(pass).visit(cell).dwell_s }
+    }
+
     /// The full campaign work list, in sequential execution order: the
     /// visits of [`Self::traversal`] for every pass in turn.
     ///
-    /// Both runners consume exactly this list: the sequential runner in
-    /// order, the parallel runner sampling shards on any thread but
-    /// accumulating each cell's samples *in this order* — which is what
-    /// makes the two bitwise interchangeable.
+    /// Callers that address work items by index consume this list: sweeps
+    /// and the sequential oracle ([`crate::exec::run_field_sequential`]),
+    /// in order. A plain run on the pool ([`crate::exec::run_field`]) never
+    /// builds it: each range worker generates its own cells' items and
+    /// accumulates each cell's samples pass by pass, the order this list
+    /// gives them — which is what makes the two bitwise interchangeable.
     ///
     /// The list is allocated once, on the calling thread, and each pass is
     /// written into it in place by row chunks ([`ManhattanMobility::visit_row`]
@@ -241,13 +261,13 @@ impl<'a> MobileCampaign<'a> {
     pub fn shards(&self) -> Vec<Shard> {
         let s = self.scenario;
         let included = &s.included;
+        assert_row_major(&s.grid, included);
         let chunks = row_chunks(s.grid.rows, s.grid.cols as usize);
         // `included` is row-major, so each row chunk's cells are one run.
         let mut bounds: Vec<usize> =
             chunks.iter().map(|rows| included.partition_point(|c| c.row < rows.start)).collect();
         bounds.push(included.len());
         let lens: Vec<usize> = bounds.windows(2).map(|w| w[1] - w[0]).collect();
-        let index = |c: &CellId| c.row as usize * s.grid.cols as usize + c.col as usize;
         let mut out = Vec::new();
         let passes = self.config.passes as usize;
         out.reserve_exact(included.len().checked_mul(passes).expect("work list length fits usize"));
@@ -255,11 +275,6 @@ impl<'a> MobileCampaign<'a> {
             let mobility = self.mobility(pass);
             extend_in_place(&mut out, &lens, |p, sink| {
                 let mut cells = &included[bounds[p]..bounds[p + 1]];
-                assert!(
-                    cells.windows(2).all(|w| index(&w[0]) < index(&w[1]))
-                        && cells.iter().all(|c| c.col < s.grid.cols && chunks[p].contains(&c.row)),
-                    "included cells must be row-major, unique and inside the grid"
-                );
                 for row in chunks[p].clone() {
                     let (this_row, rest) = cells.split_at(cells.partition_point(|c| c.row == row));
                     cells = rest;

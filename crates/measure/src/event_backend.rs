@@ -55,7 +55,7 @@ use sixg_netsim::dist::{Component, DistSpec, Sample};
 use sixg_netsim::latency::DelaySampler;
 use sixg_netsim::queueing::FifoServer;
 use sixg_netsim::radio::AccessModel;
-use sixg_netsim::rng::SimRng;
+use sixg_netsim::rng::{SimRng, StreamKey};
 use sixg_netsim::time::{SimDuration, SimTime};
 use sixg_netsim::topology::{LinkId, NodeId};
 use std::cell::RefCell;
@@ -209,13 +209,16 @@ impl ProbeWorld {
 pub struct EventCampaign<'a> {
     campaign: MobileCampaign<'a>,
     extras: Vec<Component>,
+    /// [`MobileCampaign::key_prefix`] of [`PHASE_LABEL`].
+    key: StreamKey,
 }
 
 impl<'a> EventCampaign<'a> {
     /// Creates an event-driven campaign over a scenario.
     pub fn new(scenario: &'a Scenario, config: CampaignConfig) -> Self {
         let extras = scenario.link_extra_specs().iter().map(DistSpec::build).collect();
-        Self { campaign: MobileCampaign::new(scenario, config), extras }
+        let key = MobileCampaign::key_prefix(scenario, config, PHASE_LABEL);
+        Self { campaign: MobileCampaign::new(scenario, config), extras, key }
     }
 
     /// The analytic campaign this one shares its work list, stream keys
@@ -256,7 +259,7 @@ impl<'a> EventCampaign<'a> {
         let access = s.access_for(shard.cell);
         let interval = SimDuration::from_secs_f64(self.campaign.config().sample_interval_s);
         let n = self.campaign.samples_for_dwell(shard.dwell_s);
-        let key = self.campaign.shard_key(PHASE_LABEL, shard.pass, shard.cell);
+        let key = self.campaign.shard_key(self.key, shard.pass, shard.cell);
         let sampler = self.campaign.sampler();
         // Outside a window every probe of the shard routes over the static
         // table, so each target's route is looked up once.

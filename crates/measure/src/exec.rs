@@ -19,7 +19,8 @@
 //!   backend in one place (`parallel::Runner`): the analytic sampler, the
 //!   packet world, or the packet world over a fault timeline.
 //! * [`run_field_sequential`] — the determinism oracle: the same runner
-//!   and work list as [`run_field`], run in order on the calling thread.
+//!   as [`run_field`], over its materialised work list in order on the
+//!   calling thread ([`run_field`] builds no work list).
 //!   Tests that compare pool sizes against it and `repro_scaling` call
 //!   this.
 //! * [`Executor`] + [`ScenarioCache`] — a long-lived execution context
@@ -65,18 +66,18 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// analytic backend samples closed-form path delays. Bitwise-deterministic
 /// at every pool size.
 pub fn run_field(scenario: &Scenario, config: CampaignConfig, backend: ExecBackend) -> CellField {
-    Runner::new(scenario, config, backend).field(scenario)
+    Runner::new(scenario, config, backend).field()
 }
 
 /// [`run_field`]'s determinism oracle: the same runner, with the same
-/// backend choice and work list, run in work-list order on the calling
-/// thread. Every pool size reproduces its field bit for bit.
+/// backend choice, run over its materialised work list in order on the
+/// calling thread. Every pool size reproduces its field bit for bit.
 pub fn run_field_sequential(
     scenario: &Scenario,
     config: CampaignConfig,
     backend: ExecBackend,
 ) -> CellField {
-    Runner::new(scenario, config, backend).field_sequential(scenario)
+    Runner::new(scenario, config, backend).indexed().field_sequential(scenario)
 }
 
 // ---------------------------------------------------------------------------
@@ -647,9 +648,9 @@ impl RunReport {
         let summary = field.summary();
         let grand_mean_ms = summary.grand_mean_ms;
         let (mean_min_ms, mean_max_ms) =
-            summary.mean_extrema.map_or((0.0, 0.0), |(a, b)| (a.mean_ms, b.mean_ms));
+            summary.mean_extrema.as_ref().map_or((0.0, 0.0), |(a, b)| (a.mean_ms, b.mean_ms));
         let (std_min_ms, std_max_ms) =
-            summary.std_extrema.map_or((0.0, 0.0), |(a, b)| (a.std_ms, b.std_ms));
+            summary.std_extrema.as_ref().map_or((0.0, 0.0), |(a, b)| (a.std_ms, b.std_ms));
         let wide = KeyScheme::for_grid(field.grid()) == KeyScheme::Wide;
         let cells = if wide {
             Vec::new()
@@ -665,8 +666,13 @@ impl RunReport {
                 })
                 .collect()
         };
-        let super_cells =
-            wide.then(|| hvt::build(field, &HvtConfig::for_grid(field.grid(), requirement_ms)));
+        let super_cells = wide.then(|| {
+            hvt::build_from_summary(
+                field,
+                &HvtConfig::for_grid(field.grid(), requirement_ms),
+                &summary,
+            )
+        });
         Self {
             scenario: spec.name.clone(),
             backend: backend.to_string(),

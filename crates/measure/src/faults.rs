@@ -52,9 +52,8 @@
 //! the parallel runner stays bitwise equal to the sequential one at every
 //! pool size.
 
-use crate::campaign::{CampaignConfig, Shard};
+use crate::campaign::{CampaignConfig, MobileCampaign, Shard};
 use crate::event_backend::EventCampaign;
-use crate::parallel::CellItem;
 use crate::scenario::Scenario;
 use sixg_geo::CellId;
 use sixg_netsim::routing::dynamic::{sessions_from_topology, ControlPlane};
@@ -72,12 +71,6 @@ pub struct FaultShard {
     /// Seconds into the pass at which this shard's dwell window starts
     /// (cumulative dwell of the pass's earlier visits).
     pub t0_s: f64,
-}
-
-impl CellItem for FaultShard {
-    fn cell(&self) -> CellId {
-        self.shard.cell
-    }
 }
 
 /// A link state change on the per-pass campaign clock, after merging
@@ -273,24 +266,54 @@ impl<'a> FaultCampaign<'a> {
         touched.into_iter().filter_map(|(cell, hit)| (!hit).then_some(cell)).collect()
     }
 
+    /// The analytic campaign this one shares its traversal with.
+    pub(crate) fn campaign(&self) -> &MobileCampaign<'a> {
+        self.event.campaign()
+    }
+
+    /// Hands each visit of pass `pass`, in traversal order (rows ascending,
+    /// odd rows east to west), to `emit` with its start offset: the left
+    /// fold of the earlier visits' dwells from `0.0`.
+    fn fold_pass(&self, pass: u32, mut emit: impl FnMut(Shard, f64)) {
+        let mut t0_s = 0.0;
+        for v in self.campaign().traversal(pass).visits {
+            emit(Shard { pass, cell: v.cell, dwell_s: v.dwell_s }, t0_s);
+            t0_s += v.dwell_s;
+        }
+    }
+
     /// The campaign work list with per-pass start offsets — the same
     /// shards, in the same order, as the plain backends'.
     pub fn shards(&self) -> Vec<FaultShard> {
-        let campaign = self.event.campaign();
-        let mut out = Vec::new();
-        for pass in 0..campaign.config().passes {
-            let visits = campaign.traversal(pass).visits;
-            out.reserve_exact(visits.len());
-            let mut t0_s = 0.0;
-            for v in visits {
-                out.push(FaultShard {
-                    shard: Shard { pass, cell: v.cell, dwell_s: v.dwell_s },
-                    t0_s,
-                });
-                t0_s += v.dwell_s;
-            }
+        let passes = self.campaign().config().passes;
+        let len = self.campaign().scenario().included.len().checked_mul(passes as usize);
+        let mut out = Vec::with_capacity(len.expect("work list length fits usize"));
+        for pass in 0..passes {
+            self.fold_pass(pass, |shard, t0_s| out.push(FaultShard { shard, t0_s }));
         }
         out
+    }
+
+    /// The start offset of every shard, as `t0_s(pass, k)` for cell
+    /// `included[k]` of [`Scenario::included`]. Each pass is folded once,
+    /// exactly as [`Self::shards`] folds it, into a pass-major table, so a
+    /// run that generates its items per cell range reads the offsets the
+    /// work list holds. Fault schedules run on legacy grids only, where the
+    /// table is small.
+    pub(crate) fn start_offsets(&self) -> impl Fn(u32, usize) -> f64 + Sync {
+        let included = &self.campaign().scenario().included;
+        let passes = self.campaign().config().passes as usize;
+        let stride = included.len();
+        let mut table = vec![0.0; stride.checked_mul(passes).expect("offsets fit usize")];
+        for (pass, row) in (0..).zip(table.chunks_exact_mut(stride.max(1))) {
+            self.fold_pass(pass, |shard, t0_s| {
+                let k = included
+                    .binary_search_by_key(&(shard.cell.row, shard.cell.col), |c| (c.row, c.col))
+                    .expect("the traversal visits included cells only");
+                row[k] = t0_s;
+            });
+        }
+        move |pass, k| table[pass as usize * stride + k]
     }
 
     /// The window of `fs`, or `None` when the timeline does not touch it:
@@ -345,7 +368,7 @@ mod tests {
     use crate::aggregate::CellField;
     use crate::exec::{run_field, run_field_sequential};
     use crate::klagenfurt::{klagenfurt_flap_spec, klagenfurt_spec};
-    use crate::parallel::{run_shards_sequential, with_thread_count};
+    use crate::parallel::{with_thread_count, Indexed};
     use crate::spec::{ExecBackend, FaultDef};
 
     fn config() -> CampaignConfig {
@@ -369,10 +392,9 @@ mod tests {
         spec.backend = "event".into();
         let s = Scenario::from_spec(&spec).expect("compiles");
         let fc = FaultCampaign::new(&s, config());
-        let faulted =
-            run_shards_sequential(&s, &fc.shards(), |x, buf| fc.collect_shard_into(x, buf));
+        let faulted = Indexed::Faulted(fc.shards(), fc).field_sequential(&s);
         let ec = EventCampaign::new(&s, config());
-        let plain = run_shards_sequential(&s, &ec.shards(), |x, buf| ec.collect_shard_into(x, buf));
+        let plain = Indexed::Event(ec.shards(), ec).field_sequential(&s);
         assert_fields_bitwise_equal(&s, &faulted, &plain, "fault-free");
     }
 
@@ -478,21 +500,23 @@ mod tests {
     }
 
     /// The determinism contract extends to faulted runs: sequential and
-    /// parallel are bitwise equal at pool sizes 1, 2 and 4. The sequential
-    /// oracle runs the fault timeline, so its field is not the plain packet
-    /// world's over static routes.
+    /// parallel are bitwise equal at pool sizes 1, 2, 3, 4 and 8. The
+    /// sequential oracle runs the fault timeline over its own work list,
+    /// with offsets folded in traversal order, so its field is not the
+    /// plain packet world's over static routes, and the range workers'
+    /// offset table must match it item for item.
     #[test]
     fn faulted_parallel_equals_sequential_bitwise() {
         let spec = klagenfurt_flap_spec().clone();
         let s = Scenario::from_spec(&spec).expect("compiles");
         let seq = run_field_sequential(&s, config(), ExecBackend::Event);
         let ec = EventCampaign::new(&s, config());
-        let plain = run_shards_sequential(&s, &ec.shards(), |x, buf| ec.collect_shard_into(x, buf));
+        let plain = Indexed::Event(ec.shards(), ec).field_sequential(&s);
         assert!(
             s.grid.cells().any(|cell| seq.stats(cell) != plain.stats(cell)),
             "the oracle must replay the flap, not the static routes"
         );
-        for &threads in &[1usize, 2, 4] {
+        for &threads in &[1usize, 2, 3, 4, 8] {
             let par = with_thread_count(threads, || run_field(&s, config(), ExecBackend::Event));
             assert_fields_bitwise_equal(&s, &seq, &par, &format!("{threads} threads"));
         }

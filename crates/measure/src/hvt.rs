@@ -27,8 +27,8 @@
 //! deterministic and identical across pool sizes, exactly like the field
 //! it summarises.
 
-use crate::aggregate::{CellField, CellStats, MIN_SAMPLES};
-use crate::parallel::{cell_chunks, map_chunks, row_chunks};
+use crate::aggregate::{CellField, CellStats, FieldSummary};
+use crate::parallel::{map_chunks, row_chunks};
 use serde::Serialize;
 use sixg_geo::{CellId, GridSpec};
 
@@ -212,46 +212,37 @@ impl TileAcc {
     }
 }
 
-/// Builds the two-level super-cell hierarchy of `field`.
-///
-/// Both passes run in index-ordered chunks, on the pool when the grid
-/// spans more than one: the band range per chunk of cells, merged in chunk
-/// order, and the tiles per chunk of whole tile rows. A tile's cells all
-/// fall in one chunk and fold in row-major order there, so the report has
-/// the same bits at any pool size.
+/// Builds the two-level super-cell hierarchy of `field`, banded over the
+/// reported mean range of its [`CellField::summary`].
 pub fn build(field: &CellField, cfg: &HvtConfig) -> HvtReport {
+    build_from_summary(field, cfg, &field.summary())
+}
+
+/// [`build`] for a caller that already holds `summary`, the field's own
+/// [`CellField::summary`]: its mean extrema anchor the bands and its
+/// reported count sets the masked one.
+///
+/// The tiles run in index-ordered chunks of whole tile rows, on the pool
+/// when the grid spans more than one. A tile's cells all fall in one chunk
+/// and fold in row-major order there, so the report has the same bits at
+/// any pool size.
+pub(crate) fn build_from_summary(
+    field: &CellField,
+    cfg: &HvtConfig,
+    summary: &FieldSummary,
+) -> HvtReport {
     assert!(cfg.tile_cells >= 1, "tile side must be at least one cell");
     assert!(cfg.mean_bands >= 1, "need at least one mean band");
     let grid = field.grid();
     let tile_cols = grid.cols.div_ceil(cfg.tile_cells);
     let tile_rows = grid.rows.div_ceil(cfg.tile_cells);
+    let reported_cells = summary.reported_cells;
+    let masked_cells = grid.len() as u64 - reported_cells;
 
-    // Pass 1: the field-wide reported mean range that anchors the bands.
-    // Banding against the global range (not per tile) keeps band indices
-    // comparable across tiles — band 3 means "hot" everywhere.
-    let acc = field.accumulators();
-    let ranges = map_chunks(cell_chunks(acc.len()), |chunk| {
-        let (mut lo, mut hi, mut reported) = (f64::INFINITY, f64::NEG_INFINITY, 0u64);
-        for w in acc[chunk].iter().filter(|w| w.count() >= MIN_SAMPLES) {
-            reported += 1;
-            lo = lo.min(w.mean());
-            hi = hi.max(w.mean());
-        }
-        (lo, hi, reported)
-    });
-    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-    let mut reported_cells = 0u64;
-    for (chunk_lo, chunk_hi, reported) in ranges {
-        lo = lo.min(chunk_lo);
-        hi = hi.max(chunk_hi);
-        reported_cells += reported;
-    }
-    let masked_cells = acc.len() as u64 - reported_cells;
-    if reported_cells == 0 {
-        lo = 0.0;
-        hi = 0.0;
-    }
-
+    // Banding against the field-wide range (not per tile) keeps band
+    // indices comparable across tiles — band 3 means "hot" everywhere.
+    let (lo, hi) =
+        summary.mean_extrema.as_ref().map_or((0.0, 0.0), |(a, b)| (a.mean_ms, b.mean_ms));
     let band_of = |mean: f64| -> u32 {
         if hi <= lo {
             return 0;
@@ -260,7 +251,7 @@ pub fn build(field: &CellField, cfg: &HvtConfig) -> HvtReport {
         raw.min(cfg.mean_bands - 1)
     };
 
-    // Pass 2: fold every cell into its tile's (band, exceedance) bucket.
+    // Fold every cell into its tile's (band, exceedance) bucket.
     // Row-major cell order makes the first member of each bucket — the
     // anchor — deterministic.
     let bucket_count = cfg.mean_bands as usize * 2;

@@ -2,86 +2,118 @@
 //!
 //! Campaigns are embarrassingly parallel across [`Shard`]s — (pass, cell)
 //! work items — because every shard draws from its own derived random
-//! stream (see [`sixg_netsim::rng`]). A plain run (`run_shards`) splits
+//! stream (see [`sixg_netsim::rng`]). A plain run (`run_plain`) splits
 //! the field's cells into contiguous row-major ranges; each pool worker
-//! (`RAYON_NUM_THREADS` controls how many) samples the shards of the
-//! ranges it claims and pushes their samples straight into those ranges'
-//! accumulators, **in work-list order**. Every cell therefore sees the
-//! sequential runner's exact floating-point accumulation sequence, so the
-//! result is bitwise identical for every pool size — asserted by the
-//! `parallel_equals_sequential_bitwise` thread-count matrix test. A worker
-//! folds its items in groups of up to four consecutive items with distinct
-//! cells: it collects the group, then pushes the samples round-robin by
-//! sample index, so the four cells' Welford division chains overlap
-//! instead of running one after another. A repeated cell ends the group,
-//! so each cell still takes its samples in work-list order
-//! (`a_repeated_cell_ends_the_group`). A sweep's runs go through the
-//! sweep's own round-based fold (see [`crate::sweep`]); both drive the
+//! (`RAYON_NUM_THREADS` controls how many) walks the included cells of the
+//! ranges it claims, generates each cell's item of every pass itself, and
+//! pushes the samples straight into those ranges' accumulators, pass by
+//! pass. The traversal visits each included cell once per pass, so every
+//! cell sees the sequential runner's exact floating-point accumulation
+//! sequence over the materialised work list, and the result is bitwise
+//! identical for every pool size — asserted by the
+//! `parallel_equals_sequential_bitwise` thread-count matrix test. No work
+//! list is built. A worker folds up to four consecutive included cells at
+//! a time, distinct by construction: it collects the group's items of one
+//! pass, then pushes the samples round-robin by sample index, so the four
+//! cells' Welford division chains overlap instead of running one after
+//! another. A sweep's runs go through the sweep's own round-based fold
+//! over an indexed work list (see [`crate::sweep`]); both start from the
 //! same `Runner`, the one place a run's backend is chosen.
 //!
 //! The per-cell passes around the sampling kernel — compiling the target
-//! field, planning the work list, setting up and bucketing the
-//! accumulators, summarising the field and building its super-cells — walk
-//! a wide grid's million cells. They run in fixed, index-ordered chunks of
-//! at least `CHUNK_CELLS` cells (`map_chunks`, `extend_in_place`):
-//! the pool only decides which thread computes a chunk, every buffer is
-//! allocated once on the calling thread, and chunk results fold in chunk
-//! order, so no bit depends on the pool size. Every legacy-scheme grid is
-//! one chunk and runs on the calling thread.
+//! field, checking `included`, setting up the accumulators, summarising
+//! the field, building its super-cells, and writing a sweep's work list —
+//! walk a wide grid's million cells. They run in fixed, index-ordered
+//! chunks of at least `CHUNK_CELLS` cells (`map_chunks`,
+//! `extend_in_place`): the pool only decides which thread computes a
+//! chunk, every buffer is allocated once on the calling thread, and chunk
+//! results fold in chunk order, so no bit depends on the pool size. Every
+//! legacy-scheme grid is one chunk and runs on the calling thread.
 
-use crate::aggregate::{CellField, CellRange};
+use crate::aggregate::CellField;
 use crate::campaign::{CampaignConfig, MobileCampaign, Shard};
 use crate::event_backend::EventCampaign;
 use crate::faults::{FaultCampaign, FaultShard};
 use crate::scenario::Scenario;
 use crate::spec::ExecBackend;
 use rayon::prelude::*;
-use sixg_geo::CellId;
+use sixg_geo::{CellId, GridSpec};
+use sixg_netsim::stats::Welford;
 use std::mem::MaybeUninit;
 use std::ops::Range;
 
-/// One run's campaign runner with its typed work list — the single place
-/// the backend is chosen, for plain runs ([`crate::exec::run_field`]) and
-/// every run of a sweep plan alike. Both backends run over the same shard
-/// list and are bitwise-deterministic at every pool size; they differ
-/// only in how a shard's samples are produced (closed-form draws vs
+/// One run's campaign runner — the single place the backend is chosen, for
+/// plain runs ([`crate::exec::run_field`]) and every run of a sweep plan
+/// alike. Every backend visits the same (pass, cell) items with the same
+/// stream keys and is bitwise-deterministic at every pool size; they
+/// differ only in how an item's samples are produced (closed-form draws vs
 /// packet-level event simulation).
 pub(crate) enum Runner<'a> {
     /// Closed-form analytic sampler.
-    Analytic(Vec<Shard>, MobileCampaign<'a>),
+    Analytic(MobileCampaign<'a>),
     /// The packet world over the static routing table.
-    Event(Vec<Shard>, EventCampaign<'a>),
-    /// The packet world over a spec with a fault schedule: each shard's
+    Event(EventCampaign<'a>),
+    /// The packet world over a spec with a fault schedule: each item's
     /// start offset resolves the timeline.
-    Faulted(Vec<FaultShard>, FaultCampaign<'a>),
+    Faulted(FaultCampaign<'a>),
 }
 
 impl<'a> Runner<'a> {
-    /// The runner of `backend` over `scenario`, with its work list built.
+    /// The runner of `backend` over `scenario`. It builds no work list.
     pub(crate) fn new(
         scenario: &'a Scenario,
         config: CampaignConfig,
         backend: ExecBackend,
     ) -> Self {
         match backend {
-            ExecBackend::Analytic => {
-                let c = MobileCampaign::new(scenario, config);
-                Self::Analytic(c.shards(), c)
-            }
+            ExecBackend::Analytic => Self::Analytic(MobileCampaign::new(scenario, config)),
             ExecBackend::Event if scenario.spec.faults.is_empty() => {
-                let c = EventCampaign::new(scenario, config);
-                Self::Event(c.shards(), c)
+                Self::Event(EventCampaign::new(scenario, config))
             }
-            // A fault schedule needs the live control plane: same shard
-            // list and stream keys, but routes come from the BGP speakers'
-            // RIBs wherever the timeline touches a shard.
-            ExecBackend::Event => {
-                let c = FaultCampaign::new(scenario, config);
-                Self::Faulted(c.shards(), c)
+            // A fault schedule needs the live control plane: same items and
+            // stream keys, but routes come from the BGP speakers' RIBs
+            // wherever the timeline touches an item.
+            ExecBackend::Event => Self::Faulted(FaultCampaign::new(scenario, config)),
+        }
+    }
+
+    /// Runs the campaign on the thread pool ([`run_plain`]), without a
+    /// work list.
+    pub(crate) fn field(&self) -> CellField {
+        match self {
+            Self::Analytic(c) => run_plain(c, |x, _, buf| c.collect_shard_into(x, buf)),
+            Self::Event(c) => run_plain(c.campaign(), |x, _, buf| c.collect_shard_into(x, buf)),
+            Self::Faulted(c) => {
+                let t0_s = c.start_offsets();
+                run_plain(c.campaign(), |shard, k, buf| {
+                    c.collect_shard_into(FaultShard { shard, t0_s: t0_s(shard.pass, k) }, buf)
+                })
             }
         }
     }
 
+    /// This runner with its work list built, for callers that address
+    /// items by index: sweeps and the sequential oracle.
+    pub(crate) fn indexed(self) -> Indexed<'a> {
+        match self {
+            Self::Analytic(c) => Indexed::Analytic(c.shards(), c),
+            Self::Event(c) => Indexed::Event(c.shards(), c),
+            Self::Faulted(c) => Indexed::Faulted(c.shards(), c),
+        }
+    }
+}
+
+/// A [`Runner`] with its typed work list, in sequential execution order.
+pub(crate) enum Indexed<'a> {
+    /// Closed-form analytic sampler.
+    Analytic(Vec<Shard>, MobileCampaign<'a>),
+    /// The packet world over the static routing table.
+    Event(Vec<Shard>, EventCampaign<'a>),
+    /// The packet world over a fault timeline.
+    Faulted(Vec<FaultShard>, FaultCampaign<'a>),
+}
+
+impl Indexed<'_> {
     /// The work list's length.
     pub(crate) fn len(&self) -> usize {
         match self {
@@ -107,178 +139,119 @@ impl<'a> Runner<'a> {
         }
     }
 
-    /// Runs the whole work list on the thread pool ([`run_shards`]).
-    pub(crate) fn field(&self, scenario: &Scenario) -> CellField {
-        match self {
-            Self::Analytic(w, c) => run_shards(scenario, w, |x, buf| c.collect_shard_into(x, buf)),
-            Self::Event(w, c) => run_shards(scenario, w, |x, buf| c.collect_shard_into(x, buf)),
-            Self::Faulted(w, c) => run_shards(scenario, w, |x, buf| c.collect_shard_into(x, buf)),
-        }
-    }
-
-    /// Runs the whole work list in order on the calling thread
-    /// ([`run_shards_sequential`]): the oracle [`Self::field`] reproduces.
+    /// The determinism oracle of every plain run, and the counterpart of
+    /// [`Runner::field`]: one reusable sample buffer, the work list visited
+    /// in order on the calling thread, samples pushed in cadence order —
+    /// the per-cell accumulation sequence [`run_plain`] reproduces.
     pub(crate) fn field_sequential(&self, scenario: &Scenario) -> CellField {
-        match self {
-            Self::Analytic(w, c) => {
-                run_shards_sequential(scenario, w, |x, buf| c.collect_shard_into(x, buf))
-            }
-            Self::Event(w, c) => {
-                run_shards_sequential(scenario, w, |x, buf| c.collect_shard_into(x, buf))
-            }
-            Self::Faulted(w, c) => {
-                run_shards_sequential(scenario, w, |x, buf| c.collect_shard_into(x, buf))
+        let mut field = CellField::new(scenario.grid.clone());
+        let mut buf = Vec::new();
+        for i in 0..self.len() {
+            self.collect(i, &mut buf);
+            let cell = self.shard(i).cell;
+            for &v in &buf {
+                field.push(cell, v);
             }
         }
+        field
     }
 }
 
-/// A work item of a plain run: it names the cell its samples belong to.
-pub(crate) trait CellItem: Copy + Send + Sync {
-    /// The cell this item's samples accumulate into.
-    fn cell(&self) -> CellId;
-}
-
-impl CellItem for Shard {
-    fn cell(&self) -> CellId {
-        self.cell
-    }
-}
-
-/// Cell ranges per pool thread in [`run_shards`]: the pool hands out about
+/// Cell ranges per pool thread in [`run_plain`]: the pool hands out about
 /// four claims per participant, so a worker whose ranges finish early can
 /// still take another's.
 const RANGES_PER_THREAD: usize = 4;
 
 /// The plain-run skeleton every backend uses. The field's cells are split
 /// into contiguous row-major ranges — their number derived from the pool
-/// size and the cell count — and the work list is bucketed by range,
-/// keeping work-list order inside each bucket. Each pool worker then owns
-/// the accumulators of the ranges it claims: it samples their items with
-/// `collect`, a group of up to `GROUP` items with distinct cells at a
-/// time, and pushes the samples straight in ([`fold_group`]). A cell's
-/// samples arrive in work-list order whoever samples them, so the field is
-/// bitwise equal to [`run_shards_sequential`]'s at every pool size, with
-/// no serial fold and no round barrier. An item outside the grid panics
-/// before any sampling starts.
-pub(crate) fn run_shards<T: CellItem>(
-    scenario: &Scenario,
-    items: &[T],
-    collect: impl Fn(T, &mut Vec<f64>) + Sync,
+/// size and the cell count — and each pool worker owns the accumulators of
+/// the ranges it claims. It walks its ranges' slice of
+/// [`Scenario::included`], which is row-major, a group of up to `GROUP`
+/// consecutive cells at a time. For each pass in order it generates each
+/// cell's item ([`MobileCampaign::shard`]), samples it with
+/// `collect(item, k, buf)`, where `k` is the cell's position in
+/// `included`, and pushes the group's samples straight in
+/// ([`fold_group`]). The traversal visits each included cell once per
+/// pass, so every cell takes its samples pass by pass, exactly as the
+/// sequential oracle ([`Indexed::field_sequential`] over
+/// [`MobileCampaign::shards`]) gives them: the field is bitwise equal to
+/// the oracle's at every pool size, with no work list, no serial fold and
+/// no round barrier. An `included` that is not row-major, unique and
+/// inside the grid panics before any sampling starts.
+pub(crate) fn run_plain(
+    campaign: &MobileCampaign<'_>,
+    collect: impl Fn(Shard, usize, &mut Vec<f64>) + Sync,
 ) -> CellField {
-    let mut field = CellField::new(scenario.grid.clone());
-    let span =
-        scenario.grid.len().div_ceil(rayon::current_num_threads() * RANGES_PER_THREAD).max(1);
-    let (starts, order) = bucket_by_range(&field, items, span);
-    let mut ranges: Vec<_> = field.ranges_mut(span).into_iter().zip(starts.windows(2)).collect();
-    ranges.par_iter_mut().for_each(|(range, bucket)| {
+    let s = campaign.scenario();
+    let included = &s.included;
+    assert_row_major(&s.grid, included);
+    let passes = campaign.config().passes;
+    let cols = s.grid.cols as usize;
+    let index = |c: &CellId| c.row as usize * cols + c.col as usize;
+    let mut field = CellField::new(s.grid.clone());
+    let span = s.grid.len().div_ceil(rayon::current_num_threads() * RANGES_PER_THREAD).max(1);
+    let mut ranges: Vec<_> = field
+        .ranges_mut(span)
+        .into_iter()
+        .enumerate()
+        .map(|(r, acc)| {
+            let start = r * span;
+            let first = included.partition_point(|c| index(c) < start);
+            let end = included.partition_point(|c| index(c) < start + acc.len());
+            (start, acc, first..end)
+        })
+        .collect();
+    ranges.par_iter_mut().for_each(|(start, acc, cells)| {
         let mut bufs: [Vec<f64>; GROUP] = Default::default();
-        let mut cells = [CellId::new(0, 0); GROUP];
-        let mut rest = &order[bucket[0]..bucket[1]];
-        while !rest.is_empty() {
-            // The group: the leading items up to the first repeated cell.
-            let mut len = 0;
-            for &i in rest.iter().take(GROUP) {
-                let item = items[i as usize];
-                if cells[..len].contains(&item.cell()) {
-                    break;
-                }
-                cells[len] = item.cell();
-                collect(item, &mut bufs[len]);
-                len += 1;
+        for first in cells.clone().step_by(GROUP) {
+            let group = &included[first..cells.end.min(first + GROUP)];
+            let mut slots = [0; GROUP];
+            for (slot, cell) in slots.iter_mut().zip(group) {
+                *slot = index(cell) - *start;
             }
-            fold_group(range, &cells[..len], &bufs[..len]);
-            rest = &rest[len..];
+            for pass in 0..passes {
+                for (j, (&cell, buf)) in group.iter().zip(&mut bufs).enumerate() {
+                    collect(campaign.shard(pass, cell), first + j, buf);
+                }
+                fold_group(acc, &slots[..group.len()], &bufs[..group.len()]);
+            }
         }
     });
     field
 }
 
-/// Consecutive bucket items a [`run_shards`] range worker folds together.
+/// Panics unless `cells` is row-major, unique and inside `grid`: each
+/// cell inside the grid and after the one before it in row-major order. A
+/// wide list is checked in index-ordered chunks on the pool.
+pub(crate) fn assert_row_major(grid: &GridSpec, cells: &[CellId]) {
+    let ok = map_chunks(cell_chunks(cells.len()), |chunk| {
+        let from = chunk.start.saturating_sub(1);
+        cells[from..chunk.end].windows(2).all(|w| (w[0].row, w[0].col) < (w[1].row, w[1].col))
+            && cells[chunk].iter().all(|&c| grid.contains(c))
+    });
+    assert!(
+        ok.into_iter().all(|ok| ok),
+        "included cells must be row-major, unique and inside the grid"
+    );
+}
+
+/// Consecutive included cells a [`run_plain`] range worker folds together.
 /// Groups of 2 and 8 measured slower.
 const GROUP: usize = 4;
 
 /// Pushes a group's samples into its distinct cells' accumulators,
-/// round-robin by sample index, so the group's Welford division chains
-/// overlap. Each cell still takes its own samples in order.
-fn fold_group(range: &mut CellRange<'_>, cells: &[CellId], bufs: &[Vec<f64>]) {
+/// `acc[slots[j]]` for `bufs[j]`, round-robin by sample index, so the
+/// group's Welford division chains overlap. Each cell still takes its own
+/// samples in order.
+fn fold_group(acc: &mut [Welford], slots: &[usize], bufs: &[Vec<f64>]) {
     let longest = bufs.iter().map(Vec::len).max().unwrap_or(0);
     for k in 0..longest {
-        for (&cell, buf) in cells.iter().zip(bufs) {
+        for (&slot, buf) in slots.iter().zip(bufs) {
             if let Some(&v) = buf.get(k) {
-                range.cell_mut(cell).push(v);
+                acc[slot].push(v);
             }
         }
     }
-}
-
-/// A stable counting sort of item indices by the `span`-cell range their
-/// cell falls in: `starts[r]..starts[r + 1]` is range `r`'s bucket in
-/// `order`. The work list is cut into chunks of `CHUNK_CELLS` items. Each
-/// chunk counts its items per range, and then writes its indices into its
-/// own slice of each bucket, after every earlier chunk's, so every bucket
-/// keeps work-list order at any pool size.
-fn bucket_by_range<T: CellItem>(
-    field: &CellField,
-    items: &[T],
-    span: usize,
-) -> (Vec<usize>, Vec<u32>) {
-    let range_count = field.grid().len().div_ceil(span);
-    let range_of = |item: &T| field.index(item.cell()) / span;
-    let chunks = cell_chunks(items.len());
-    let counts = map_chunks(chunks.clone(), |chunk| {
-        let mut n = vec![0usize; range_count];
-        for item in &items[chunk] {
-            n[range_of(item)] += 1;
-        }
-        n
-    });
-    let mut starts = vec![0usize; range_count + 1];
-    for r in 0..range_count {
-        starts[r + 1] = starts[r] + counts.iter().map(|n| n[r]).sum::<usize>();
-    }
-    // Cut `order` into one slice per (chunk, range), bucket by bucket and
-    // chunk by chunk inside a bucket.
-    let mut order = vec![0u32; items.len()];
-    let mut slices: Vec<Vec<&mut [u32]>> =
-        counts.iter().map(|_| Vec::with_capacity(range_count)).collect();
-    let mut rest = order.as_mut_slice();
-    for r in 0..range_count {
-        for (chunk_slices, n) in slices.iter_mut().zip(&counts) {
-            let (head, tail) = std::mem::take(&mut rest).split_at_mut(n[r]);
-            chunk_slices.push(head);
-            rest = tail;
-        }
-    }
-    map_chunks(chunks.into_iter().zip(slices).collect(), |(chunk, mut slices)| {
-        let mut next = vec![0usize; range_count];
-        for i in chunk {
-            let r = range_of(&items[i]);
-            slices[r][next[r]] = u32::try_from(i).expect("work list fits u32 indices");
-            next[r] += 1;
-        }
-    });
-    (starts, order)
-}
-
-/// The sequential counterpart of [`run_shards`] and the determinism
-/// oracle of every plain run: one reusable sample buffer, items visited in
-/// work-list order, samples pushed in cadence order — the per-cell
-/// accumulation sequence [`run_shards`] reproduces.
-pub(crate) fn run_shards_sequential<T: CellItem>(
-    scenario: &Scenario,
-    items: &[T],
-    mut collect: impl FnMut(T, &mut Vec<f64>),
-) -> CellField {
-    let mut field = CellField::new(scenario.grid.clone());
-    let mut buf = Vec::new();
-    for &item in items {
-        collect(item, &mut buf);
-        for &v in &buf {
-            field.push(item.cell(), v);
-        }
-    }
-    field
 }
 
 /// Cells per chunk of a per-cell pass outside the sampling kernel. At
@@ -397,6 +370,10 @@ mod tests {
     /// to `A1`, so any shape compiles. One side past 256 selects the wide
     /// key scheme.
     fn resized_skopje(cols: u32, rows: u32) -> Scenario {
+        Scenario::from_spec(&resized_skopje_spec(cols, rows)).expect("resized spec compiles")
+    }
+
+    fn resized_skopje_spec(cols: u32, rows: u32) -> crate::spec::ScenarioSpec {
         use crate::spec::{PositionDef, TargetDef};
         let mut spec = crate::skopje::skopje_spec().clone();
         spec.name = format!("skopje-{cols}x{rows}");
@@ -412,15 +389,17 @@ mod tests {
                 *cell = "A1".into();
             }
         }
-        Scenario::from_spec(&spec).expect("resized spec compiles")
+        spec
     }
 
     /// The determinism contract, as a thread-count matrix: at every pool
-    /// size the cell-range runner must reproduce the sequential runner,
-    /// accumulator for accumulator. Klagenfurt runs several seeds; three
-    /// resized grids split the cells unevenly: a multi-pass wide grid
-    /// (every cell gets pushes from several shards), a one-row grid
-    /// (ranges split a row) and a grid with fewer cells than ranges.
+    /// size the cell-range runner must reproduce the sequential runner over
+    /// the materialised work list, accumulator for accumulator. Klagenfurt
+    /// runs several seeds; resized grids split the cells unevenly: a
+    /// multi-pass wide grid (every cell gets pushes from several shards), a
+    /// one-row grid (ranges split a row), a grid with fewer cells than
+    /// ranges, and a multi-pass wide grid with skipped cells, where ranges
+    /// cut rows, end in partial groups, and hold no included cell at all.
     #[test]
     fn parallel_equals_sequential_bitwise() {
         let check = |s: &Scenario, config: CampaignConfig| {
@@ -448,32 +427,24 @@ mod tests {
             let seq = check(&s, CampaignConfig { seed: 11, passes, ..Default::default() });
             assert!(seq.iter().all(|a| a.0 >= passes as u64), "{}: a cell missed a pass", s.name);
         }
-    }
-
-    /// A cell that recurs within four consecutive items of a range ends the
-    /// range worker's group, so its later item's samples fold after its
-    /// earlier item's, as in the sequential fold. The hand-built work list
-    /// keeps every item inside the first cell range at pools 1, 2 and 8
-    /// (ranges of 100, 50 and 13 cells) and gives the recurring cells
-    /// different dwells, so their items differ in sample count. Its groups
-    /// are `A1 B1 | A1 C1 | A1 | A1 D1 B1 E1 | B1`.
-    #[test]
-    fn a_repeated_cell_ends_the_group() {
-        let s = resized_skopje(40, 10);
-        let config = CampaignConfig { seed: 5, passes: 1, ..Default::default() };
-        let campaign = MobileCampaign::new(&s, config);
-        let dwells = [12.0, 40.0, 26.0, 8.0, 60.0, 4.0, 18.0, 30.0, 50.0, 22.0];
-        let cols = [0, 1, 0, 2, 0, 0, 3, 1, 4, 1];
-        let items: Vec<Shard> = cols
-            .into_iter()
-            .zip(dwells)
-            .map(|(col, dwell_s)| Shard { pass: 0, cell: CellId::new(col, 0), dwell_s })
-            .collect();
-        let collect = |x, buf: &mut Vec<f64>| campaign.collect_shard_into(x, buf);
-        let seq = run_shards_sequential(&s, &items, collect).accumulator_bits();
-        for threads in [1usize, 2, 8] {
-            let par = with_thread_count(threads, || run_shards(&s, &items, collect));
-            assert!(par.accumulator_bits() == seq, "{threads} threads: fields differ");
+        // 300 × 6 cells: row 2 and the west half of row 3 skipped (cells
+        // 600–1049, which hold whole ranges at pools 2, 3 and 8), and every
+        // seventh cell of row 0 and every fifth of row 5 but `A1`.
+        let mut spec = resized_skopje_spec(300, 6);
+        let skipped = (0..300)
+            .map(|c| CellId::new(c, 2))
+            .chain((0..150).map(|c| CellId::new(c, 3)))
+            .chain((7..300).step_by(7).map(|c| CellId::new(c, 0)))
+            .chain((5..300).step_by(5).map(|c| CellId::new(c, 5)));
+        spec.skipped_cells = skipped.map(|c| c.label()).collect();
+        let s = Scenario::from_spec(&spec).expect("resized spec compiles");
+        assert_eq!(s.included.len(), 1800 - 300 - 150 - 42 - 59);
+        let seq = check(&s, CampaignConfig { seed: 13, passes: 3, ..Default::default() });
+        for (i, a) in seq.iter().enumerate() {
+            let cell = CellId::new((i % 300) as u32, (i / 300) as u32);
+            let included =
+                s.included.binary_search_by_key(&(cell.row, cell.col), |c| (c.row, c.col));
+            assert!(if included.is_ok() { a.0 >= 3 } else { a.0 == 0 }, "{cell}: {} samples", a.0);
         }
     }
 
@@ -505,37 +476,52 @@ mod tests {
         }
     }
 
-    /// A work item outside the grid fails loudly before any sampling
-    /// starts, rather than landing in a neighbouring range: `(cols, 0)`
-    /// would index cell `(0, 1)` if the row-major index went unchecked.
+    /// An `included` list that is not row-major, unique and inside the grid
+    /// fails loudly before any sampling starts, rather than landing in a
+    /// neighbouring range: `(3, 0)` would index cell `(0, 1)` of the 3 × 2
+    /// grid if the row-major index went unchecked.
     #[test]
-    fn shard_outside_the_grid_panics_before_sampling() {
+    fn bad_included_cells_panic_before_sampling() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let s = resized_skopje(3, 2);
-        let shards = [
-            Shard { pass: 0, cell: CellId::new(0, 0), dwell_s: 10.0 },
-            Shard { pass: 0, cell: CellId::new(3, 0), dwell_s: 10.0 },
-        ];
-        for threads in [1usize, 2, 8] {
-            let sampled = AtomicUsize::new(0);
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                with_thread_count(threads, || {
-                    run_shards(&s, &shards, |_, buf| {
-                        sampled.fetch_add(1, Ordering::Relaxed);
-                        buf.clear();
-                        buf.push(1.0);
+        let config = CampaignConfig { seed: 1, passes: 2, ..Default::default() };
+        let cells = |list: &[(u32, u32)]| list.iter().map(|&(c, r)| CellId::new(c, r)).collect();
+        for (what, included) in [
+            ("outside", cells(&[(0, 0), (1, 0), (2, 0), (3, 0), (1, 1), (2, 1)])),
+            ("repeated", cells(&[(0, 0), (1, 0), (1, 0), (2, 0), (0, 1)])),
+            ("out of order", cells(&[(0, 0), (0, 1), (1, 0), (2, 0), (1, 1)])),
+        ] {
+            let mut bad = resized_skopje(3, 2);
+            bad.included = included;
+            let campaign = MobileCampaign::new(&bad, config);
+            for threads in [1usize, 2, 8] {
+                let sampled = AtomicUsize::new(0);
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    with_thread_count(threads, || {
+                        run_plain(&campaign, |_, _, buf| {
+                            sampled.fetch_add(1, Ordering::Relaxed);
+                            buf.clear();
+                            buf.push(1.0);
+                        })
                     })
-                })
-            }));
-            let payload = outcome.expect_err("an outside item must panic");
-            let message = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or_default();
-            assert!(message.contains("outside grid"), "{threads} threads: {message}");
-            assert_eq!(sampled.load(Ordering::Relaxed), 0, "{threads} threads: sampled anyway");
+                }));
+                let payload = outcome.expect_err("a bad list must panic");
+                let message = payload
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| payload.downcast_ref::<&str>().copied())
+                    .unwrap_or_default();
+                assert!(message.contains("row-major, unique and inside"), "{what}: {message}");
+                assert_eq!(sampled.load(Ordering::Relaxed), 0, "{what}, {threads} threads");
+            }
         }
+        // The good list passes the same check.
+        let campaign = MobileCampaign::new(&s, config);
+        let field = run_plain(&campaign, |_, _, buf| {
+            buf.clear();
+            buf.push(1.0);
+        });
+        assert_eq!(field.total_samples(), 12);
     }
 
     /// A panic inside one shard's sampling propagates out of `run_field`,

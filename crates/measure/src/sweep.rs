@@ -55,7 +55,7 @@ use crate::aggregate::CellField;
 use crate::campaign::CampaignConfig;
 use crate::event_backend::{crossval_tolerance_ms, CROSSVAL_GRAND_MEAN_TOL};
 use crate::exec::{compile_key, ScenarioCache};
-use crate::parallel::Runner;
+use crate::parallel::{Indexed, Runner};
 use crate::report::CellSummary;
 use crate::scenario::Scenario;
 use crate::spec::{parse_backend, Ctx, ErrorCode, ExecBackend, ScenarioSpec, SpecError};
@@ -798,10 +798,10 @@ impl RunPlan {
     /// fault schedule gets the live control plane, and fault axes (e.g.
     /// sweeping `$.faults[0].recover_at_s`) measure real convergence
     /// transients instead of silently ignoring the schedule.
-    pub(crate) fn runners(&self) -> Vec<Runner<'_>> {
+    pub(crate) fn runners(&self) -> Vec<Indexed<'_>> {
         self.runs
             .iter()
-            .map(|r| Runner::new(&self.scenarios[r.scen], r.config, r.backend))
+            .map(|r| Runner::new(&self.scenarios[r.scen], r.config, r.backend).indexed())
             .collect()
     }
 
@@ -810,7 +810,7 @@ impl RunPlan {
     /// between variants. This ordering *is* the accumulation-order
     /// contract: any execution mode that folds these items in list order
     /// reproduces identical bits.
-    pub(crate) fn items(&self, runners: &[Runner]) -> Vec<(u32, u32)> {
+    pub(crate) fn items(&self, runners: &[Indexed]) -> Vec<(u32, u32)> {
         let mut items = Vec::new();
         for (ri, runner) in runners.iter().enumerate() {
             items.extend((0..runner.len() as u32).map(|i| (ri as u32, i)));
@@ -831,7 +831,7 @@ impl RunPlan {
     /// that breaks stops the fold at once and its value is returned.
     pub(crate) fn fold<B>(
         &self,
-        runners: &[Runner<'_>],
+        runners: &[Indexed<'_>],
         items: &[(u32, u32)],
         range: Range<usize>,
         cur: &mut Option<(u32, CellField)>,
