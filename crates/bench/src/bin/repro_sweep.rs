@@ -3,7 +3,8 @@
 //! Runs `specs/sweeps/klagenfurt_cadence.json` — sampling cadence
 //! {1 s, 2 s, 4 s} × execution backend {analytic, event} × campaign seeds
 //! {1, 2, 3}, eighteen variants around the measured Klagenfurt baseline —
-//! as one interleaved work list on the thread pool, prints the per-variant
+//! on the thread pool, each draw group once (runs that differ only in
+//! cadence share their draws), prints the per-variant
 //! deltas against the base spec, and **gates** on backend agreement: at
 //! every swept cadence and seed, the analytic/event pair must agree within
 //! the workspace cross-validation tolerance (`6·SE + 0.75 ms` per cell,

@@ -21,8 +21,9 @@
 //! workload class — for `specs/klagenfurt.json` the printed grand mean and
 //! exceedance are the `repro_all` numbers, to the digit. `sweep` compiles
 //! the sweep's axis cross product into an ordered variant list, runs the
-//! whole matrix as one interleaved work list, and prints the per-variant
-//! deltas against the base spec.
+//! whole matrix (each draw group once, so runs that differ only in cadence
+//! share their draws), and prints the per-variant deltas against the base
+//! spec.
 //!
 //! **Exit codes.** `0` success; `1` the input was reachable but wrong
 //! (spec/sweep parse or validation failures, unknown workload classes,

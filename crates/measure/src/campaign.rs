@@ -68,6 +68,24 @@ pub struct Shard {
     pub dwell_s: f64,
 }
 
+/// Number of samples taken in a dwell of `dwell_s` seconds at a cadence of
+/// `interval_s` seconds: `(dwell / interval).round().max(1)`. It never
+/// increases as the interval grows, so at a given dwell a coarser cadence
+/// takes a prefix of a finer one's sample indices. A lane of a draw group
+/// (see [`crate::parallel::run_plain`]) counts its samples here at its own
+/// cadence.
+pub(crate) fn samples_at(interval_s: f64, dwell_s: f64) -> usize {
+    debug_assert!(
+        interval_s.is_finite() && interval_s > 0.0,
+        "sample_interval_s must be finite and positive, got {interval_s}"
+    );
+    debug_assert!(
+        dwell_s.is_finite() && dwell_s >= 0.0,
+        "dwell_s must be finite and non-negative, got {dwell_s}"
+    );
+    (dwell_s / interval_s).round().max(1.0) as usize
+}
+
 /// The mobile campaign runner, over any spec-compiled [`Scenario`].
 ///
 /// Construction hoists everything shards share — the path sampler, the
@@ -103,16 +121,7 @@ impl<'a> MobileCampaign<'a> {
     /// [`crate::spec::ScenarioSpec::validate`] rejects such specs before a
     /// campaign is built; the debug assertions catch direct API misuse.
     pub fn samples_for_dwell(&self, dwell_s: f64) -> usize {
-        let interval = self.config.sample_interval_s;
-        debug_assert!(
-            interval.is_finite() && interval > 0.0,
-            "sample_interval_s must be finite and positive, got {interval}"
-        );
-        debug_assert!(
-            dwell_s.is_finite() && dwell_s >= 0.0,
-            "dwell_s must be finite and non-negative, got {dwell_s}"
-        );
-        (dwell_s / interval).round().max(1.0) as usize
+        samples_at(self.config.sample_interval_s, dwell_s)
     }
 
     /// The part of every shard key of phase `label` that no shard changes:
@@ -143,6 +152,14 @@ impl<'a> MobileCampaign<'a> {
     /// sample index), so the thread-pool runner can execute shards in any
     /// order on any worker and still produce the sequential runner's exact
     /// values — parallel and sequential runs are bitwise equal.
+    ///
+    /// The cadence sets only the sample count ([`Self::samples_for_dwell`]);
+    /// no draw reads it. So at a coarser cadence, with the same scenario,
+    /// seed and shard, the samples are a prefix of these: the legacy scheme
+    /// keys each sample by its index, and the wide scheme's uniforms column
+    /// is one stream read front to back. A sweep's runs that differ only in
+    /// cadence draw once, at the finest, and each coarser run folds its
+    /// prefix.
     pub fn collect_cell_into(&self, pass: u32, cell: CellId, dwell_s: f64, out: &mut Vec<f64>) {
         if self.scenario.key_scheme == KeyScheme::Wide {
             return self.collect_cell_wide(pass, cell, dwell_s, out);

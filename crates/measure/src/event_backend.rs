@@ -31,6 +31,19 @@
 //! servers, legs, probes and calendar — is reset per shard and keeps its
 //! capacity, so the steady-state loop makes no allocator call.
 //!
+//! Journeys are drawn once and flown per lane. A probe's target, legs and
+//! air time come from its own stream before launch, and over the static
+//! table they depend neither on the world's state nor on the launch time;
+//! only the FIFO timing depends on the cadence. The world keeps each
+//! probe's journey (its first leg, its end and its air time) after it
+//! lands. In a sweep's draw group, the lead flies a shard at the finest
+//! cadence, drawing every journey, and each coarser lane flies the first
+//! probes again at its own launch times from idle servers and an empty
+//! calendar (`EventCampaign::collect_lanes`). One probe loop serves the
+//! lead and the re-flights; it makes the same calendar pushes, in the same
+//! order, as a run at the lane's cadence, so FIFO contention between
+//! probes keeps its bits.
+//!
 //! A shard that the spec's fault timeline touches ([`crate::faults`] hands
 //! it a `FaultWindow`) routes each probe over the source AS's RIB at
 //! launch time. The window's BGP control plane runs its messages on a
@@ -45,9 +58,9 @@
 //! any thread in any order; the shared plain-run skeleton of
 //! [`crate::parallel`] accumulates each cell's samples in work-list order,
 //! making parallel runs bitwise equal to sequential ones at every pool
-//! size.
+//! size, in every lane.
 
-use crate::campaign::{CampaignConfig, MobileCampaign, Shard};
+use crate::campaign::{samples_at, CampaignConfig, MobileCampaign, Shard};
 use crate::faults::FaultWindow;
 use crate::scenario::Scenario;
 use sixg_netsim::calendar::Calendar;
@@ -126,11 +139,14 @@ fn draw_legs(
     }
 }
 
-/// A probe in flight: its pre-drawn journey (the legs `next..end` of the
-/// world's leg buffer still to fly) plus bookkeeping to turn the echo
-/// arrival into an RTL sample, which lands in `rtl_ms`.
+/// A probe in flight: its pre-drawn journey (legs `first..end` of the
+/// world's leg buffer, of which `next..end` are still to fly, and its air
+/// time) plus bookkeeping to turn the echo arrival into an RTL sample,
+/// which lands in `rtl_ms`. The journey stays recorded after the probe
+/// lands, so a coarser lane can fly it again ([`ProbeWorld::refly`]).
 struct Probe {
     launched: SimTime,
+    first: usize,
     next: usize,
     end: usize,
     air_ms: f64,
@@ -170,11 +186,51 @@ impl ProbeWorld {
         self.calendar.clear();
     }
 
+    /// The one probe loop: probes `0..n` launch `interval` apart from time
+    /// zero. Before each launch the calendar fires every arrival due by
+    /// then; `launch(world, i, at)` then launches probe `i`, or drops it.
+    /// At the end the calendar drains, so every launched probe lands.
+    fn fly(
+        &mut self,
+        n: usize,
+        interval: SimDuration,
+        mut launch: impl FnMut(&mut Self, usize, SimTime),
+    ) {
+        let mut at = SimTime::ZERO;
+        for i in 0..n {
+            self.run_until(at);
+            launch(self, i, at);
+            at += interval;
+        }
+        self.run_until(SimTime(u64::MAX));
+    }
+
     /// Launches a probe at `now` over the legs pushed since `first`.
     fn launch(&mut self, now: SimTime, first: usize, air_ms: f64) {
         let end = self.legs.len();
-        self.probes.push(Probe { launched: now, next: first, end, air_ms, rtl_ms: None });
+        self.probes.push(Probe { launched: now, first, next: first, end, air_ms, rtl_ms: None });
         self.advance(self.probes.len() - 1, now);
+    }
+
+    /// Flies the first `n` recorded probes again, `interval` apart, over
+    /// their recorded journeys, from idle servers and an empty calendar.
+    /// The probes launch at the times a run at that cadence launches them
+    /// and make the same calendar pushes in the same order, so each lands
+    /// with that run's RTL bits. Every probe must have been launched: a
+    /// shard without a fault window.
+    fn refly(&mut self, n: usize, interval: SimDuration) {
+        let links = self.links.len();
+        self.links.clear();
+        self.links.resize(links, FifoServer::new());
+        self.calendar.clear();
+        self.probes.truncate(n);
+        self.fly(n, interval, |world, slot, at| {
+            let probe = &mut world.probes[slot];
+            probe.launched = at;
+            probe.next = probe.first;
+            probe.rtl_ms = None;
+            world.advance(slot, at);
+        });
     }
 
     /// Advances probe `slot` one leg at `now`: claim the link's FIFO server,
@@ -198,6 +254,13 @@ impl ProbeWorld {
         while let Some((at, slot)) = self.calendar.pop_due(until) {
             self.advance(slot, at);
         }
+    }
+
+    /// The landed probes' RTL samples, in probe order, into `out` (cleared
+    /// first).
+    fn samples(&self, out: &mut Vec<f64>) {
+        out.clear();
+        out.extend(self.probes.iter().filter_map(|p| p.rtl_ms));
     }
 }
 
@@ -238,22 +301,57 @@ impl<'a> EventCampaign<'a> {
     /// caller-owned buffer (cleared first), every probe routed over the
     /// scenario's static table.
     pub fn collect_shard_into(&self, shard: Shard, out: &mut Vec<f64>) {
-        self.collect_probes(shard, None, out);
+        self.collect_lanes(shard, &[], std::slice::from_mut(out));
     }
 
-    /// The probe loop: resets the worker's packet world for the shard —
-    /// probe packets on the sampling cadence, idle FIFO servers on every
-    /// link — and runs its calendar to completion. Before each launch it
-    /// runs `window`'s control plane to the launch, if there is a window,
-    /// and then the probe calendar; the probe routes over the static table,
-    /// or over the source AS's RIB in a window. Blackholed probes produce
-    /// no sample, so `out` can be shorter than the shard's cadence count.
+    /// One shard's samples in every lane of a draw group: at this
+    /// campaign's cadence into `outs[0]`, then at each of the `coarser`
+    /// cadences (ascending, above this one) into the next buffer. The lead
+    /// flies the shard once, drawing every probe's journey; each coarser
+    /// lane flies the first probes again at its own cadence over the
+    /// recorded journeys ([`ProbeWorld::refly`]). A probe's target, legs
+    /// and air time come from its own stream before launch, and a
+    /// fault-free world routes over the static table, so no draw depends
+    /// on the cadence; only FIFO timing does, and the re-flight recomputes
+    /// it. Each lane's samples are bitwise those of
+    /// [`Self::collect_shard_into`] at its cadence.
+    pub(crate) fn collect_lanes(&self, shard: Shard, coarser: &[f64], outs: &mut [Vec<f64>]) {
+        let (lead, lanes) = outs.split_first_mut().expect("a lead lane");
+        WORLD.with_borrow_mut(|world| {
+            self.fly_lead(world, shard, None);
+            world.samples(lead);
+            for (out, &cadence) in lanes.iter_mut().zip(coarser) {
+                let n = samples_at(cadence, shard.dwell_s);
+                world.refly(n, SimDuration::from_secs_f64(cadence));
+                world.samples(out);
+            }
+        });
+    }
+
+    /// One shard's samples through `window`'s slice of the fault timeline,
+    /// in probe order. Blackholed probes produce no sample, so `out` can be
+    /// shorter than the shard's cadence count.
     pub(crate) fn collect_probes(
         &self,
         shard: Shard,
-        mut window: Option<FaultWindow<'_>>,
+        window: Option<FaultWindow<'_>>,
         out: &mut Vec<f64>,
     ) {
+        WORLD.with_borrow_mut(|world| {
+            self.fly_lead(world, shard, window);
+            world.samples(out);
+        });
+    }
+
+    /// The lead's flight: resets the worker's packet world for the shard —
+    /// probe packets on the sampling cadence, idle FIFO servers on every
+    /// link — and runs its probe loop ([`ProbeWorld::fly`]), drawing each
+    /// probe's journey at its launch. Before each draw it runs `window`'s
+    /// control plane to the launch, if there is a window; the probe routes
+    /// over the static table, or over the source AS's RIB in a window. The
+    /// control plane and the probe calendar share no state, so the order
+    /// in which the two run to a launch moves no bit.
+    fn fly_lead(&self, world: &mut ProbeWorld, shard: Shard, mut window: Option<FaultWindow<'_>>) {
         let s = self.campaign.scenario();
         let targets = self.campaign.targets();
         let access = s.access_for(shard.cell);
@@ -268,40 +366,28 @@ impl<'a> EventCampaign<'a> {
             None => (0..targets.len()).map(|ti| &s.routes[&(shard.cell, ti)].hops[..]).collect(),
         };
 
-        WORLD.with_borrow_mut(|world| {
-            world.reset(s.topo.link_count());
-            let mut launch = SimTime::ZERO;
-            for i in 0..n {
-                if let Some(w) = &mut window {
-                    w.run_to(launch);
-                }
-                world.run_until(launch);
-
-                // Every stochastic quantity of probe `i` comes from its own
-                // (seed, pass, cell, sample) stream, in one order — ti,
-                // per-leg extras/queue/processing, then air — so event
-                // interleaving can shift *timing* (FIFO waits) but never
-                // which random numbers a probe consumes, whatever route it
-                // takes.
-                let mut rng = SimRng::for_stream(key.with(i as u64));
-                let ti = rng.below(targets.len() as u64) as usize;
-                let hops = match &mut window {
-                    None => Some(statics[ti]),
-                    Some(w) => w.hops(ti),
-                };
-                if let Some(hops) = hops {
-                    let first = world.legs.len();
-                    draw_legs(sampler, &self.extras, hops, &mut rng, |leg| world.legs.push(leg));
-                    let air_ms = access.sample_rtt_ms(&mut rng);
-                    world.launch(launch, first, air_ms);
-                }
-                launch += interval;
+        world.reset(s.topo.link_count());
+        world.fly(n, interval, |world, i, at| {
+            if let Some(w) = &mut window {
+                w.run_to(at);
             }
-            // Drain the calendar: every launched probe lands.
-            world.run_until(SimTime(u64::MAX));
-
-            out.clear();
-            out.extend(world.probes.iter().filter_map(|p| p.rtl_ms));
+            // Every stochastic quantity of probe `i` comes from its own
+            // (seed, pass, cell, sample) stream, in one order — ti, per-leg
+            // extras/queue/processing, then air — so event interleaving can
+            // shift *timing* (FIFO waits) but never which random numbers a
+            // probe consumes, whatever route it takes.
+            let mut rng = SimRng::for_stream(key.with(i as u64));
+            let ti = rng.below(targets.len() as u64) as usize;
+            let hops = match &mut window {
+                None => Some(statics[ti]),
+                Some(w) => w.hops(ti),
+            };
+            if let Some(hops) = hops {
+                let first = world.legs.len();
+                draw_legs(sampler, &self.extras, hops, &mut rng, |leg| world.legs.push(leg));
+                let air_ms = access.sample_rtt_ms(&mut rng);
+                world.launch(at, first, air_ms);
+            }
         });
     }
 }
@@ -433,5 +519,34 @@ mod tests {
         // And the backlog grows monotonically: the last probe waited for
         // every probe before it, so it is slower than the first.
         assert!(event[event.len() - 1] > event[0] + 100.0);
+    }
+
+    /// Lanes over the saturated narrowband UE: the lead flies one shard at
+    /// 1 ms and the 2 ms and 5 ms lanes fly its recorded journeys again.
+    /// Probes queue at the FIFO in every lane, so each lane's RTLs depend
+    /// on its own launch times, and each must be bitwise what a campaign at
+    /// that cadence collects on its own.
+    #[test]
+    fn reflown_lanes_equal_direct_runs_under_fifo_contention() {
+        let mut spec = klagenfurt_spec().clone();
+        spec.ue.bandwidth_bps = 80_000.0;
+        let s = Scenario::from_spec(&spec).expect("compiles");
+        let at = |sample_interval_s| CampaignConfig { seed: 1, passes: 1, sample_interval_s };
+        let shard = Shard { pass: 0, cell: s.reference_cell, dwell_s: 0.1 };
+        let cadences = [0.001, 0.002, 0.005];
+
+        let mut lanes = vec![Vec::new(); cadences.len()];
+        EventCampaign::new(&s, at(cadences[0])).collect_lanes(shard, &cadences[1..], &mut lanes);
+        let mut direct = Vec::new();
+        for (lane, &cadence) in lanes.iter().zip(&cadences) {
+            EventCampaign::new(&s, at(cadence)).collect_shard_into(shard, &mut direct);
+            assert_eq!(lane.len(), samples_at(cadence, shard.dwell_s), "{cadence} s: count");
+            let same = lane.iter().zip(&direct).all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(lane.len() == direct.len() && same, "{cadence} s: lane differs from a run");
+        }
+        // Each lane queues, and less as the cadence slows.
+        let queued = |xs: &[f64]| xs[xs.len() - 1] - xs[0];
+        assert!(queued(&lanes[0]) > queued(&lanes[1]) && queued(&lanes[1]) > queued(&lanes[2]));
+        assert!(queued(&lanes[2]) > 10.0, "the 5 ms lane must still queue");
     }
 }

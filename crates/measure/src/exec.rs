@@ -927,7 +927,9 @@ pub fn execute(req: &ExecRequest) -> Result<ExecReport, SpecError> {
 /// calibrated site, most of it calibration, during which every other
 /// caller's cache lookup waits — and run their campaigns on the shared
 /// rayon pool concurrently. That is safe *and* deterministic, because
-/// every campaign accumulates its own work list in its own order.
+/// every campaign folds into fields of its own, each cell's samples pass
+/// by pass, whichever thread draws them: no two requests share mutable
+/// state outside the cache.
 pub struct Executor {
     cache: Mutex<ScenarioCache>,
 }
@@ -971,11 +973,11 @@ impl Executor {
 
     /// [`Self::execute`], streaming per-variant sweep results: `emit` is
     /// called with `(run index, report)` for run 0 (the base) and every
-    /// variant the moment its last sample folds — in run order, while
-    /// later variants are still executing. The emitted reports carry
-    /// exactly the bits of the final [`SweepRun`]'s, so a streaming
-    /// consumer and a whole-report consumer can never disagree. Runs and
-    /// validates emit nothing.
+    /// variant once its draw group is done and every earlier run has been
+    /// emitted — in run order, while later draw groups are still
+    /// executing. The emitted reports carry exactly the bits of the final
+    /// [`SweepRun`]'s, so a streaming consumer and a whole-report consumer
+    /// can never disagree. Runs and validates emit nothing.
     pub fn execute_streaming(
         &self,
         req: &ExecRequest,

@@ -37,8 +37,9 @@
 //!   extrema rank agreement) between a campaign and its targets;
 //! * [`sweep`] — the declarative parameter-sweep subsystem: a
 //!   [`sweep::SweepSpec`] (base spec + typed axes) whose cross product
-//!   compiles into an order-deterministic campaign matrix, executed as one
-//!   interleaved work list with streaming per-variant aggregation;
+//!   compiles into an order-deterministic campaign matrix; in memory, runs
+//!   that differ only in cadence share their draws, and per-variant
+//!   reports stream in run order;
 //! * [`store`] — checkpointed sweep execution: completed per-variant
 //!   accumulators spill to a content-addressed on-disk store with a
 //!   `(run, pass, cell)` resume cursor, so killed mega-sweeps (beyond the

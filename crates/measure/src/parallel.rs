@@ -2,36 +2,44 @@
 //!
 //! Campaigns are embarrassingly parallel across [`Shard`]s — (pass, cell)
 //! work items — because every shard draws from its own derived random
-//! stream (see [`sixg_netsim::rng`]). A plain run (`run_plain`) splits
-//! the field's cells into contiguous row-major ranges; each pool worker
-//! (`RAYON_NUM_THREADS` controls how many) walks the included cells of the
-//! ranges it claims, generates each cell's item of every pass itself, and
-//! pushes the samples straight into those ranges' accumulators, pass by
-//! pass. The traversal visits each included cell once per pass, so every
-//! cell sees the sequential runner's exact floating-point accumulation
-//! sequence over the materialised work list, and the result is bitwise
-//! identical for every pool size — asserted by the
-//! `parallel_equals_sequential_bitwise` thread-count matrix test. No work
-//! list is built. A worker folds up to four consecutive included cells at
-//! a time, distinct by construction: it collects the group's items of one
-//! pass, then pushes the samples round-robin by sample index, so the four
-//! cells' Welford division chains overlap instead of running one after
-//! another. A sweep's runs go through the sweep's own round-based fold
-//! over an indexed work list (see [`crate::sweep`]); both start from the
-//! same `Runner`, the one place a run's backend is chosen.
+//! stream (see [`sixg_netsim::rng`]). The plain-run skeleton (`run_plain`)
+//! splits the field's cells into contiguous row-major ranges; each pool
+//! worker (`RAYON_NUM_THREADS` controls how many) walks the included cells
+//! of the ranges it claims, generates each cell's item of every pass
+//! itself, and pushes the samples straight into those ranges'
+//! accumulators, pass by pass. The traversal visits each included cell
+//! once per pass, so every cell sees the sequential runner's exact
+//! floating-point accumulation sequence over the materialised work list,
+//! and the result is bitwise identical for every pool size — asserted by
+//! the `parallel_equals_sequential_bitwise` thread-count matrix test. No
+//! work list is built. A worker folds up to four consecutive included
+//! cells at a time, distinct by construction: it collects the group's
+//! items of one pass, then pushes the samples round-robin by sample index,
+//! so the four cells' Welford division chains overlap instead of running
+//! one after another.
+//!
+//! The skeleton folds one field per **lane**. A plain run is one lane. An
+//! in-memory sweep runs each draw group — the runs on one compiled
+//! scenario with one backend, campaign seed and pass count — through it
+//! once ([`crate::sweep`]): the lead lane samples each item at the group's
+//! finest cadence, and every coarser lane takes its share of those draws
+//! (a prefix of the analytic samples, or the packet world's recorded probe
+//! journeys flown again at its own cadence). Both start from the same
+//! `Runner`, the one place a run's backend is chosen.
 //!
 //! The per-cell passes around the sampling kernel — compiling the target
 //! field, checking `included`, setting up the accumulators, summarising
-//! the field, building its super-cells, and writing a sweep's work list —
-//! walk a wide grid's million cells. They run in fixed, index-ordered
-//! chunks of at least `CHUNK_CELLS` cells (`map_chunks`,
-//! `extend_in_place`): the pool only decides which thread computes a
-//! chunk, every buffer is allocated once on the calling thread, and chunk
-//! results fold in chunk order, so no bit depends on the pool size. Every
-//! legacy-scheme grid is one chunk and runs on the calling thread.
+//! the field, building its super-cells, and writing a work list for the
+//! oracle or a checkpointed sweep — walk a wide grid's million cells. They
+//! run in fixed, index-ordered chunks of at least `CHUNK_CELLS` cells
+//! (`map_chunks`, `extend_in_place`): the pool only decides which thread
+//! computes a chunk, every buffer is allocated once on the calling thread,
+//! and chunk results fold in chunk order, so no bit depends on the pool
+//! size. Every legacy-scheme grid is one chunk and runs on the calling
+//! thread.
 
 use crate::aggregate::CellField;
-use crate::campaign::{CampaignConfig, MobileCampaign, Shard};
+use crate::campaign::{samples_at, CampaignConfig, MobileCampaign, Shard};
 use crate::event_backend::EventCampaign;
 use crate::faults::{FaultCampaign, FaultShard};
 use crate::scenario::Scenario;
@@ -43,9 +51,9 @@ use std::mem::MaybeUninit;
 use std::ops::Range;
 
 /// One run's campaign runner — the single place the backend is chosen, for
-/// plain runs ([`crate::exec::run_field`]) and every run of a sweep plan
-/// alike. Every backend visits the same (pass, cell) items with the same
-/// stream keys and is bitwise-deterministic at every pool size; they
+/// plain runs ([`crate::exec::run_field`]) and every draw group of a sweep
+/// plan alike. Every backend visits the same (pass, cell) items with the
+/// same stream keys and is bitwise-deterministic at every pool size; they
 /// differ only in how an item's samples are produced (closed-form draws vs
 /// packet-level event simulation).
 pub(crate) enum Runner<'a> {
@@ -67,26 +75,62 @@ impl<'a> Runner<'a> {
     ) -> Self {
         match backend {
             ExecBackend::Analytic => Self::Analytic(MobileCampaign::new(scenario, config)),
-            ExecBackend::Event if scenario.spec.faults.is_empty() => {
-                Self::Event(EventCampaign::new(scenario, config))
-            }
             // A fault schedule needs the live control plane: same items and
             // stream keys, but routes come from the BGP speakers' RIBs
             // wherever the timeline touches an item.
-            ExecBackend::Event => Self::Faulted(FaultCampaign::new(scenario, config)),
+            ExecBackend::Event if Self::is_faulted(scenario, backend) => {
+                Self::Faulted(FaultCampaign::new(scenario, config))
+            }
+            ExecBackend::Event => Self::Event(EventCampaign::new(scenario, config)),
         }
     }
 
+    /// Whether `backend` over `scenario` runs the fault timeline. A fault
+    /// window routes each probe over the RIB at its launch time, so the
+    /// probe's draws depend on the cadence: such a run shares draws only
+    /// with runs at its own cadence.
+    pub(crate) fn is_faulted(scenario: &Scenario, backend: ExecBackend) -> bool {
+        backend == ExecBackend::Event && !scenario.spec.faults.is_empty()
+    }
+
     /// Runs the campaign on the thread pool ([`run_plain`]), without a
-    /// work list.
+    /// work list: the one-lane case of [`Self::fields`].
     pub(crate) fn field(&self) -> CellField {
+        self.fields(&[]).pop().expect("the lead lane's field")
+    }
+
+    /// The fields of one draw group on the thread pool ([`run_plain`]):
+    /// first this runner's own, at its cadence (the lead lane), then one
+    /// per cadence of `coarser`, each as a run at that cadence would fold
+    /// it. The lead draws each item once. An analytic lane copies the
+    /// prefix of the lead's samples that its own count
+    /// ([`samples_at`]) takes; an event lane flies the lead's recorded
+    /// probe journeys again at its cadence
+    /// ([`EventCampaign::collect_lanes`]). `coarser` must be ascending and
+    /// above this runner's cadence, and empty for a faulted runner, whose
+    /// draws depend on the cadence.
+    pub(crate) fn fields(&self, coarser: &[f64]) -> Vec<CellField> {
+        let lanes = 1 + coarser.len();
         match self {
-            Self::Analytic(c) => run_plain(c, |x, _, buf| c.collect_shard_into(x, buf)),
-            Self::Event(c) => run_plain(c.campaign(), |x, _, buf| c.collect_shard_into(x, buf)),
+            Self::Analytic(c) => run_plain(c, lanes, |x, _, bufs| {
+                let (lead, rest) = bufs.split_first_mut().expect("a lead lane");
+                c.collect_shard_into(x, lead);
+                for (buf, &cadence) in rest.iter_mut().zip(coarser) {
+                    buf.clear();
+                    buf.extend_from_slice(&lead[..samples_at(cadence, x.dwell_s)]);
+                }
+            }),
+            Self::Event(c) => {
+                run_plain(c.campaign(), lanes, |x, _, bufs| c.collect_lanes(x, coarser, bufs))
+            }
             Self::Faulted(c) => {
+                assert!(coarser.is_empty(), "a faulted run draws at its own cadence only");
                 let t0_s = c.start_offsets();
-                run_plain(c.campaign(), |shard, k, buf| {
-                    c.collect_shard_into(FaultShard { shard, t0_s: t0_s(shard.pass, k) }, buf)
+                run_plain(c.campaign(), lanes, |shard, k, bufs| {
+                    c.collect_shard_into(
+                        FaultShard { shard, t0_s: t0_s(shard.pass, k) },
+                        &mut bufs[0],
+                    )
                 })
             }
         }
@@ -162,47 +206,53 @@ impl Indexed<'_> {
 /// still take another's.
 const RANGES_PER_THREAD: usize = 4;
 
-/// The plain-run skeleton every backend uses. The field's cells are split
-/// into contiguous row-major ranges — their number derived from the pool
-/// size and the cell count — and each pool worker owns the accumulators of
-/// the ranges it claims. It walks its ranges' slice of
-/// [`Scenario::included`], which is row-major, a group of up to `GROUP`
-/// consecutive cells at a time. For each pass in order it generates each
-/// cell's item ([`MobileCampaign::shard`]), samples it with
-/// `collect(item, k, buf)`, where `k` is the cell's position in
-/// `included`, and pushes the group's samples straight in
-/// ([`fold_group`]). The traversal visits each included cell once per
-/// pass, so every cell takes its samples pass by pass, exactly as the
-/// sequential oracle ([`Indexed::field_sequential`] over
-/// [`MobileCampaign::shards`]) gives them: the field is bitwise equal to
-/// the oracle's at every pool size, with no work list, no serial fold and
-/// no round barrier. An `included` that is not row-major, unique and
-/// inside the grid panics before any sampling starts.
+/// The plain-run skeleton every backend uses, folding `lanes` fields at
+/// once. The fields' cells are split into contiguous row-major ranges —
+/// their number derived from the pool size and the cell count — and each
+/// pool worker owns every lane's accumulators of the ranges it claims. It
+/// walks its ranges' slice of [`Scenario::included`], which is row-major,
+/// a group of up to `GROUP` consecutive cells at a time. For each pass in
+/// order it generates each cell's item ([`MobileCampaign::shard`]) and
+/// samples it once with `collect(item, k, bufs)`, where `k` is the cell's
+/// position in `included` and `bufs[l]` receives lane `l`'s samples; then
+/// it pushes each lane's group of samples straight into that lane's
+/// accumulators ([`fold_group`]). The traversal visits each included cell
+/// once per pass, so in every lane every cell takes its samples pass by
+/// pass, exactly as the sequential oracle ([`Indexed::field_sequential`]
+/// over [`MobileCampaign::shards`]) of that lane's run gives them: each
+/// field is bitwise equal to its oracle's at every pool size, with no work
+/// list, no serial fold and no round barrier. With one lane — every plain
+/// run — an item is one buffer, filled and folded as a run of its own
+/// would. An `included` that is not row-major, unique and inside the grid
+/// panics before any sampling starts.
 pub(crate) fn run_plain(
     campaign: &MobileCampaign<'_>,
-    collect: impl Fn(Shard, usize, &mut Vec<f64>) + Sync,
-) -> CellField {
+    lanes: usize,
+    collect: impl Fn(Shard, usize, &mut [Vec<f64>]) + Sync,
+) -> Vec<CellField> {
     let s = campaign.scenario();
     let included = &s.included;
     assert_row_major(&s.grid, included);
     let passes = campaign.config().passes;
     let cols = s.grid.cols as usize;
     let index = |c: &CellId| c.row as usize * cols + c.col as usize;
-    let mut field = CellField::new(s.grid.clone());
+    let mut fields: Vec<CellField> = (0..lanes).map(|_| CellField::new(s.grid.clone())).collect();
     let span = s.grid.len().div_ceil(rayon::current_num_threads() * RANGES_PER_THREAD).max(1);
-    let mut ranges: Vec<_> = field
-        .ranges_mut(span)
-        .into_iter()
-        .enumerate()
-        .map(|(r, acc)| {
+    let mut lane_ranges: Vec<_> =
+        fields.iter_mut().map(|f| f.ranges_mut(span).into_iter()).collect();
+    let count = s.grid.len().div_ceil(span);
+    let mut ranges: Vec<_> = (0..count)
+        .map(|r| {
+            let accs: Vec<&mut [Welford]> =
+                lane_ranges.iter_mut().map(|it| it.next().expect("a range per lane")).collect();
             let start = r * span;
             let first = included.partition_point(|c| index(c) < start);
-            let end = included.partition_point(|c| index(c) < start + acc.len());
-            (start, acc, first..end)
+            let end = included.partition_point(|c| index(c) < start + accs[0].len());
+            (start, accs, first..end)
         })
         .collect();
-    ranges.par_iter_mut().for_each(|(start, acc, cells)| {
-        let mut bufs: [Vec<f64>; GROUP] = Default::default();
+    ranges.par_iter_mut().for_each(|(start, accs, cells)| {
+        let mut bufs: [Vec<Vec<f64>>; GROUP] = std::array::from_fn(|_| vec![Vec::new(); lanes]);
         for first in cells.clone().step_by(GROUP) {
             let group = &included[first..cells.end.min(first + GROUP)];
             let mut slots = [0; GROUP];
@@ -213,11 +263,14 @@ pub(crate) fn run_plain(
                 for (j, (&cell, buf)) in group.iter().zip(&mut bufs).enumerate() {
                     collect(campaign.shard(pass, cell), first + j, buf);
                 }
-                fold_group(acc, &slots[..group.len()], &bufs[..group.len()]);
+                for (l, acc) in accs.iter_mut().enumerate() {
+                    let lane: [&[f64]; GROUP] = std::array::from_fn(|j| &bufs[j][l][..]);
+                    fold_group(acc, &slots[..group.len()], &lane[..group.len()]);
+                }
             }
         }
     });
-    field
+    fields
 }
 
 /// Panics unless `cells` is row-major, unique and inside `grid`: each
@@ -243,8 +296,8 @@ const GROUP: usize = 4;
 /// `acc[slots[j]]` for `bufs[j]`, round-robin by sample index, so the
 /// group's Welford division chains overlap. Each cell still takes its own
 /// samples in order.
-fn fold_group(acc: &mut [Welford], slots: &[usize], bufs: &[Vec<f64>]) {
-    let longest = bufs.iter().map(Vec::len).max().unwrap_or(0);
+fn fold_group(acc: &mut [Welford], slots: &[usize], bufs: &[&[f64]]) {
+    let longest = bufs.iter().map(|b| b.len()).max().unwrap_or(0);
     for k in 0..longest {
         for (&slot, buf) in slots.iter().zip(bufs) {
             if let Some(&v) = buf.get(k) {
@@ -498,10 +551,10 @@ mod tests {
                 let sampled = AtomicUsize::new(0);
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     with_thread_count(threads, || {
-                        run_plain(&campaign, |_, _, buf| {
+                        run_plain(&campaign, 1, |_, _, bufs| {
                             sampled.fetch_add(1, Ordering::Relaxed);
-                            buf.clear();
-                            buf.push(1.0);
+                            bufs[0].clear();
+                            bufs[0].push(1.0);
                         })
                     })
                 }));
@@ -517,11 +570,11 @@ mod tests {
         }
         // The good list passes the same check.
         let campaign = MobileCampaign::new(&s, config);
-        let field = run_plain(&campaign, |_, _, buf| {
-            buf.clear();
-            buf.push(1.0);
+        let fields = run_plain(&campaign, 1, |_, _, bufs| {
+            bufs[0].clear();
+            bufs[0].push(1.0);
         });
-        assert_eq!(field.total_samples(), 12);
+        assert_eq!(fields[0].total_samples(), 12);
     }
 
     /// A panic inside one shard's sampling propagates out of `run_field`,

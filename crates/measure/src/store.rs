@@ -4,10 +4,13 @@
 //! [`Sweep::run`](crate::sweep::Sweep::run) holds every per-variant accumulator in memory and caps
 //! the matrix at [`crate::sweep::MAX_VARIANTS`]; a killed run loses
 //! everything. This module lifts both limits for `sixg-cli sweep
-//! --checkpoint DIR`. It drives the same sweep fold as the in-memory run,
-//! one `interval` round at a time, with a sink that spills each completed
-//! run to disk; the cap is a limit of in-memory execution only, so any
-//! loaded [`Sweep`] runs here.
+//! --checkpoint DIR`. It drives the sweep fold over the run-major work
+//! list of the runs a shard owns, one `interval` round at a time, with a
+//! sink that spills each completed run to disk; the cap is a limit of
+//! in-memory execution only, so any loaded [`Sweep`] runs here. Each run
+//! folds its own work list, while the in-memory run shares draws across a
+//! draw group's cadences: two implementations of every run's field, which
+//! the store identity gates compare byte for byte.
 //!
 //! * **Store layout.** One directory per (sweep, shard): `manifest.json`
 //!   (store version, the sweep's content hash, shard geometry),
@@ -20,7 +23,8 @@
 //!   tmp-file + fsync + rename, so a kill leaves either the old record or
 //!   the new one, never a torn file.
 //!
-//! * **Why resume is bitwise.** The sweep's global work list is run-major
+//! * **Why resume is bitwise.** A shard's work list is run-major over the
+//!   runs it owns, and a shard builds the work lists of those runs only
 //!   (see [`crate::sweep`]): folding items `0..k` then — after a crash —
 //!   items `k..n` replays the exact floating-point accumulation sequence
 //!   of one uninterrupted pass, because [`Welford::raw_parts`](sixg_netsim::stats::Welford::raw_parts) round-trips
@@ -810,16 +814,12 @@ pub fn run_checkpointed_observed(
     }
 
     let plan = sweep.plan()?;
-    let runners = plan.runners();
-    let all_items = plan.items(&runners);
     let total_runs = plan.runs.len();
     let (runs_from, runs_to) = shard_run_range(total_runs, cfg.shard_index, cfg.shard_count);
-    let owned: Vec<(u32, u32)> = all_items
-        .iter()
-        .copied()
-        .filter(|(ri, _)| (runs_from..runs_to).contains(&(*ri as usize)))
-        .collect();
-    let shard_of = |(ri, i): (u32, u32)| runners[ri as usize].shard(i as usize);
+    // Work lists and items of the owned runs only.
+    let runners = plan.indexed(runs_from..runs_to);
+    let owned = runners.items();
+    let shard_of = |item| runners.shard(item);
 
     let meta = StoreMeta {
         spec_hash: sweep_content_hash(sweep),

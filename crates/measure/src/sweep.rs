@@ -32,27 +32,46 @@
 //! a pure function of the sweep spec, which is what makes sweep reports
 //! reproducible bit for bit.
 //!
-//! **Execution.** A sweep flattens the base campaign plus every variant
-//! into one global `(run, pass, cell)` work list, run-major, and drives it
-//! through one fold (`RunPlan::fold`): rounds of at most `STREAM_CHUNK`
-//! (1 024) items sample on the pool, so the pool stays saturated across
-//! variant boundaries, and fold back in work-list order, so the whole
-//! matrix is bitwise deterministic at every pool size. Each run's samples
-//! stream into one [`CellField`] (Welford state, not sample buffers),
-//! handed to a sink the moment the run completes. [`Sweep::run`]'s sink
-//! emits the run's report and keeps its field, so memory is bounded by
-//! `variants × cells` accumulators plus one round of in-flight sample
-//! batches, never by the total sample count. That is why in-memory
-//! execution is capped at [`MAX_VARIANTS`]; the checkpointed sweeps of
-//! [`crate::store`] drive the same fold with a sink that spills each run
-//! to disk, and run any size.
+//! **Execution.** In memory ([`Sweep::run`], `exec::execute` and the
+//! daemon's sweep requests), the runs fall into **draw groups**: the runs
+//! on one compiled scenario with one backend, campaign seed and pass
+//! count, plus one cadence for a faulted run. A sample's stream key is
+//! (scenario seed, campaign seed, pass, cell, sample index) and never the
+//! cadence, and the cadence sets only how many samples a dwell takes, so
+//! a group's runs draw the same numbers and differ in how many each
+//! takes. Each group runs once through the plain-run skeleton
+//! ([`crate::parallel`]), in the order of its first run. Its lanes are its
+//! distinct cadences, ascending: the lead samples each (pass, cell) item
+//! at the finest, an analytic lane folds a prefix of the lead's samples,
+//! and an event lane flies the lead's recorded probe journeys again at its
+//! own cadence. A fault window routes each probe at its launch time, so a
+//! faulted run's draws depend on the cadence, and its group holds one
+//! cadence. A lane of several runs folds one field and clones it. Every
+//! cell of every run still takes its samples pass by pass, so each run's
+//! field is bitwise what a plain run of it folds, at every pool size.
+//! Each run's report is emitted once that run and every earlier run are
+//! done, in run order. Memory is bounded by `variants × cells`
+//! accumulators plus the lanes' per-worker sample buffers, never by the
+//! total sample count or a work list. That is why in-memory execution is
+//! capped at [`MAX_VARIANTS`].
+//!
+//! Checkpointed sweeps ([`crate::store`]) run any size. A shard flattens
+//! the runs it owns into one `(run, pass, cell)` work list, run-major, and
+//! drives it through one fold (`RunPlan::fold`): rounds of at most
+//! `STREAM_CHUNK` (1 024) items sample on the pool and fold back in
+//! work-list order, and each run is spilled to disk the moment it
+//! completes. Its cursor is one item of that list, so a kill anywhere
+//! resumes bit for bit. Each run folds its own work list there, so the
+//! in-memory and checkpointed reports come from two independent
+//! implementations, and the store identity gates compare them byte for
+//! byte.
 //!
 //! Scenario compilation is deduplicated: variants that differ only in
 //! campaign parameters (seed, passes, cadence) or backend share one
 //! compiled — and calibrated — [`Scenario`].
 
 use crate::aggregate::CellField;
-use crate::campaign::CampaignConfig;
+use crate::campaign::{CampaignConfig, Shard};
 use crate::event_backend::{crossval_tolerance_ms, CROSSVAL_GRAND_MEAN_TOL};
 use crate::exec::{compile_key, ScenarioCache};
 use crate::parallel::{Indexed, Runner};
@@ -74,10 +93,10 @@ pub const DEFAULT_REQUIREMENT_MS: f64 = 20.0;
 /// error names `--checkpoint`, whose on-disk store has no cap.
 pub const MAX_VARIANTS: usize = 4096;
 
-/// Work items sampled per round of the sweep fold before folding — its
-/// memory bound: at most this many sample buffers are alive at once,
-/// however long the work list is. Large enough that the pool stays
-/// saturated between the (cheap) fold barriers.
+/// Work items sampled per round of the checkpointed sweep fold before
+/// folding — its memory bound: at most this many sample buffers are alive
+/// at once, however long the work list is. Large enough that the pool
+/// stays saturated between the (cheap) fold barriers.
 const STREAM_CHUNK: usize = 1024;
 
 /// Backend selection of a [`AxisDef::Backend`] axis.
@@ -753,7 +772,8 @@ impl Sweep {
     }
 
     /// Runs the whole matrix — base campaign plus every variant — on the
-    /// thread pool and folds the results into a streaming [`SweepReport`].
+    /// thread pool, one draw group at a time (see the module docs), and
+    /// folds the results into a streaming [`SweepReport`].
     /// A matrix over [`MAX_VARIANTS`] is refused before planning; run it
     /// checkpointed ([`crate::store::run_checkpointed`]) instead.
     pub fn run(&self) -> Result<SweepRun, SpecError> {
@@ -781,7 +801,7 @@ pub(crate) struct RunMeta {
 
 /// The compiled execution plan of a sweep: scenarios, runs and the backend
 /// axis, from which every execution mode (in-memory, checkpointed, merge)
-/// derives the *same* work list and the *same* report construction.
+/// derives each run's field and the *same* report construction.
 pub(crate) struct RunPlan {
     /// Deduplicated compiled scenarios (shared with the [`ScenarioCache`]
     /// when the plan was built through one).
@@ -792,46 +812,69 @@ pub(crate) struct RunPlan {
     pub(crate) backend_axis: Option<usize>,
 }
 
-impl RunPlan {
-    /// Instantiates every run's campaign runner — the same dispatch as
-    /// [`crate::exec::run_field`], so an event run over a spec with a
-    /// fault schedule gets the live control plane, and fault axes (e.g.
-    /// sweeping `$.faults[0].recover_at_s`) measure real convergence
-    /// transients instead of silently ignoring the schedule.
-    pub(crate) fn runners(&self) -> Vec<Indexed<'_>> {
-        self.runs
-            .iter()
-            .map(|r| Runner::new(&self.scenarios[r.scen], r.config, r.backend).indexed())
-            .collect()
+/// The indexed runners of runs `first..first + runners.len()` of a plan:
+/// the work lists a checkpointed shard folds. A shard builds them for the
+/// runs it owns only.
+pub(crate) struct OwnedRuns<'a> {
+    first: usize,
+    runners: Vec<Indexed<'a>>,
+}
+
+impl OwnedRuns<'_> {
+    fn runner(&self, run: u32) -> &Indexed<'_> {
+        &self.runners[run as usize - self.first]
     }
 
-    /// The global work list: every run's work items as `(run, index into
-    /// the run's work list)`, run-major — one list, one pool pass, no drain
-    /// between variants. This ordering *is* the accumulation-order
+    /// The owned runs' work items as `(run, index into the run's work
+    /// list)`, run-major. This ordering *is* the accumulation-order
     /// contract: any execution mode that folds these items in list order
     /// reproduces identical bits.
-    pub(crate) fn items(&self, runners: &[Indexed]) -> Vec<(u32, u32)> {
+    pub(crate) fn items(&self) -> Vec<(u32, u32)> {
         let mut items = Vec::new();
-        for (ri, runner) in runners.iter().enumerate() {
+        for (ri, runner) in (self.first..).zip(&self.runners) {
             items.extend((0..runner.len() as u32).map(|i| (ri as u32, i)));
         }
         items
     }
 
-    /// The one sweep fold, shared by in-memory and checkpointed execution.
-    /// Samples `items[range]`, a range of the run-major work list, on the
-    /// pool in rounds of at most [`STREAM_CHUNK`] items (each item owns its
-    /// random stream, so sampling order is free), then folds each round
-    /// back in list order into the in-progress run's field `cur`. Every
-    /// cell therefore sees the accumulation sequence of one sequential pass
-    /// over the list, at every pool size and however the list is cut into
-    /// ranges. A run is handed to `sink` the moment it completes: when the
-    /// next item of the list belongs to another run, or the list ends.
-    /// `cur` carries a run that is still in progress across calls. A sink
-    /// that breaks stops the fold at once and its value is returned.
+    /// Work item `(run, i)`'s `(pass, cell, dwell)` shard.
+    pub(crate) fn shard(&self, (run, i): (u32, u32)) -> Shard {
+        self.runner(run).shard(i as usize)
+    }
+}
+
+/// A draw group's lanes: its distinct cadences in ascending order, each
+/// with the runs at that cadence in run order. The first lane is the lead.
+type Lanes = Vec<(f64, Vec<usize>)>;
+
+impl RunPlan {
+    /// The runners and work lists of `runs`, for the checkpointed fold —
+    /// the same dispatch as [`crate::exec::run_field`], so an event run
+    /// over a spec with a fault schedule gets the live control plane, and
+    /// fault axes (e.g. sweeping `$.faults[0].recover_at_s`) measure real
+    /// convergence transients instead of silently ignoring the schedule.
+    pub(crate) fn indexed(&self, runs: Range<usize>) -> OwnedRuns<'_> {
+        let runners = self.runs[runs.clone()]
+            .iter()
+            .map(|r| Runner::new(&self.scenarios[r.scen], r.config, r.backend).indexed())
+            .collect();
+        OwnedRuns { first: runs.start, runners }
+    }
+
+    /// The checkpointed sweep fold. Samples `items[range]`, a range of the
+    /// owned runs' run-major work list, on the pool in rounds of at most
+    /// [`STREAM_CHUNK`] items (each item owns its random stream, so
+    /// sampling order is free), then folds each round back in list order
+    /// into the in-progress run's field `cur`. Every cell therefore sees
+    /// the accumulation sequence of one sequential pass over the list, at
+    /// every pool size and however the list is cut into ranges. A run is
+    /// handed to `sink` the moment it completes: when the next item of the
+    /// list belongs to another run, or the list ends. `cur` carries a run
+    /// that is still in progress across calls. A sink that breaks stops the
+    /// fold at once and its value is returned.
     pub(crate) fn fold<B>(
         &self,
-        runners: &[Indexed<'_>],
+        owned: &OwnedRuns<'_>,
         items: &[(u32, u32)],
         range: Range<usize>,
         cur: &mut Option<(u32, CellField)>,
@@ -845,14 +888,14 @@ impl RunPlan {
                 slot.0 = item;
             }
             round.par_iter_mut().for_each(|((ri, i), buf)| {
-                runners[*ri as usize].collect(*i as usize, buf);
+                owned.runner(*ri).collect(*i as usize, buf);
             });
             for (at, (item, buf)) in (start..).zip(&round) {
                 let (ri, i) = *item;
                 let (run, field) = cur
                     .get_or_insert_with(|| (ri, CellField::new(self.grid_of(ri as usize).clone())));
                 assert_eq!(*run, ri, "a completed run was not handed to the sink");
-                let cell = runners[ri as usize].shard(i as usize).cell;
+                let cell = owned.shard((ri, i)).cell;
                 for &v in buf {
                     field.push(cell, v);
                 }
@@ -865,32 +908,82 @@ impl RunPlan {
         ControlFlow::Continue(())
     }
 
+    /// The plan's draw groups, in the order of their first run. A group is
+    /// the runs on one compiled scenario with one backend, campaign seed
+    /// and pass count, plus the cadence for a faulted run
+    /// ([`Runner::is_faulted`]), whose draws depend on it. No draw of any
+    /// other run reads the cadence, so a group's runs draw the same numbers
+    /// and differ only in how many each takes.
+    fn draw_groups(&self) -> Vec<Lanes> {
+        let mut keys = Vec::new();
+        let mut groups: Vec<Lanes> = Vec::new();
+        for (run, r) in self.runs.iter().enumerate() {
+            let cadence = r.config.sample_interval_s;
+            let faulted = Runner::is_faulted(&self.scenarios[r.scen], r.backend);
+            let key = (
+                r.scen,
+                r.backend,
+                r.config.seed,
+                r.config.passes,
+                faulted.then_some(cadence.to_bits()),
+            );
+            let g = keys.iter().position(|k| *k == key).unwrap_or_else(|| {
+                keys.push(key);
+                groups.push(Vec::new());
+                groups.len() - 1
+            });
+            match groups[g].iter_mut().find(|(c, _)| c.to_bits() == cadence.to_bits()) {
+                Some((_, runs)) => runs.push(run),
+                None => groups[g].push((cadence, vec![run])),
+            }
+        }
+        for lanes in &mut groups {
+            lanes.sort_by(|a, b| a.0.total_cmp(&b.0));
+        }
+        groups
+    }
+
     /// Runs every run in memory and folds the results into the executed
-    /// sweep. `emit` is called with `(run index, report)` for run 0 (the
-    /// base) and every variant the moment its last sample folds — in run
-    /// order, while later runs are still executing — with exactly the
-    /// arguments [`Self::build_sweep_run`] uses, so streamed bits equal
-    /// final-report bits.
+    /// sweep. Each draw group runs once through the plain-run skeleton
+    /// ([`Runner::fields`]): the lead samples every item at the group's
+    /// finest cadence, and each lane folds its share. A lane of several
+    /// runs — twins in everything sampling reads — folds one field and
+    /// clones it. `emit` is called with `(run index, report)` for run 0
+    /// (the base) and every variant once that run and every earlier run
+    /// are done — in run order, while later groups are still executing —
+    /// with exactly the arguments [`Self::build_sweep_run`] uses, so
+    /// streamed bits equal final-report bits.
     pub(crate) fn run_in_memory(
         &self,
         sweep: &Sweep,
         emit: &mut impl FnMut(usize, &VariantReport),
     ) -> SweepRun {
-        let runners = self.runners();
-        let items = self.items(&runners);
         let req_ms = sweep.spec.requirement_ms;
-        // The base run completes first; its `(grand mean, exceedance)` is
+        let mut fields: Vec<Option<CellField>> = self.runs.iter().map(|_| None).collect();
+        let mut emitted = 0;
+        // The base run is emitted first; its `(grand mean, exceedance)` is
         // the reference for every variant's deltas.
         let mut base_ref: Option<(f64, f64)> = None;
-        let mut fields = Vec::with_capacity(self.runs.len());
-        let _ = self.fold(&runners, &items, 0..items.len(), &mut None, |run, field| {
-            let run = run as usize;
-            let report = VariantReport::from_field(&self.runs[run], &field, req_ms, base_ref);
-            base_ref.get_or_insert((report.grand_mean_ms, report.exceedance_pct));
-            emit(run, &report);
-            fields.push(field);
-            ControlFlow::<std::convert::Infallible>::Continue(())
-        });
+        for lanes in self.draw_groups() {
+            let lead = &self.runs[lanes[0].1[0]];
+            let runner = Runner::new(&self.scenarios[lead.scen], lead.config, lead.backend);
+            let coarser: Vec<f64> = lanes[1..].iter().map(|&(cadence, _)| cadence).collect();
+            for (field, (_, runs)) in runner.fields(&coarser).into_iter().zip(&lanes) {
+                let (&last, twins) = runs.split_last().expect("a lane holds a run");
+                for &run in twins {
+                    fields[run] = Some(field.clone());
+                }
+                fields[last] = Some(field);
+            }
+            while let Some(Some(field)) = fields.get(emitted) {
+                let report =
+                    VariantReport::from_field(&self.runs[emitted], field, req_ms, base_ref);
+                base_ref.get_or_insert((report.grand_mean_ms, report.exceedance_pct));
+                emit(emitted, &report);
+                emitted += 1;
+            }
+        }
+        let fields = fields.into_iter().map(|f| f.expect("every run is in a group")).collect();
         self.build_sweep_run(sweep, fields)
     }
 
