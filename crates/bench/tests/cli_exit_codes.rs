@@ -530,6 +530,34 @@ fn foreign_store_exits_one_with_hash_mismatch() {
     assert!(err.contains("manifest.json"), "{err}");
 }
 
+/// A store of the version-1 layout (40 bytes a cell) is refused at its
+/// manifest with exit 1 and the version message, on resume and on merge.
+#[test]
+fn version_1_store_exits_one_with_the_version_message() {
+    let d = SweepDir::new("v1");
+    let out = run(&["sweep", &d.sweep(), "--checkpoint", &d.path("store")]);
+    assert_eq!(code(&out), 0, "{}", stderr(&out));
+
+    let manifest = d.0.join("store").join("manifest.json");
+    let text = std::fs::read_to_string(&manifest).expect("manifest");
+    let (v2, v1) = ("\"store_version\": 2,", "\"store_version\": 1,");
+    assert!(text.contains(v2), "{text}");
+    std::fs::write(&manifest, text.replace(v2, v1)).expect("doctor manifest");
+
+    let (sweep, store) = (d.sweep(), d.path("store"));
+    for args in [
+        ["sweep", sweep.as_str(), "--checkpoint", store.as_str()],
+        ["merge", sweep.as_str(), "--store", store.as_str()],
+    ] {
+        let out = run(&args);
+        assert_eq!(code(&out), 1, "`{}`: {}", args[0], stderr(&out));
+        let err = stderr(&out);
+        assert!(err.contains("unsupported store version 1 (this build reads 2)"), "{err}");
+        assert!(err.contains("manifest.json"), "{err}");
+        assert!(!err.contains("USAGE"), "an old store is not a usage error: {err}");
+    }
+}
+
 #[test]
 fn checkpoint_flag_misuse_exits_two() {
     let d = SweepDir::new("usage");

@@ -200,7 +200,8 @@ impl<'a> MobileCampaign<'a> {
         let s = self.scenario;
         let n = self.samples_for_dwell(dwell_s);
         let key = self.shard_key(self.key, pass, cell);
-        let dist = Normal::new(s.targets.mean_of(cell), s.targets.std_of(cell));
+        let (mean, std) = s.targets.mean_std_of(cell);
+        let dist = Normal::new(mean, std);
         out.clear();
         out.resize(n, 0.0);
         UNIFORM_COLUMN.with(|column| {

@@ -975,8 +975,8 @@ impl Executor {
     /// called with `(run index, report)` for run 0 (the base) and every
     /// variant once its draw group is done and every earlier run has been
     /// emitted — in run order, while later draw groups are still
-    /// executing. The emitted reports carry exactly the bits of the final
-    /// [`SweepRun`]'s, so a streaming consumer and a whole-report consumer
+    /// executing. The emitted reports are the final [`SweepRun`]'s own,
+    /// built once, so a streaming consumer and a whole-report consumer
     /// can never disagree. Runs and validates emit nothing.
     pub fn execute_streaming(
         &self,

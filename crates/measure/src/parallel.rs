@@ -27,10 +27,11 @@
 //! journeys flown again at its own cadence). Both start from the same
 //! `Runner`, the one place a run's backend is chosen.
 //!
-//! The per-cell passes around the sampling kernel — compiling the target
-//! field, checking `included`, setting up the accumulators, summarising
-//! the field, building its super-cells, and writing a work list for the
-//! oracle or a checkpointed sweep — walk a wide grid's million cells. They
+//! The per-cell passes around the sampling kernel — listing the target
+//! field's traversed cells, checking `included`, setting up the
+//! accumulators, summarising the field, building its super-cells, and
+//! writing a work list for the oracle or a checkpointed sweep — walk a
+//! wide grid's million cells. They
 //! run in fixed, index-ordered chunks of at least `CHUNK_CELLS` cells
 //! (`map_chunks`, `extend_in_place`): the pool only decides which thread
 //! computes a chunk, every buffer is allocated once on the calling thread,
@@ -326,20 +327,6 @@ pub(crate) fn row_chunks(rows: u32, row_cells: usize) -> Vec<Range<u32>> {
     // At most `CHUNK_CELLS` rows, so the cast is exact.
     let step = CHUNK_CELLS.div_ceil(row_cells.max(1)) as u32;
     (0..rows.div_ceil(step).max(1)).map(|k| k * step..((k + 1) * step).min(rows)).collect()
-}
-
-/// `buf` cut along `chunks`, which tile `0..buf.len()` in order.
-pub(crate) fn split_mut<'a, T>(mut buf: &'a mut [T], chunks: &[Range<usize>]) -> Vec<&'a mut [T]> {
-    let pieces = chunks
-        .iter()
-        .map(|chunk| {
-            let (head, tail) = std::mem::take(&mut buf).split_at_mut(chunk.len());
-            buf = tail;
-            head
-        })
-        .collect();
-    debug_assert!(buf.is_empty(), "chunks must tile the buffer");
-    pieces
 }
 
 /// Runs `f` on every chunk and returns the results in chunk order. More

@@ -19,7 +19,7 @@
 //! function of (spec, seed). The Klagenfurt golden suite pins this to the
 //! bit.
 
-use crate::parallel::{cell_chunks, extend_in_place, map_chunks, split_mut};
+use crate::parallel::{cell_chunks, extend_in_place, map_chunks};
 use crate::spec::{
     parse_name_style, parse_node_kind, PositionDef, ScenarioSpec, SpecError, TargetDef,
 };
@@ -41,16 +41,48 @@ use std::collections::BTreeMap;
 /// A dynamic `[row][col]` field over an arbitrary grid; `0.0` mean marks a
 /// non-traversed cell, exactly as the paper's Figure 2 renders skipped
 /// cells. Dense scenario targets (the published Klagenfurt matrices) store
-/// explicit values; projected scenarios evaluate their model into this
-/// shape once at compile time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// explicit values. A projected field keeps only its model's six
+/// parameters and its skipped cells, and evaluates a cell when asked, with
+/// the model's one expression: a wide grid holds no per-cell target array.
+#[derive(Debug, Clone, PartialEq)]
 pub struct TargetField {
     cols: u32,
     rows: u32,
-    /// Mean RTL targets, ms, row-major.
-    mean: Vec<f64>,
-    /// Standard-deviation targets, ms, row-major.
-    std: Vec<f64>,
+    values: Targets,
+}
+
+/// Where a [`TargetField`]'s values come from.
+#[derive(Debug, Clone, PartialEq)]
+enum Targets {
+    /// Mean and σ targets, ms, row-major; skipped cells hold `0.0`.
+    Explicit { mean: Vec<f64>, std: Vec<f64> },
+    /// The projected model, and the skipped cells, row-major and unique.
+    Projected { model: Projection, skipped: Vec<CellId> },
+}
+
+/// The parameters of [`TargetDef::Projected`], its hotspot parsed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Projection {
+    floor_ms: f64,
+    gradient_ms: f64,
+    hotspot_ms: f64,
+    hotspot: CellId,
+    std_factor: f64,
+    std_floor_ms: f64,
+}
+
+impl Projection {
+    /// `(mean, σ)` of `cell` on a `cols × rows` grid: the regional floor,
+    /// the gradient along the grid diagonal and the hotspot's peak, with σ
+    /// growing with the load above the floor.
+    fn eval(&self, cols: u32, rows: u32, cell: CellId) -> (f64, f64) {
+        let diag = (cell.col as f64 / (cols - 1).max(1) as f64
+            + cell.row as f64 / (rows - 1).max(1) as f64)
+            / 2.0;
+        let peak = if cell == self.hotspot { self.hotspot_ms } else { 0.0 };
+        let mean = self.floor_ms + self.gradient_ms * diag + peak;
+        (mean, (self.std_factor * (mean - self.floor_ms)).max(self.std_floor_ms))
+    }
 }
 
 impl TargetField {
@@ -69,15 +101,11 @@ impl TargetField {
         Self {
             cols: cols as u32,
             rows: rows as u32,
-            mean: mean.into_iter().flatten().collect(),
-            std: std.into_iter().flatten().collect(),
+            values: Targets::Explicit {
+                mean: mean.into_iter().flatten().collect(),
+                std: std.into_iter().flatten().collect(),
+            },
         }
-    }
-
-    /// An all-zero (fully masked) field over a grid.
-    pub fn zero(grid: &GridSpec) -> Self {
-        let n = grid.len();
-        Self { cols: grid.cols, rows: grid.rows, mean: vec![0.0; n], std: vec![0.0; n] }
     }
 
     /// Grid dimensions `(cols, rows)`.
@@ -95,21 +123,41 @@ impl TargetField {
         cell.row as usize * self.cols as usize + cell.col as usize
     }
 
+    /// Target `(mean, σ)` for a cell, ms (`(0.0, 0.0)` = not traversed).
+    pub fn mean_std_of(&self, cell: CellId) -> (f64, f64) {
+        let i = self.idx(cell);
+        match &self.values {
+            Targets::Explicit { mean, std } => (mean[i], std[i]),
+            Targets::Projected { model, skipped } => {
+                if skipped.binary_search_by_key(&(cell.row, cell.col), row_major).is_ok() {
+                    (0.0, 0.0)
+                } else {
+                    model.eval(self.cols, self.rows, cell)
+                }
+            }
+        }
+    }
+
     /// Target mean for a cell (0.0 = not traversed).
     pub fn mean_of(&self, cell: CellId) -> f64 {
-        self.mean[self.idx(cell)]
+        self.mean_std_of(cell).0
     }
 
     /// Target σ for a cell.
     pub fn std_of(&self, cell: CellId) -> f64 {
-        self.std[self.idx(cell)]
+        self.mean_std_of(cell).1
     }
 
-    /// Overwrites one cell's targets (ablations; `mean = 0.0` masks).
-    pub fn set(&mut self, cell: CellId, mean: f64, std: f64) {
+    /// Masks one cell: its targets read `(0.0, 0.0)` from now on.
+    fn mask(&mut self, cell: CellId) {
         let i = self.idx(cell);
-        self.mean[i] = mean;
-        self.std[i] = std;
+        match &mut self.values {
+            Targets::Explicit { mean, std } => {
+                mean[i] = 0.0;
+                std[i] = 0.0;
+            }
+            Targets::Projected { skipped, .. } => skipped.push(cell),
+        }
     }
 
     /// True when the cell was traversed by the campaign.
@@ -135,22 +183,26 @@ impl TargetField {
         out
     }
 
-    /// Grand mean over traversed cells.
+    /// Grand mean over traversed cells, summed row-major.
     pub fn grand_mean(&self) -> f64 {
         let mut sum = 0.0;
         let mut n = 0usize;
-        for &v in &self.mean {
-            if v > 0.0 {
-                sum += v;
-                n += 1;
+        for row in 0..self.rows {
+            for col in 0..self.cols {
+                let v = self.mean_of(CellId::new(col, row));
+                if v > 0.0 {
+                    sum += v;
+                    n += 1;
+                }
             }
         }
         sum / n as f64
     }
 
-    /// Evaluates a spec's target definition over a grid, masking skipped
-    /// cells to `0.0`. A wide grid's projected field is filled on the pool,
-    /// in index-ordered chunks.
+    /// A spec's target definition over a grid, skipped cells masked to
+    /// `0.0`. Explicit matrices are copied and masked; a projected
+    /// definition keeps its parameters and the skipped cells, sorted and
+    /// deduplicated, and [`Self::mean_std_of`] evaluates it per cell.
     pub fn from_def(def: &TargetDef, grid: &GridSpec, skipped: &[CellId]) -> Self {
         let mut field = match def {
             TargetDef::Explicit { mean, std } => Self::from_rows(mean.clone(), std.clone()),
@@ -162,36 +214,36 @@ impl TargetField {
                 std_factor,
                 std_floor_ms,
             } => {
-                let hotspot = CellId::parse(hotspot).expect("validated hotspot label");
-                let mut field = Self::zero(grid);
-                let cols = grid.cols as usize;
-                let chunks = cell_chunks(grid.len());
-                let pieces: Vec<_> = chunks
-                    .iter()
-                    .cloned()
-                    .zip(split_mut(&mut field.mean, &chunks))
-                    .zip(split_mut(&mut field.std, &chunks))
-                    .collect();
-                map_chunks(pieces, |((chunk, means), stds)| {
-                    for ((i, mean_slot), std_slot) in chunk.zip(means).zip(stds) {
-                        let cell = CellId::new((i % cols) as u32, (i / cols) as u32);
-                        let diag = (cell.col as f64 / (grid.cols - 1).max(1) as f64
-                            + cell.row as f64 / (grid.rows - 1).max(1) as f64)
-                            / 2.0;
-                        let peak = if cell == hotspot { *hotspot_ms } else { 0.0 };
-                        let mean = floor_ms + gradient_ms * diag + peak;
-                        *std_slot = (std_factor * (mean - floor_ms)).max(*std_floor_ms);
-                        *mean_slot = mean;
-                    }
-                });
-                field
+                let model = Projection {
+                    floor_ms: *floor_ms,
+                    gradient_ms: *gradient_ms,
+                    hotspot_ms: *hotspot_ms,
+                    hotspot: CellId::parse(hotspot).expect("validated hotspot label"),
+                    std_factor: *std_factor,
+                    std_floor_ms: *std_floor_ms,
+                };
+                let skipped = Vec::with_capacity(skipped.len());
+                Self {
+                    cols: grid.cols,
+                    rows: grid.rows,
+                    values: Targets::Projected { model, skipped },
+                }
             }
         };
         for &cell in skipped {
-            field.set(cell, 0.0, 0.0);
+            field.mask(cell);
+        }
+        if let Targets::Projected { skipped, .. } = &mut field.values {
+            skipped.sort_unstable_by_key(row_major);
+            skipped.dedup();
         }
         field
     }
+}
+
+/// A cell's row-major sort key.
+fn row_major(cell: &CellId) -> (u32, u32) {
+    (cell.row, cell.col)
 }
 
 /// Versioned packing of a cell's coordinates into the 64-bit stream-key
@@ -714,10 +766,16 @@ mod tests {
             std_factor: 0.75,
             std_floor_ms: 2.0,
         };
-        let skipped = [CellId::parse("A1").unwrap()];
+        // Out of row-major order, with a repeat, as a spec may list them.
+        let skipped: Vec<CellId> =
+            ["E6", "A1", "C1", "A4", "A1"].iter().map(|l| CellId::parse(l).unwrap()).collect();
         let t = TargetField::from_def(&def, &grid, &skipped);
-        // A1 masked.
-        assert_eq!(t.mean_of(CellId::parse("A1").unwrap()), 0.0);
+        for &cell in &skipped {
+            assert_eq!(t.mean_std_of(cell), (0.0, 0.0), "{cell} masked");
+        }
+        let traversed = t.traversed_cells(&grid);
+        assert_eq!(traversed.len(), 30 - 4);
+        assert!(traversed.iter().all(|c| !skipped.contains(c)));
         // B1: diag = (1/4 + 0/5)/2 = 0.125 → 66 + 22·0.125.
         let b1 = t.mean_of(CellId::parse("B1").unwrap());
         assert!((b1 - (66.0 + 22.0 * 0.125)).abs() < 1e-12, "{b1}");

@@ -23,6 +23,20 @@
 //!   tmp-file + fsync + rename, so a kill leaves either the old record or
 //!   the new one, never a torn file.
 //!
+//! * **Record layout** ([`STORE_VERSION`] 2). All integers little-endian.
+//!   A blob is a 24-byte header (magic `SIXGSWP\0`, version `u32`, kind
+//!   `u32`, spec hash `u64`), the payload, and an FNV-1a 64 checksum of
+//!   everything before it. A field is its grid's columns and rows (`u32`
+//!   each), its cell count (`u64`), then each cell's accumulator in
+//!   row-major order as three `u64`s: the count and the bits of the mean
+//!   and of M2, 24 bytes a cell. A run blob's payload is the run index
+//!   (`u32`) and its field. A cursor's is the next item and the item
+//!   total (`u64` each), the next item's run, pass, column and row (`u32`
+//!   each), then a `0` byte, or a `1` byte, the partial run's index
+//!   (`u32`) and its field. Each record is written into one buffer of its
+//!   exact length. Version 1 stored each cell's minimum and maximum too,
+//!   40 bytes a cell; a version-1 manifest or blob is refused.
+//!
 //! * **Why resume is bitwise.** A shard's work list is run-major over the
 //!   runs it owns, and a shard builds the work lists of those runs only
 //!   (see [`crate::sweep`]): folding items `0..k` then — after a crash —
@@ -53,7 +67,7 @@ use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 
 /// On-disk format version; bump on any layout change.
-pub const STORE_VERSION: u32 = 1;
+pub const STORE_VERSION: u32 = 2;
 
 /// Default number of work items folded between cursor checkpoints.
 pub const CHECKPOINT_INTERVAL: usize = 1024;
@@ -172,17 +186,24 @@ fn push_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Bytes of one accumulator in a field record: count, mean, M2.
+const CELL_RECORD_LEN: usize = 3 * 8;
+
+/// The length of `field`'s record: its shape, its cell count and its
+/// accumulators.
+fn field_len(field: &CellField) -> usize {
+    4 + 4 + 8 + field.accumulators().len() * CELL_RECORD_LEN
+}
+
 fn push_field(buf: &mut Vec<u8>, field: &CellField) {
     push_u32(buf, field.grid().cols);
     push_u32(buf, field.grid().rows);
     push_u64(buf, field.accumulators().len() as u64);
     for w in field.accumulators() {
-        let (n, mean, m2, min, max) = w.raw_parts();
+        let (n, mean, m2) = w.raw_parts();
         push_u64(buf, n);
         push_u64(buf, mean.to_bits());
         push_u64(buf, m2.to_bits());
-        push_u64(buf, min.to_bits());
-        push_u64(buf, max.to_bits());
     }
 }
 
@@ -256,23 +277,28 @@ impl<'a> Reader<'a> {
             let n = self.u64()?;
             let mean = f64::from_bits(self.u64()?);
             let m2 = f64::from_bits(self.u64()?);
-            let min = f64::from_bits(self.u64()?);
-            let max = f64::from_bits(self.u64()?);
-            acc.push(Welford::from_raw_parts(n, mean, m2, min, max));
+            acc.push(Welford::from_raw_parts(n, mean, m2));
         }
         Ok(CellField::from_accumulators(expected.clone(), acc))
     }
 }
 
-/// Frames `payload` with the magic, version, kind, spec hash and trailing
-/// checksum.
-fn frame(kind: u32, spec_hash: u64, payload: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(HEADER_LEN + payload.len() + 8);
+/// One record: the magic, version, kind and spec hash, the
+/// `payload_len`-byte payload that `payload` writes, and the trailing
+/// checksum, in one buffer allocated at its exact length.
+fn frame(
+    kind: u32,
+    spec_hash: u64,
+    payload_len: usize,
+    payload: impl FnOnce(&mut Vec<u8>),
+) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(HEADER_LEN + payload_len + 8);
     buf.extend_from_slice(MAGIC);
     push_u32(&mut buf, STORE_VERSION);
     push_u32(&mut buf, kind);
     push_u64(&mut buf, spec_hash);
-    buf.extend_from_slice(payload);
+    payload(&mut buf);
+    assert_eq!(buf.len(), HEADER_LEN + payload_len, "the payload has its stated length");
     let sum = fnv1a64(&buf);
     push_u64(&mut buf, sum);
     buf
@@ -592,10 +618,10 @@ impl CheckpointStore {
     /// framed bytes written to disk — the dispatch worker streams them
     /// verbatim, so the coordinator's copy is the on-disk record.
     pub fn write_run_bytes(&self, run: u32, field: &CellField) -> Result<Vec<u8>, StoreError> {
-        let mut payload = Vec::new();
-        push_u32(&mut payload, run);
-        push_field(&mut payload, field);
-        let bytes = frame(KIND_RUN, self.spec_hash, &payload);
+        let bytes = frame(KIND_RUN, self.spec_hash, 4 + field_len(field), |buf| {
+            push_u32(buf, run);
+            push_field(buf, field);
+        });
         write_atomic(&self.run_path(run), &bytes)?;
         Ok(bytes)
     }
@@ -613,22 +639,23 @@ impl CheckpointStore {
     /// Writes the resume cursor (checkpoint commit point) and returns the
     /// exact framed bytes written to disk (see [`Self::write_run_bytes`]).
     pub fn write_cursor_bytes(&self, cursor: &CursorRecord) -> Result<Vec<u8>, StoreError> {
-        let mut payload = Vec::new();
-        push_u64(&mut payload, cursor.next_item);
-        push_u64(&mut payload, cursor.total_items);
-        push_u32(&mut payload, cursor.next_run);
-        push_u32(&mut payload, cursor.next_pass);
-        push_u32(&mut payload, cursor.next_col);
-        push_u32(&mut payload, cursor.next_row);
-        match &cursor.partial {
-            None => payload.push(0),
-            Some((run, field)) => {
-                payload.push(1);
-                push_u32(&mut payload, *run);
-                push_field(&mut payload, field);
+        let partial_len = cursor.partial.as_ref().map_or(0, |(_, field)| 4 + field_len(field));
+        let bytes = frame(KIND_CURSOR, self.spec_hash, 8 + 8 + 4 * 4 + 1 + partial_len, |buf| {
+            push_u64(buf, cursor.next_item);
+            push_u64(buf, cursor.total_items);
+            push_u32(buf, cursor.next_run);
+            push_u32(buf, cursor.next_pass);
+            push_u32(buf, cursor.next_col);
+            push_u32(buf, cursor.next_row);
+            match &cursor.partial {
+                None => buf.push(0),
+                Some((run, field)) => {
+                    buf.push(1);
+                    push_u32(buf, *run);
+                    push_field(buf, field);
+                }
             }
-        }
-        let bytes = frame(KIND_CURSOR, self.spec_hash, &payload);
+        });
         write_atomic(&self.cursor_path(), &bytes)?;
         Ok(bytes)
     }
@@ -1111,16 +1138,6 @@ mod tests {
         }
     }
 
-    fn field_bits(f: &CellField) -> Vec<(u64, u64, u64, u64, u64)> {
-        f.accumulators()
-            .iter()
-            .map(|w| {
-                let (n, mean, m2, min, max) = w.raw_parts();
-                (n, mean.to_bits(), m2.to_bits(), min.to_bits(), max.to_bits())
-            })
-            .collect()
-    }
-
     #[test]
     fn run_blob_round_trips_bitwise() {
         let dir = scratch("roundtrip");
@@ -1128,13 +1145,15 @@ mod tests {
         let f = sample_field();
         store.write_run_bytes(1, &f).expect("write");
         let back = store.read_run(1, &grid()).expect("read");
-        assert_eq!(field_bits(&back), field_bits(&f));
-        // Empty accumulators carry ±inf min/max — JSON could not represent
-        // them, the binary blob must.
+        assert_eq!(back.accumulator_bits(), f.accumulator_bits());
+        // A record is its header, run index, shape, count, 24 bytes a cell
+        // and the checksum.
+        let bytes = std::fs::read(dir.join("run_00001.blob")).expect("read blob");
+        assert_eq!(bytes.len(), HEADER_LEN + 4 + 16 + grid().len() * 24 + 8);
         let empty = CellField::new(grid());
         store.write_run_bytes(2, &empty).expect("write empty");
         let back = store.read_run(2, &grid()).expect("read empty");
-        assert_eq!(field_bits(&back), field_bits(&empty));
+        assert_eq!(back.accumulator_bits(), empty.accumulator_bits());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1160,7 +1179,7 @@ mod tests {
         assert!(!back.is_complete());
         let (run, pf) = back.partial.expect("partial survives");
         assert_eq!(run, 1);
-        assert_eq!(field_bits(&pf), field_bits(&sample_field()));
+        assert_eq!(pf.accumulator_bits(), sample_field().accumulator_bits());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1198,15 +1217,20 @@ mod tests {
         std::fs::write(&path, &bad).expect("doctor");
         let err = store.read_run(0, &grid()).expect_err("bad version");
         // The checksum notices the flip first unless it is recomputed; a
-        // *consistently* re-signed wrong version must name the version.
-        let mut resigned = good.clone();
-        resigned[8] = 2;
-        let body_len = resigned.len() - 8;
-        let sum = fnv1a64(&resigned[..body_len]);
-        resigned[body_len..].copy_from_slice(&sum.to_le_bytes());
-        std::fs::write(&path, &resigned).expect("doctor");
-        let err2 = store.read_run(0, &grid()).expect_err("bad version resigned");
-        assert!(err2.message.contains("version"), "{err2}");
+        // *consistently* re-signed wrong version must name the version:
+        // the previous layout's and a future one's.
+        for version in [STORE_VERSION - 1, STORE_VERSION + 1] {
+            let mut resigned = good.clone();
+            resigned[8..12].copy_from_slice(&version.to_le_bytes());
+            let body_len = resigned.len() - 8;
+            let sum = fnv1a64(&resigned[..body_len]);
+            resigned[body_len..].copy_from_slice(&sum.to_le_bytes());
+            std::fs::write(&path, &resigned).expect("doctor");
+            let err2 = store.read_run(0, &grid()).expect_err("bad version resigned");
+            let want =
+                format!("unsupported store version {version} (this build reads {STORE_VERSION})");
+            assert_eq!(err2.message, want);
+        }
         assert!(err.message.contains("checksum") || err.message.contains("version"), "{err}");
 
         let mut bad = good.clone();
@@ -1214,6 +1238,29 @@ mod tests {
         std::fs::write(&path, &bad).expect("doctor");
         let err = store.read_run(0, &grid()).expect_err("bad magic");
         assert!(err.message.contains("magic"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A store directory of the version-1 layout (40 bytes a cell) is
+    /// refused at its manifest, on open and on load, before any blob is
+    /// read.
+    #[test]
+    fn version_1_manifest_is_refused() {
+        let dir = scratch("v1-manifest");
+        let store = CheckpointStore::open(&dir, &meta(3)).expect("open");
+        store.write_run_bytes(0, &sample_field()).expect("write");
+        let manifest = dir.join(MANIFEST_FILE);
+        let text = std::fs::read_to_string(&manifest).expect("read manifest");
+        let (v2, v1) = ("\"store_version\": 2,", "\"store_version\": 1,");
+        assert!(text.contains(v2), "{text}");
+        std::fs::write(&manifest, text.replace(v2, v1)).expect("doctor manifest");
+        for err in [
+            CheckpointStore::open(&dir, &meta(3)).expect_err("open must refuse"),
+            CheckpointStore::load(&dir).expect_err("load must refuse"),
+        ] {
+            assert_eq!(err.message, "unsupported store version 1 (this build reads 2)");
+            assert!(err.path.ends_with(MANIFEST_FILE), "{err}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

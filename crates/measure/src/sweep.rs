@@ -948,11 +948,11 @@ impl RunPlan {
     /// ([`Runner::fields`]): the lead samples every item at the group's
     /// finest cadence, and each lane folds its share. A lane of several
     /// runs — twins in everything sampling reads — folds one field and
-    /// clones it. `emit` is called with `(run index, report)` for run 0
-    /// (the base) and every variant once that run and every earlier run
-    /// are done — in run order, while later groups are still executing —
-    /// with exactly the arguments [`Self::build_sweep_run`] uses, so
-    /// streamed bits equal final-report bits.
+    /// clones it. Each run's report is built once that run and every
+    /// earlier run are done — in run order, while later groups are still
+    /// executing — and `emit` is called with `(run index, report)` for run
+    /// 0 (the base) and every variant. The executed sweep keeps those very
+    /// reports, so streamed bits are final-report bits.
     pub(crate) fn run_in_memory(
         &self,
         sweep: &Sweep,
@@ -960,10 +960,7 @@ impl RunPlan {
     ) -> SweepRun {
         let req_ms = sweep.spec.requirement_ms;
         let mut fields: Vec<Option<CellField>> = self.runs.iter().map(|_| None).collect();
-        let mut emitted = 0;
-        // The base run is emitted first; its `(grand mean, exceedance)` is
-        // the reference for every variant's deltas.
-        let mut base_ref: Option<(f64, f64)> = None;
+        let mut reports = Vec::with_capacity(self.runs.len());
         for lanes in self.draw_groups() {
             let lead = &self.runs[lanes[0].1[0]];
             let runner = Runner::new(&self.scenarios[lead.scen], lead.config, lead.backend);
@@ -975,16 +972,13 @@ impl RunPlan {
                 }
                 fields[last] = Some(field);
             }
-            while let Some(Some(field)) = fields.get(emitted) {
-                let report =
-                    VariantReport::from_field(&self.runs[emitted], field, req_ms, base_ref);
-                base_ref.get_or_insert((report.grand_mean_ms, report.exceedance_pct));
-                emit(emitted, &report);
-                emitted += 1;
+            while let Some(Some(field)) = fields.get(reports.len()) {
+                let run = reports.len();
+                emit(run, self.push_report(&mut reports, field, req_ms));
             }
         }
         let fields = fields.into_iter().map(|f| f.expect("every run is in a group")).collect();
-        self.build_sweep_run(sweep, fields)
+        self.sweep_run(sweep, fields, reports)
     }
 
     /// The grid run `run` accumulates over.
@@ -992,34 +986,60 @@ impl RunPlan {
         &self.scenarios[self.runs[run].scen].grid
     }
 
-    /// Folds completed per-run fields into the executed-sweep record — the
-    /// single report-construction path shared by [`Sweep::run`],
-    /// checkpointed completion and store merging: identical fields in,
-    /// identical report bits out.
+    /// Appends run `reports.len()`'s report over its folded `field`, with
+    /// deltas against the base run's report, `reports[0]` (none for the
+    /// base itself), and returns it. The one place a sweep's reports are
+    /// built: in memory as each run completes, and from the store's fields
+    /// after a checkpointed run or a merge, always in run order —
+    /// identical fields in, identical report bits out.
+    fn push_report<'r>(
+        &self,
+        reports: &'r mut Vec<VariantReport>,
+        field: &CellField,
+        requirement_ms: f64,
+    ) -> &'r VariantReport {
+        let base = reports.first().map(|b| (b.grand_mean_ms, b.exceedance_pct));
+        let meta = &self.runs[reports.len()];
+        reports.push(VariantReport::from_field(meta, field, requirement_ms, base));
+        reports.last().expect("the report just built")
+    }
+
+    /// Folds completed per-run fields into the executed-sweep record:
+    /// checkpointed completion and store merging build each run's report
+    /// here ([`Self::push_report`]).
     pub(crate) fn build_sweep_run(&self, sweep: &Sweep, fields: Vec<CellField>) -> SweepRun {
+        let mut reports = Vec::with_capacity(fields.len());
+        for field in &fields {
+            self.push_report(&mut reports, field, sweep.spec.requirement_ms);
+        }
+        self.sweep_run(sweep, fields, reports)
+    }
+
+    /// The executed-sweep record of every run's field and report, base
+    /// first.
+    fn sweep_run(
+        &self,
+        sweep: &Sweep,
+        fields: Vec<CellField>,
+        reports: Vec<VariantReport>,
+    ) -> SweepRun {
         assert_eq!(fields.len(), self.runs.len(), "one field per run");
-        let req = sweep.spec.requirement_ms;
-        let mut field_iter = fields.into_iter();
-        let base_field = field_iter.next().expect("base run present");
-        let base_report = VariantReport::from_field(&self.runs[0], &base_field, req, None);
-        let base_ref = Some((base_report.grand_mean_ms, base_report.exceedance_pct));
-        let variant_fields: Vec<CellField> = field_iter.collect();
-        let variant_reports: Vec<VariantReport> = self.runs[1..]
-            .iter()
-            .zip(&variant_fields)
-            .map(|(m, field)| VariantReport::from_field(m, field, req, base_ref))
-            .collect();
+        assert_eq!(reports.len(), self.runs.len(), "one report per run");
+        let mut fields = fields.into_iter();
+        let base_field = fields.next().expect("base run present");
+        let mut reports = reports.into_iter();
+        let base = reports.next().expect("base report present");
         SweepRun {
             report: SweepReport {
                 sweep: sweep.spec.name.clone(),
                 base_spec: sweep.base.name.clone(),
-                requirement_ms: req,
+                requirement_ms: sweep.spec.requirement_ms,
                 variant_count: self.runs.len() - 1,
-                base: base_report,
-                variants: variant_reports,
+                base,
+                variants: reports.collect(),
             },
             base_field,
-            variant_fields,
+            variant_fields: fields.collect(),
             variant_backends: self.runs[1..].iter().map(|m| m.backend).collect(),
             variant_choices: self.runs[1..].iter().map(|m| m.choices.clone()).collect(),
             variant_labels: self.runs[1..].iter().map(|m| m.label.clone()).collect(),

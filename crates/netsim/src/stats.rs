@@ -8,19 +8,22 @@
 use serde::{Deserialize, Serialize};
 
 /// Numerically stable streaming mean/variance (Welford).
+///
+/// The state is the count, the running mean and the sum of squared
+/// deviations M2: 24 bytes, and all that the count, mean and σ a field
+/// reports are computed from. It keeps no extremes; a caller that needs
+/// one folds it beside the accumulator.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Welford {
     n: u64,
     mean: f64,
     m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl Welford {
     /// Empty accumulator.
     pub fn new() -> Self {
-        Self { n: 0, mean: 0.0, m2: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
+        Self { n: 0, mean: 0.0, m2: 0.0 }
     }
 
     /// Adds a sample.
@@ -29,8 +32,6 @@ impl Welford {
         let delta = x - self.mean;
         self.mean += delta / self.n as f64;
         self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
     }
 
     /// Merges another accumulator (parallel reduction; Chan et al.).
@@ -49,8 +50,6 @@ impl Welford {
         self.mean += delta * n2 / n;
         self.m2 += other.m2 + delta * delta * n1 * n2 / n;
         self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Number of samples.
@@ -95,28 +94,18 @@ impl Welford {
         self.sample_variance().sqrt()
     }
 
-    /// Minimum sample (NaN-free; +inf when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Maximum sample (-inf when empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// The raw accumulator state `(n, mean, m2, min, max)` — the exact
-    /// internal representation, for bit-preserving persistence. A state
+    /// The raw accumulator state `(n, mean, m2)` — the exact internal
+    /// representation, for bit-preserving persistence. A state
     /// round-tripped through [`Self::from_raw_parts`] continues the
     /// accumulation with an identical floating-point operation sequence,
     /// so checkpoint/resume of a sample stream is bitwise transparent.
-    pub fn raw_parts(&self) -> (u64, f64, f64, f64, f64) {
-        (self.n, self.mean, self.m2, self.min, self.max)
+    pub fn raw_parts(&self) -> (u64, f64, f64) {
+        (self.n, self.mean, self.m2)
     }
 
     /// Rebuilds an accumulator from [`Self::raw_parts`] output verbatim.
-    pub fn from_raw_parts(n: u64, mean: f64, m2: f64, min: f64, max: f64) -> Self {
-        Self { n, mean, m2, min, max }
+    pub fn from_raw_parts(n: u64, mean: f64, m2: f64) -> Self {
+        Self { n, mean, m2 }
     }
 }
 
@@ -263,8 +252,6 @@ mod tests {
         }
         assert!((w.mean() - 5.0).abs() < 1e-12);
         assert!((w.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(w.min(), 2.0);
-        assert_eq!(w.max(), 9.0);
         assert_eq!(w.count(), 8);
     }
 

@@ -6,9 +6,9 @@
 //! peak heap bytes over every thread, as in `tests/plain_run_heap.rs`.
 //! Shard 0 of 4 of a 4-run sweep owns one run; its peak must stay within
 //! the compiled scenario, one run's list and items, the run's field, the
-//! spilled blob's buffers and a small allowance. A shard that built every
-//! run's list (179 994 shards of 24 bytes each) and the global item list
-//! (8 bytes an item) would add about 18 MB.
+//! spilled run's one framed record and a small allowance. A shard that
+//! built every run's list (179 994 shards of 24 bytes each) and the global
+//! item list (8 bytes an item) would add about 18 MB.
 //!
 //! The counts are process-wide, so this file holds a single test.
 
@@ -141,10 +141,11 @@ fn a_checkpointed_shard_builds_only_its_own_runs_work_lists() {
         if done_items == items as u64));
     let list = items * std::mem::size_of::<Shard>();
     let item_list = items * std::mem::size_of::<(u32, u32)>();
-    let field: usize = 180_000 * 40;
-    // The spilled run: its payload grows to the next power of two, and the
-    // framed copy adds a 36-byte header and checksum.
-    let blobs = (field + 4).next_power_of_two() + field + 64;
+    let field: usize = 180_000 * 24;
+    // The spilled run is one framed record of its exact length: a 24-byte
+    // header, the run index, the field's shape and count, its cells and an
+    // 8-byte checksum.
+    let blobs = 24 + 4 + 16 + field + 8;
     let bound = compile_peak.max(scenario + list + item_list + field + blobs) + ALLOWANCE;
     eprintln!(
         "compile peak {compile_peak}, scenario {scenario}, list {list}, items {item_list}, \
@@ -158,7 +159,8 @@ fn a_checkpointed_shard_builds_only_its_own_runs_work_lists() {
 
 /// Heap a shard may hold beyond the sum above: the plan's run metadata and
 /// labels, the store's paths and manifest, a round of sample buffers, and
-/// the pool's job boxes. Measured at 61 236 bytes; a shard that built all
-/// four runs' lists and the global item list read 19 177 185 bytes over
-/// the bound.
+/// the pool's job boxes. Measured at 61 272 bytes (a peak of 15 904 758).
+/// A shard that built all four runs' lists and the global item list read
+/// 19 177 185 bytes over the bound; a store that grew the payload by
+/// doubling and then copied it into the framed record read 8 187 729.
 const ALLOWANCE: usize = 256 << 10;

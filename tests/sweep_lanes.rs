@@ -43,15 +43,15 @@ fn with_passes(spec: &ScenarioSpec, passes: u32) -> ScenarioSpec {
 }
 
 /// A field's every accumulator state, bit for bit, row-major.
-type Bits = Vec<(u64, u64, u64, u64, u64)>;
+type Bits = Vec<(u64, u64, u64)>;
 
 fn bits(field: &CellField) -> Bits {
     field
         .accumulators()
         .iter()
         .map(|w| {
-            let (n, mean, m2, min, max) = w.raw_parts();
-            (n, mean.to_bits(), m2.to_bits(), min.to_bits(), max.to_bits())
+            let (n, mean, m2) = w.raw_parts();
+            (n, mean.to_bits(), m2.to_bits())
         })
         .collect()
 }
